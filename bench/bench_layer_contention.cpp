@@ -1,0 +1,122 @@
+// Per-layer host cost of the contention analysis behind every bulk op.
+//
+// The (d,x)-BSP cost of a bulk op needs two numbers: the location
+// contention k (mem::analyze_locations, i.e. util::MultiplicityCounter)
+// and the mapped bank load h_bank (mem::analyze_banks). This binary
+// times each layer alone and core::predict_scatter, which composes
+// them, at n = 2^14, 2^16 and 2^20 on a uniform trace and a k-hot trace
+// (one location takes n/256 requests, the rest are distinct; the
+// perfbench scatter_large pattern), on the p=64, x=4, d=8 machine.
+// Reported as items_per_second; ns/element is its inverse.
+
+#include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/predictor.hpp"
+#include "mem/bank_mapping.hpp"
+#include "mem/contention.hpp"
+#include "sim/machine_config.hpp"
+#include "util/multiplicity.hpp"
+#include "util/rng.hpp"
+#include "workload/patterns.hpp"
+
+namespace {
+
+using namespace dxbsp;
+
+constexpr std::uint64_t kSpace = std::uint64_t{1} << 30;
+
+sim::MachineConfig machine() {
+  return sim::MachineConfig::parse("p=64,x=4,d=8,g=1,L=8");
+}
+
+std::vector<std::uint64_t> trace(std::int64_t n, bool k_hot) {
+  const auto un = static_cast<std::uint64_t>(n);
+  return k_hot ? workload::k_hot(un, un / 256, kSpace, 1995)
+               : workload::uniform_random(un, kSpace, 1995);
+}
+
+void set_items(benchmark::State& state, std::size_t n) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void bm_analyze_locations(benchmark::State& state, bool k_hot) {
+  const auto addrs = trace(state.range(0), k_hot);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(mem::analyze_locations(addrs));
+  set_items(state, addrs.size());
+}
+
+void bm_analyze_banks(benchmark::State& state, bool k_hot,
+                      const std::string& mapping_name) {
+  const auto addrs = trace(state.range(0), k_hot);
+  util::Xoshiro256 rng(7);
+  const auto mapping = mem::make_mapping(mapping_name, machine().banks(), rng);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(mem::analyze_banks(addrs, *mapping));
+  set_items(state, addrs.size());
+}
+
+void bm_multiplicity(benchmark::State& state, bool k_hot) {
+  const auto addrs = trace(state.range(0), k_hot);
+  util::MultiplicityCounter counter;
+  for (auto _ : state) benchmark::DoNotOptimize(counter.count(addrs));
+  set_items(state, addrs.size());
+}
+
+void bm_predict_scatter(benchmark::State& state, bool k_hot) {
+  const auto addrs = trace(state.range(0), k_hot);
+  const sim::MachineConfig cfg = machine();
+  util::Xoshiro256 rng(7);
+  const auto mapping = mem::make_mapping("linear", cfg.banks(), rng);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::predict_scatter(addrs, cfg, mapping.get()));
+  set_items(state, addrs.size());
+}
+
+void register_all() {
+  for (const bool k_hot : {false, true}) {
+    const std::string dist = k_hot ? "/khot" : "/uniform";
+    const auto sizes = [](benchmark::internal::Benchmark* b) {
+      b->Arg(1 << 14)->Arg(1 << 16)->Arg(1 << 20);
+    };
+    benchmark::RegisterBenchmark(("mem.analyze_locations" + dist).c_str(),
+                                 bm_analyze_locations, k_hot)
+        ->Apply(sizes);
+    for (const char* m : {"interleaved", "linear"}) {
+      const std::string label =
+          std::string("mem.analyze_banks.") +
+          (std::string(m) == "linear" ? "hashed" : m) + dist;
+      benchmark::RegisterBenchmark(label.c_str(), bm_analyze_banks, k_hot,
+                                   std::string(m))
+          ->Apply(sizes);
+    }
+    benchmark::RegisterBenchmark(("util.multiplicity" + dist).c_str(),
+                                 bm_multiplicity, k_hot)
+        ->Apply(sizes);
+    benchmark::RegisterBenchmark(("core.predict_scatter" + dist).c_str(),
+                                 bm_predict_scatter, k_hot)
+        ->Apply(sizes);
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::printf("=== Contention-analysis layers ===\n");
+  std::printf(
+      "Host cost of location counting (partitioned MultiplicityCounter,\n"
+      "kPartitionKeys = %zu), bank tallies and the predictor.\n"
+      "Measured host throughput (items/s; see items_per_second):\n",
+      util::MultiplicityCounter::kPartitionKeys);
+  register_all();
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification, plain and sanitized.
 #
-# 1. Configure + build + ctest with the default toolchain flags.
+# 1. Configure + build + ctest with the default toolchain flags, then
+#    the parallel-isolation leg: the suites that write files (svc,
+#    stream, flight, resilience; ctest label "writes-files") rerun under
+#    `ctest -j` ten times over (--repeat until-fail:10). Each test
+#    process works in its own scratch directory (tests/test_tmp.hpp); a
+#    shared path shows up here as a flaky failure.
 # 2. Configure + build + ctest a second tree with DXBSP_SANITIZE=ON
 #    (-fsanitize=address,undefined), and run the chaos fault harness and
 #    the snapshot corruption fuzz explicitly under the sanitizers (random
@@ -70,6 +75,10 @@ echo "== tier-1 (plain) =="
 cmake -B build-ci -S . >/dev/null
 cmake --build build-ci -j"$JOBS"
 ctest --test-dir build-ci -j"$JOBS" --output-on-failure
+
+echo "== parallel test isolation (file-writing suites, repeated) =="
+ctest --test-dir build-ci -j"$JOBS" --output-on-failure \
+    -L writes-files --repeat until-fail:10
 
 echo "== tier-1 (address+UB sanitizers) =="
 cmake -B build-ci-san -S . -DDXBSP_SANITIZE=ON >/dev/null

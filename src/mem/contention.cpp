@@ -1,31 +1,24 @@
 #include "mem/contention.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/bits.hpp"
+#include "util/multiplicity.hpp"
 
 namespace dxbsp::mem {
 
 LocationContention analyze_locations(std::span<const std::uint64_t> addrs) {
+  // One counter per thread: its buffers are reused across calls.
+  thread_local util::MultiplicityCounter counter;
+  const util::Multiplicity m = counter.count(addrs);
   LocationContention lc;
   lc.total = addrs.size();
-  if (addrs.empty()) return lc;
-  std::vector<std::uint64_t> sorted(addrs.begin(), addrs.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::uint64_t run = 1;
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i] == sorted[i - 1]) {
-      ++run;
-    } else {
-      lc.max_contention = std::max(lc.max_contention, run);
-      ++lc.distinct;
-      run = 1;
-    }
-  }
-  lc.max_contention = std::max(lc.max_contention, run);
-  ++lc.distinct;
-  lc.mean_contention =
-      static_cast<double>(lc.total) / static_cast<double>(lc.distinct);
+  lc.distinct = m.distinct;
+  lc.max_contention = m.max;
+  if (lc.distinct != 0)
+    lc.mean_contention =
+        static_cast<double>(lc.total) / static_cast<double>(lc.distinct);
   return lc;
 }
 
@@ -34,7 +27,16 @@ BankLoads analyze_banks(std::span<const std::uint64_t> addrs,
   BankLoads bl;
   bl.load.assign(mapping.num_banks(), 0);
   bl.total = addrs.size();
-  for (const std::uint64_t a : addrs) ++bl.load[mapping.bank_of(a)];
+  // Map in cache-sized chunks: one virtual dispatch per chunk, not per
+  // address, and no trace-sized bank buffer.
+  constexpr std::size_t kChunk = 1024;
+  std::array<std::uint64_t, kChunk> banks;
+  for (std::size_t i = 0; i < addrs.size(); i += kChunk) {
+    const std::size_t len = std::min(kChunk, addrs.size() - i);
+    mapping.bank_of_batch(addrs.subspan(i, len),
+                          std::span(banks).first(len));
+    for (std::size_t j = 0; j < len; ++j) ++bl.load[banks[j]];
+  }
   for (const std::uint64_t l : bl.load) {
     bl.max_load = std::max(bl.max_load, l);
     if (l != 0) ++bl.nonempty_banks;

@@ -19,8 +19,12 @@ struct LocationContention {
   double mean_contention = 0.0;     ///< total / distinct
 };
 
-/// Computes location contention for a trace. O(n log n); the trace is
-/// copied and sorted internally.
+/// Computes location contention for a trace in O(n) expected time with
+/// util::MultiplicityCounter (a per-thread instance, reused across
+/// calls). Exact: equal addresses are counted together, distinct ones
+/// never. Throws Error(kConfig) on a trace of more than
+/// util::MultiplicityCounter::kMaxKeys (2^32 - 2) addresses, the limit of
+/// the counter's 32-bit counts.
 [[nodiscard]] LocationContention analyze_locations(
     std::span<const std::uint64_t> addrs);
 
@@ -33,7 +37,8 @@ struct BankLoads {
   std::uint64_t nonempty_banks = 0;
 };
 
-/// Tallies requests per bank under `mapping`.
+/// Tallies requests per bank under `mapping`, mapping the trace through
+/// BankMapping::bank_of_batch in fixed-size chunks.
 [[nodiscard]] BankLoads analyze_banks(std::span<const std::uint64_t> addrs,
                                       const BankMapping& mapping);
 

@@ -357,7 +357,8 @@ class Machine {
   EngineSelector selector_;
   std::uint64_t superstep_seq_ = 0;
   // Per-op attribution scratch (critical-event latch + retry origins)
-  // and the location-contention counting table, reused across bulk ops.
+  // and the location-contention counter (an n-word partition buffer plus
+  // a cache-sized table), reused across bulk ops.
   obs::CostAttributor attr_;
   util::MultiplicityCounter contention_;
 #ifdef DXBSP_REFERENCE_ENGINE

@@ -1,0 +1,236 @@
+// Differential tests of the location and bank counters.
+//
+// mem::analyze_locations counts through util::MultiplicityCounter (a
+// radix partition plus a cache-resident hash table per partition). It is
+// diffed here against the copy-and-sort count it replaced, kept below as
+// the oracle: {max_contention, distinct, mean_contention} must agree
+// exactly on seeded random traces at every size where the partition
+// count changes, on repeat-heavy key spaces, on the sentinel keys 0 and
+// ~0, and on a trace whose keys all land in one partition.
+// mem::analyze_banks maps through bank_of_batch in chunks; it is diffed
+// against a per-element bank_of tally for every mapping make_mapping
+// builds.
+
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "mem/bank_mapping.hpp"
+#include "mem/contention.hpp"
+#include "resilience/error.hpp"
+#include "util/multiplicity.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+using namespace dxbsp;
+using util::MultiplicityCounter;
+
+// The oracle: sort a copy, count the runs. O(n log n) and plainly exact.
+mem::LocationContention sort_count(std::span<const std::uint64_t> addrs) {
+  mem::LocationContention lc;
+  lc.total = addrs.size();
+  if (addrs.empty()) return lc;
+  std::vector<std::uint64_t> sorted(addrs.begin(), addrs.end());
+  std::sort(sorted.begin(), sorted.end());
+  std::uint64_t run = 1;
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i] == sorted[i - 1]) {
+      ++run;
+    } else {
+      lc.max_contention = std::max(lc.max_contention, run);
+      ++lc.distinct;
+      run = 1;
+    }
+  }
+  lc.max_contention = std::max(lc.max_contention, run);
+  ++lc.distinct;
+  lc.mean_contention =
+      static_cast<double>(lc.total) / static_cast<double>(lc.distinct);
+  return lc;
+}
+
+void expect_matches_oracle(std::span<const std::uint64_t> keys,
+                           const std::string& what) {
+  const mem::LocationContention want = sort_count(keys);
+  const mem::LocationContention got = mem::analyze_locations(keys);
+  EXPECT_EQ(got.total, want.total) << what;
+  EXPECT_EQ(got.distinct, want.distinct) << what;
+  EXPECT_EQ(got.max_contention, want.max_contention) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_contention),
+            std::bit_cast<std::uint64_t>(want.mean_contention))
+      << what;
+  MultiplicityCounter mc;  // a fresh counter, not the per-thread one
+  const util::Multiplicity m = mc.count(keys);
+  EXPECT_EQ(m.max, want.max_contention) << what;
+  EXPECT_EQ(m.distinct, want.distinct) << what;
+}
+
+std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t space,
+                                       std::uint64_t seed) {
+  util::SplitMix64 rng(seed);
+  std::vector<std::uint64_t> keys(n);
+  for (auto& k : keys) k = space == 0 ? rng() : rng() % space;
+  return keys;
+}
+
+/// 0, 1, every size at which the partition count changes (±1), 2^16+1
+/// and 2^20.
+std::vector<std::size_t> trace_sizes() {
+  std::vector<std::size_t> sizes{0, 1, (std::size_t{1} << 16) + 1,
+                                 std::size_t{1} << 20};
+  for (std::size_t t = MultiplicityCounter::kPartitionKeys;
+       t <= (std::size_t{1} << 20); t *= 2) {
+    sizes.push_back(t - 1);
+    sizes.push_back(t);
+    sizes.push_back(t + 1);
+  }
+  return sizes;
+}
+
+/// The multiplicative inverse of an odd 64-bit word (Newton's iteration:
+/// each step doubles the number of correct low bits).
+std::uint64_t inverse_of(std::uint64_t a) {
+  std::uint64_t x = a;  // correct to 3 bits for odd a
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+TEST(LocationCounterDiff, MatchesSortOracleAcrossPartitionThresholds) {
+  std::uint64_t seed = 1;
+  for (const std::size_t n : trace_sizes()) {
+    // Mostly distinct keys, then key spaces small enough to force
+    // repeats (every key ~64 times; a handful of keys).
+    for (const std::uint64_t space : {std::uint64_t{0}, n / 64 + 1,
+                                      std::uint64_t{7}}) {
+      const auto keys = random_keys(n, space, seed++);
+      expect_matches_oracle(keys, "n=" + std::to_string(n) +
+                                      " space=" + std::to_string(space));
+    }
+  }
+}
+
+TEST(LocationCounterDiff, SentinelKeysCountLikeAnyOther) {
+  for (const std::size_t n : {std::size_t{3}, std::size_t{5000},
+                              (std::size_t{1} << 16) + 1}) {
+    auto keys = random_keys(n, 0, n);
+    // Every third key is 0, every fifth ~0: both are ordinary keys to
+    // the counter (its empty-slot tag is the epoch, not the key).
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 3 == 0) keys[i] = 0;
+      if (i % 5 == 0) keys[i] = ~std::uint64_t{0};
+    }
+    expect_matches_oracle(keys, "sentinels n=" + std::to_string(n));
+    std::vector<std::uint64_t> zeros(n, 0);
+    expect_matches_oracle(zeros, "all zero n=" + std::to_string(n));
+    std::vector<std::uint64_t> ones(n, ~std::uint64_t{0});
+    expect_matches_oracle(ones, "all ~0 n=" + std::to_string(n));
+  }
+}
+
+TEST(LocationCounterDiff, AllKeysInOnePartitionGrowTheTableExactly) {
+  // Keys whose Fibonacci hashes have their top `bits` bits clear all land
+  // in partition 0: one partition holds the whole trace, and the table
+  // must grow mid-partition. (Only the partition bits are fixed; the
+  // bits below, which pick the table slot, stay random.)
+  const std::uint64_t inv = inverse_of(MultiplicityCounter::kMultiplier);
+  ASSERT_EQ(inv * MultiplicityCounter::kMultiplier, 1u);
+  const std::size_t n = (std::size_t{1} << 16) + 1;
+  const auto bits = static_cast<unsigned>(
+      std::bit_width((n - 1) / MultiplicityCounter::kPartitionKeys));
+  ASSERT_GT(bits, 0u) << "n must span several partitions";
+  util::SplitMix64 rng(99);
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Every fourth key repeats an earlier one, so counts must survive
+    // the rehash.
+    keys[i] = i % 4 == 3 ? keys[i / 2] : (rng() >> bits) * inv;
+  }
+  expect_matches_oracle(keys, "one partition");
+}
+
+TEST(LocationCounterDiff, ReusedCounterStaysExactAcrossSizes) {
+  // One counter over shrinking and growing traces: stale tallies of a
+  // larger earlier call must never leak into a later one.
+  MultiplicityCounter mc;
+  std::uint64_t seed = 500;
+  for (const std::size_t n :
+       {std::size_t{1} << 18, std::size_t{10}, std::size_t{1} << 15,
+        std::size_t{1} << 18, std::size_t{3000}}) {
+    const auto keys = random_keys(n, n / 3 + 1, seed++);
+    const auto want = sort_count(keys);
+    const util::Multiplicity m = mc.count(keys);
+    EXPECT_EQ(m.max, want.max_contention) << n;
+    EXPECT_EQ(m.distinct, want.distinct) << n;
+  }
+}
+
+TEST(LocationCounterDiff, RejectsSpansBeyondTheCountLimit) {
+  MultiplicityCounter mc;
+  try {
+    mc.reserve(MultiplicityCounter::kMaxKeys + 1);
+    FAIL() << "reserve accepted a span beyond the 32-bit count limit";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kConfig);
+  }
+  // Through count() and analyze_locations: a span over reserved,
+  // inaccessible address space. The limit is checked before any read.
+  const std::size_t n = MultiplicityCounter::kMaxKeys + 1;
+  void* region = ::mmap(nullptr, n * sizeof(std::uint64_t), PROT_NONE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (region == MAP_FAILED) GTEST_SKIP() << "cannot reserve 32 GiB of address space";
+  const std::span<const std::uint64_t> huge(
+      static_cast<const std::uint64_t*>(region), n);
+  try {
+    (void)mc.count(huge);
+    ADD_FAILURE() << "count accepted a span beyond the limit";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kConfig);
+  }
+  try {
+    (void)mem::analyze_locations(huge);
+    ADD_FAILURE() << "analyze_locations accepted a span beyond the limit";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kConfig);
+  }
+  ::munmap(region, n * sizeof(std::uint64_t));
+}
+
+TEST(BankCounterDiff, MatchesPerElementBankOfForEveryMapping) {
+  util::Xoshiro256 rng(1995);
+  std::uint64_t seed = 7;
+  for (const char* name :
+       {"interleaved", "bit-reversal", "linear", "quadratic", "cubic"}) {
+    for (const std::uint64_t banks : {1u, 7u, 64u, 256u, 1000u}) {
+      const auto mapping = mem::make_mapping(name, banks, rng);
+      for (const std::size_t n : {0u, 1u, 1023u, 1024u, 1025u, 5000u}) {
+        const auto addrs = random_keys(n, seed % 2 == 0 ? 0 : 4096, seed);
+        ++seed;
+        std::vector<std::uint64_t> want(banks, 0);
+        for (const std::uint64_t a : addrs) ++want[mapping->bank_of(a)];
+        const mem::BankLoads got = mem::analyze_banks(addrs, *mapping);
+        const std::string what = std::string(name) +
+                                 " banks=" + std::to_string(banks) +
+                                 " n=" + std::to_string(n);
+        ASSERT_EQ(got.load, want) << what;
+        EXPECT_EQ(got.total, n) << what;
+        EXPECT_EQ(got.max_load, *std::max_element(want.begin(), want.end()))
+            << what;
+        EXPECT_EQ(got.nonempty_banks,
+                  static_cast<std::uint64_t>(
+                      std::count_if(want.begin(), want.end(),
+                                    [](std::uint64_t l) { return l != 0; })))
+            << what;
+      }
+    }
+  }
+}
+
+}  // namespace

@@ -22,6 +22,7 @@
 #include "obs/report.hpp"
 #include "obs/stitch.hpp"
 #include "resilience/error.hpp"
+#include "test_tmp.hpp"
 
 namespace {
 
@@ -31,7 +32,7 @@ using obs::FlightPhase;
 using obs::JsonValue;
 
 std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "dxbsp_flight_" + name;
+  return testing_tmp::path("dxbsp_flight_" + name);
 }
 
 std::string slurp(const std::string& path) {

@@ -26,6 +26,7 @@
 #include "sim/machine.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/patterns.hpp"
+#include "test_tmp.hpp"
 
 namespace dxbsp {
 namespace {
@@ -41,7 +42,7 @@ using resilience::SweepRunner;
 using resilience::SweepStatus;
 
 std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "dxbsp_resilience_" + name;
+  return testing_tmp::path("dxbsp_resilience_" + name);
 }
 
 std::vector<unsigned char> read_file(const std::string& path) {

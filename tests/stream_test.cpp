@@ -38,13 +38,14 @@
 #include "stream/spill_store.hpp"
 #include "svc/chaos.hpp"
 #include "util/cli.hpp"
+#include "test_tmp.hpp"
 
 namespace {
 
 using namespace dxbsp;
 
 std::string tmp_dir(const std::string& name) {
-  const std::string d = ::testing::TempDir() + "dxbsp_stream_" + name;
+  const std::string d = testing_tmp::path("dxbsp_stream_" + name);
   std::filesystem::remove_all(d);
   return d;
 }

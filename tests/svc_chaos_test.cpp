@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "svc/coordinator.hpp"
+#include "test_tmp.hpp"
 
 namespace {
 
@@ -30,7 +31,7 @@ using namespace dxbsp;
 const char* worker_bin() { return DXBSP_SVC_WORKER_BIN; }
 
 std::string tmp_dir(const std::string& name) {
-  return ::testing::TempDir() + "dxbsp_chaos_" + name;
+  return testing_tmp::path("dxbsp_chaos_" + name);
 }
 
 std::string slurp(const std::string& path) {

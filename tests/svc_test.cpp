@@ -22,6 +22,7 @@
 #include "svc/payload.hpp"
 #include "svc/wire.hpp"
 #include "svc/worker.hpp"
+#include "test_tmp.hpp"
 
 namespace {
 
@@ -29,7 +30,7 @@ using namespace dxbsp;
 using resilience::ShardSpec;
 
 std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "dxbsp_svc_" + name;
+  return testing_tmp::path("dxbsp_svc_" + name);
 }
 
 void write_raw(const std::string& path, const std::string& bytes) {
