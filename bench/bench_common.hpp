@@ -16,6 +16,7 @@
 
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/report.hpp"
@@ -52,14 +53,16 @@ inline bool is_execution_flag(const std::string& name) {
 }
 
 /// Parses --engine=auto|calendar|reference (docs/performance.md
-/// §selector). kAuto is the default; pinning is a workload flag — it can
+/// §selector) into the EngineSelector::force() pin: auto (the default)
+/// leaves the selector unforced. Pinning is a workload flag — it can
 /// change which code ran and therefore the selector section — so it is
 /// NOT in is_execution_flag.
-inline sim::Machine::Engine engine_from_cli(const util::Cli& cli) {
+inline std::optional<obs::EngineChoice> engine_from_cli(
+    const util::Cli& cli) {
   const std::string name = cli.get("engine", "auto");
-  if (name == "auto") return sim::Machine::Engine::kAuto;
-  if (name == "calendar") return sim::Machine::Engine::kCalendar;
-  if (name == "reference") return sim::Machine::Engine::kReference;
+  if (name == "auto") return std::nullopt;
+  if (name == "calendar") return obs::EngineChoice::kCalendar;
+  if (name == "reference") return obs::EngineChoice::kReference;
   raise(ErrorCode::kConfig,
         "--engine must be auto, calendar or reference (got '" + name + "')");
 }
@@ -120,7 +123,7 @@ class Obs {
     } else if (flight_tracer_ != nullptr) {
       machine.set_tracer(&flight_tracer_->track(track), /*passive=*/true);
     }
-    machine.set_engine(engine_);
+    machine.selector().force(engine_);
     machine.set_attribution(&attribution_);
     machine.set_drift(&drift_, track);
     machine.set_selector(&selector_, track);
@@ -136,9 +139,6 @@ class Obs {
   }
   [[nodiscard]] obs::DriftDetector& drift() noexcept { return drift_; }
   [[nodiscard]] obs::SelectorLog& selector() noexcept { return selector_; }
-  [[nodiscard]] sim::Machine::Engine engine() const noexcept {
-    return engine_;
-  }
   /// The run identity (fleet workers ship it in their result message).
   [[nodiscard]] const obs::RunInfo& info() const noexcept { return info_; }
 
@@ -177,7 +177,7 @@ class Obs {
   obs::AttributionAggregate attribution_;
   obs::DriftDetector drift_;
   obs::SelectorLog selector_;
-  sim::Machine::Engine engine_ = sim::Machine::Engine::kAuto;
+  std::optional<obs::EngineChoice> engine_;
 };
 
 /// Emits the table as ASCII or CSV per the --csv flag.

@@ -11,7 +11,11 @@
 #    (-fsanitize=address,undefined), and run the chaos fault harness and
 #    the snapshot corruption fuzz explicitly under the sanitizers (random
 #    seeded fault plans and attacker-shaped snapshot bytes are the
-#    likeliest places for a latent memory bug to hide).
+#    likeliest places for a latent memory bug to hide). The whole
+#    engine-equivalence and attribution suites also run explicitly
+#    under the sanitizers: they diff every forced engine strategy and
+#    the unforced selector, traced and untraced, against the reference
+#    engine, so every specialized loop runs there.
 # 3. Kill-and-resume smoke: SIGTERM a checkpointing sweep mid-flight,
 #    resume it, and require the output to be byte-identical to a
 #    straight-through run. Also checks that --deadline=0.000001 produces
@@ -98,6 +102,15 @@ echo "== spill corruption fuzz under sanitizers =="
 # plus the pressure-model model check, on attacker-shaped bytes.
 ./build-ci-san/tests/stream_test \
   --gtest_filter='SpillFuzz.*:SpillStore.*:PressureModel.*'
+
+echo "== engine matrix under sanitizers =="
+# One machine per forced EngineChoice plus an unforced one, each run
+# traced and untraced against forced kReference: the observer-free and
+# ring-free scheduled loops, the dense path and the SoA kernels all run
+# with asan/ubsan watching.
+./build-ci-san/tests/engine_equivalence_test > /dev/null
+./build-ci-san/tests/attribution_test > /dev/null
+echo "engine matrix is sanitizer-clean"
 
 echo "== kill-and-resume smoke =="
 SMOKE=$(mktemp -d)

@@ -255,8 +255,7 @@ std::string flight_describe(const FlightRecord& r) {
       os << " ts=" << r.a << " dur=" << r.b << " a=" << r.c << " b=" << r.d;
       break;
     case FlightKind::kSelector:
-      os << " step=" << r.a << " n=" << r.b << " predicted=" << r.c
-         << " measured=" << r.d;
+      os << " step=" << r.a << " n=" << r.b << " measured=" << r.d;
       break;
     case FlightKind::kNote:
       os << " a=" << r.a << " b=" << r.b << " c=" << r.c << " d=" << r.d;

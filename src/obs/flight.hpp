@@ -50,7 +50,8 @@ inline constexpr std::size_t kFlightDefaultBytes = 64 * 1024;
 enum class FlightKind : std::uint8_t {
   kPhase = 0,     ///< protocol-phase transition; sub = FlightPhase
   kTrace = 1,     ///< trace-event tail entry; sub = obs::TraceKind
-  kSelector = 2,  ///< engine decision; sub = obs::EngineChoice
+  kSelector = 2,  ///< engine decision; sub = obs::EngineChoice, a = step,
+                  ///< b = n, c = 0 (unused), d = measured cycles
   kNote = 3,      ///< free-form marker
 };
 inline constexpr std::size_t kFlightKinds = 4;

@@ -208,18 +208,11 @@ void write_report_json(std::ostream& os, const RunInfo& info,
         w.member("n", r.n);
         w.member("h_proc", r.h_proc);
         w.member("window", r.window);
-        w.member("h_bank_est", r.h_bank_est);
         w.member("fault_plan_fingerprint", r.plan_fingerprint);
-        if (r.last_binding == kNoBindingTerm)
-          w.key("last_binding").null_value();
-        else
-          w.member("last_binding",
-                   cost_term_name(static_cast<std::size_t>(r.last_binding)));
         w.member("eligible_dense", r.eligible_dense);
         w.member("eligible_soa", r.eligible_soa);
         w.member("forced", r.forced);
         w.member("fallback", r.fallback);
-        w.member("predicted_cycles", r.predicted);
         w.member("measured_cycles", r.measured);
         w.end_object();
       }
@@ -362,14 +355,8 @@ void write_report_csv(std::ostream& os, const RunInfo& info,
         os << "selector," << key << ".n," << r.n << '\n';
         os << "selector," << key << ".h_proc," << r.h_proc << '\n';
         os << "selector," << key << ".window," << r.window << '\n';
-        os << "selector," << key << ".h_bank_est," << r.h_bank_est << '\n';
         os << "selector," << key << ".fault_plan_fingerprint,"
            << r.plan_fingerprint << '\n';
-        os << "selector," << key << ".last_binding,"
-           << (r.last_binding == kNoBindingTerm
-                   ? "none"
-                   : cost_term_name(static_cast<std::size_t>(r.last_binding)))
-           << '\n';
         os << "selector," << key << ".eligible_dense,"
            << (r.eligible_dense ? "true" : "false") << '\n';
         os << "selector," << key << ".eligible_soa,"
@@ -378,8 +365,6 @@ void write_report_csv(std::ostream& os, const RunInfo& info,
            << '\n';
         os << "selector," << key << ".fallback,"
            << (r.fallback ? "true" : "false") << '\n';
-        os << "selector," << key << ".predicted_cycles," << r.predicted
-           << '\n';
         os << "selector," << key << ".measured_cycles," << r.measured << '\n';
       }
     }

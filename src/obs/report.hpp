@@ -41,10 +41,11 @@ inline constexpr std::uint64_t kReportVersion = 3;
 inline constexpr std::uint64_t kAttributionSchemaVersion = 2;
 inline constexpr std::uint64_t kDriftSchemaVersion = 2;
 inline constexpr std::uint64_t kDegradedSchemaVersion = 1;
-/// "selector" section: one row per superstep from the adaptive execution
-/// layer (obs/selector.hpp). Carries its own schema version, like
-/// "degraded", so adding it did not bump kReportVersion.
-inline constexpr std::uint64_t kSelectorSchemaVersion = 1;
+/// "selector" section: one row per superstep from the execution layer
+/// (obs/selector.hpp). Carries its own schema version, like "degraded",
+/// so adding it did not bump kReportVersion. Schema 2 dropped the
+/// selector's own bank-load estimate and prediction columns.
+inline constexpr std::uint64_t kSelectorSchemaVersion = 2;
 /// "post_mortem" section: flight-recorder tails (obs/flight.hpp) from
 /// worker attempts that died or were revoked, harvested by the
 /// coordinator before the shard is re-queued.

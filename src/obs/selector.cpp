@@ -19,8 +19,7 @@ const char* engine_choice_name(EngineChoice c) noexcept {
 bool selector_row_less(const SelectorRow& a, const SelectorRow& b) noexcept {
   const auto key = [](const SelectorRow& r) {
     return std::make_tuple(r.track, r.step, r.n, r.h_proc, r.window,
-                           r.h_bank_est, r.plan_fingerprint, r.predicted,
-                           r.measured, r.last_binding, r.eligible_dense,
+                           r.plan_fingerprint, r.measured, r.eligible_dense,
                            r.eligible_soa, r.forced, r.fallback,
                            static_cast<std::uint8_t>(r.choice));
   };

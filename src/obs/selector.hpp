@@ -1,8 +1,8 @@
 #pragma once
 // Engine-selection log: one row per superstep recording the features the
-// adaptive execution layer (sim/engine_select.hpp) saw before dispatch,
-// the strategy it chose, and the predicted vs measured makespan
-// (docs/performance.md §selector).
+// execution layer (sim/engine_select.hpp) saw before dispatch, the
+// strategy that ran, and the measured makespan (docs/performance.md
+// §selector).
 //
 // Rows are identified by (track, step) — the same identity drift samples
 // use — and snapshot() orders them by a total comparator over the entire
@@ -17,9 +17,8 @@
 
 namespace dxbsp::obs {
 
-/// Execution strategy a bulk operation was dispatched to. The first two
-/// mirror the pinnable sim::Machine::Engine values; the rest are the
-/// kAuto-only specializations.
+/// Execution strategy a bulk operation was dispatched to. Any of them
+/// can be pinned with sim::EngineSelector::force().
 enum class EngineChoice : std::uint8_t {
   kReference,  ///< original priority_queue loop (oracle)
   kCalendar,   ///< calendar-queue scheduler, general path
@@ -31,11 +30,6 @@ enum class EngineChoice : std::uint8_t {
 inline constexpr std::size_t kEngineChoices = 5;
 [[nodiscard]] const char* engine_choice_name(EngineChoice c) noexcept;
 
-/// Sentinel for "no previous superstep": the binding-term feature is the
-/// cost-term index (obs::cost_term_name) that dominated the last
-/// breakdown on this machine.
-inline constexpr std::uint8_t kNoBindingTerm = 0xFF;
-
 /// One superstep's selection record.
 struct SelectorRow {
   std::uint64_t track = 0;  ///< sweep-point id (bench::Obs::attach)
@@ -43,14 +37,11 @@ struct SelectorRow {
   std::uint64_t n = 0;      ///< requests in the bulk op
   std::uint64_t h_proc = 0;           ///< ceil(n/p): max per-proc requests
   std::uint64_t window = 0;           ///< min(slackness, h_proc)
-  std::uint64_t h_bank_est = 0;       ///< pre-dispatch bank-load estimate
   std::uint64_t plan_fingerprint = 0; ///< fault plan id (0 = healthy)
-  std::uint64_t predicted = 0;        ///< model cycles (engine_select)
   std::uint64_t measured = 0;         ///< measured makespan cycles
-  std::uint8_t last_binding = kNoBindingTerm;  ///< prior binding term
   bool eligible_dense = false;
   bool eligible_soa = false;
-  bool forced = false;    ///< engine pinned (--engine) or test-forced
+  bool forced = false;    ///< EngineSelector::force() pinned the choice
   bool fallback = false;  ///< raw choice was ineligible; demoted safely
   EngineChoice choice = EngineChoice::kCalendar;  ///< what actually ran
 

@@ -170,12 +170,53 @@ constexpr std::size_t kLastSlot = 4;  // per-bank last {pop, elem, arrival}
 // per bank first so each chain runs on contiguous state.
 constexpr std::uint64_t kFusedChainBanks = 1ULL << 15;
 
+/// Walks the n requests of a bulk op in scheduler pop order for the case
+/// where every issue departs exactly `gap` after the previous one (no
+/// fault plan, window never binds): processor P's j-th request departs
+/// at j·g, so the (depart, proc, attempt, elem) order is the nested
+/// (wave j, proc) order. Calls f(pop, elem, proc, j) with the request's
+/// pop index, element index, processor and wave. Block: processor P owns
+/// elements [P·per, P·per + per), and wave j visits each one's j-th.
+/// Cyclic: element k is processor k%p's (k/p)-th issue, so pop order IS
+/// element order, p consecutive elements per wave. Polls `cancel` every
+/// 4096 requests, the scheduled loops' cadence.
+template <typename F>
+inline void for_each_in_pop_order(bool block, std::uint64_t n,
+                                  std::uint64_t p,
+                                  const resilience::CancelToken* cancel,
+                                  F&& f) {
+  std::uint64_t events = 0;
+  const auto visit = [&](std::uint64_t pop, std::uint64_t elem,
+                         std::uint64_t proc, std::uint64_t j) {
+    if (cancel != nullptr && (++events & 0xFFFU) == 0) {
+      cancel->heartbeat();
+      cancel->raise_if_expired("Machine::run");
+    }
+    f(pop, elem, proc, j);
+  };
+  if (block) {
+    const std::uint64_t per = util::ceil_div(n, p);
+    std::uint64_t pop = 0;
+    for (std::uint64_t j = 0; j < per; ++j) {
+      for (std::uint64_t proc = 0; proc < p; ++proc) {
+        const std::uint64_t elem = proc * per + j;
+        if (elem < n) visit(pop++, elem, proc, j);
+      }
+    }
+  } else {
+    for (std::uint64_t j = 0, base = 0; base < n; ++j, base += p) {
+      const std::uint64_t end = std::min(base + p, n);
+      for (std::uint64_t i = base; i < end; ++i) visit(i, i, i - base, j);
+    }
+  }
+}
+
 }  // namespace
 
 /// Reusable engine state: allocated on first bulk op, after which a
 /// steady-state sweep performs no per-op allocations here
 /// (docs/performance.md §scratch).
-struct Machine::EngineState {
+struct Machine::Workspace {
   util::ScratchArena arena;
   util::CalendarQueue<Event, EventKey> queue{4096};
   EventHeap heap;
@@ -306,19 +347,13 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
   FailTally tally;
   attr_.begin();
 
-  // Adaptive dispatch (docs/performance.md §selector): classify the op
-  // from O(1) pre-dispatch features, honor a pinned engine, and demote
-  // an ineligible choice to the nearest exact strategy.
+  // Dispatch (docs/performance.md §selector): classify the op from O(1)
+  // pre-dispatch features (or take the forced choice), and demote an
+  // ineligible choice to the nearest exact strategy.
   EngineFeatures feat;
-  feat.n = res.n;
   feat.processors = config_.processors;
-  feat.banks = config_.banks();
-  feat.gap = config_.gap;
-  feat.bank_delay = config_.bank_delay;
-  feat.latency = config_.latency;
   feat.h_proc = util::ceil_div(res.n, config_.processors);
   feat.window = std::min(config_.slackness, feat.h_proc);
-  feat.has_plan = plan_ != nullptr;
   feat.plan_fingerprint = plan_ != nullptr ? plan_->fingerprint() : 0;
   feat.eligible_dense = plan_ == nullptr && config_.slackness >= feat.h_proc;
   // A passive tracer (flight recorder) never steers selection; only an
@@ -328,22 +363,9 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
                       tier_ == nullptr &&
                       (trace_ == nullptr || trace_passive_) &&
                       timing == nullptr;
-  // Prediction is logged against the pre-dispatch memory; observe()
-  // below overwrites it, so compute before running.
-  const std::uint8_t binding_at_decide = selector_.last_binding();
-  const std::uint64_t h_bank_est = selector_.h_bank_estimate(feat);
-  const std::uint64_t predicted = selector_.predict(feat);
 
-  obs::EngineChoice choice;
-  if (engine_ == Engine::kReference) {
-    choice = obs::EngineChoice::kReference;
-  } else if (engine_ == Engine::kCalendar) {
-    choice = feat.eligible_dense ? obs::EngineChoice::kDense
-                                 : obs::EngineChoice::kCalendar;
-  } else {
-    choice = selector_.decide(feat);
-  }
-  const obs::EngineChoice raw_choice = choice;
+  const obs::EngineChoice raw_choice = selector_.decide(feat);
+  obs::EngineChoice choice = raw_choice;
   // The specialized paths are only exact under their eligibility
   // conditions; an infeasible (forced or mispredicted) choice falls back
   // to the nearest exact strategy instead of being trusted blindly.
@@ -430,20 +452,15 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
     row.n = res.n;
     row.h_proc = feat.h_proc;
     row.window = feat.window;
-    row.h_bank_est = h_bank_est;
     row.plan_fingerprint = feat.plan_fingerprint;
-    row.predicted = predicted;
     row.measured = res.cycles;
-    row.last_binding = binding_at_decide;
     row.eligible_dense = feat.eligible_dense;
     row.eligible_soa = feat.eligible_soa;
-    row.forced =
-        engine_ != Engine::kAuto || selector_.forced().has_value();
+    row.forced = selector_.forced().has_value();
     row.fallback = choice != raw_choice;
     row.choice = choice;
     selector_log_->record(row);
   }
-  selector_.observe(res.breakdown, res.max_bank_load, res.n);
   ++superstep_seq_;
 
   rec(trace_, obs::TraceKind::kSuperstep, 0, makespan, res.n, 0);
@@ -699,8 +716,8 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
     return proc < n % p ? n / p + 1 : n / p;
   };
 
-  if (!state_) state_ = std::make_unique<EngineState>();
-  EngineState& st = *state_;
+  if (!state_) state_ = std::make_unique<Workspace>();
+  Workspace& st = *state_;
 
   // Cache tier, mirroring run_reference: fresh issues only, addresses
   // only. Tag updates happen in pop order in both engines, so hit/miss
@@ -745,9 +762,8 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
   }
   res.max_proc_requests = max_count;
 
-  // Specialization eligibility for the scheduled loop below (kAuto
-  // only: the pinned engines are frozen baselines).
-  const bool no_obs = engine_ == Engine::kAuto && tier == nullptr &&
+  // Specialization eligibility for the scheduled loop below.
+  const bool no_obs = tier == nullptr &&
                       (trace_ == nullptr || trace_passive_) &&
                       timing == nullptr;
   const bool no_ring = no_obs && config_.slackness >= max_count;
@@ -770,79 +786,72 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
     // Dense fast path. With no fault plan there are no retries, and with
     // the outstanding window never binding (S >= every per-proc count;
     // window = min(S, count) = count, and the gate index never reaches
-    // it) every issue departs exactly `gap` after the previous one:
-    // processor P's j-th request departs at j·g, unconditionally. The
-    // scheduler's (depart, proc, attempt, elem) pop order is therefore
-    // the nested (j, proc) loop below, so the scheduler itself — and the
-    // completion rings — can be skipped. Bit-identical results, traces
-    // and cancellation cadence to the general path.
-    for (std::uint64_t j = 0; j < max_count; ++j) {
+    // it) every issue departs exactly `gap` after the previous one, so
+    // for_each_in_pop_order reproduces the scheduler's pop order and the
+    // scheduler itself — and the completion rings — can be skipped.
+    // Bit-identical results, traces and cancellation cadence to the
+    // general path.
+    for_each_in_pop_order(block, n, p, cancel_,
+                          [&](std::uint64_t, std::uint64_t elem,
+                              std::uint64_t proc, std::uint64_t j) {
       const std::uint64_t depart = j * g;
-      for (std::uint64_t proc = 0; proc < p; ++proc) {
-        if (j >= procs[proc].count) continue;
-        if (cancel_ != nullptr && (++events & 0xFFFU) == 0) {
-          cancel_->heartbeat();
-          cancel_->raise_if_expired("Machine::run");
-        }
-        const std::uint64_t elem =
-            block ? proc * per + j : j * p + proc;
-        if (tier != nullptr) {
-          const cache::CacheTier::Access acc = tier->access(proc, ids[elem]);
-          if (acc.writeback)
-            line_writeback(acc.victim_addr, depart, proc, true, res);
-          if (acc.hit) {
-            if (write_through) line_writeback(ids[elem], depart, proc, false, res);
-            const std::uint64_t ack = depart + hit_latency;
-            rec(trace_, obs::TraceKind::kCacheHit, depart, hit_latency, elem,
-                proc);
-            if (timing != nullptr) {
-              timing->issue[elem] = depart;
-              timing->arrival[elem] = depart;
-              timing->start[elem] = depart;
-              timing->completion[elem] = ack;
-              timing->bank[elem] = RequestTiming::kUnserved;
-            }
-            if (ack > makespan) {
-              makespan = ack;
-              attr_.observe_cache_hit(ack, depart, depart);
-            }
-            continue;
+      if (tier != nullptr) {
+        const cache::CacheTier::Access acc = tier->access(proc, ids[elem]);
+        if (acc.writeback)
+          line_writeback(acc.victim_addr, depart, proc, true, res);
+        if (acc.hit) {
+          if (write_through)
+            line_writeback(ids[elem], depart, proc, false, res);
+          const std::uint64_t ack = depart + hit_latency;
+          rec(trace_, obs::TraceKind::kCacheHit, depart, hit_latency, elem,
+              proc);
+          if (timing != nullptr) {
+            timing->issue[elem] = depart;
+            timing->arrival[elem] = depart;
+            timing->start[elem] = depart;
+            timing->completion[elem] = ack;
+            timing->bank[elem] = RequestTiming::kUnserved;
           }
-        }
-        const std::uint64_t bank = route[elem];
-        const std::uint64_t arrival = network_.traverse(bank, depart, proc);
-        if constexpr (obs::kTraceCompiledIn) {
-          if (trace_ != nullptr) {
-            const std::uint64_t free = banks_.free_at(bank);
-            rec(trace_, obs::TraceKind::kQueueDepth, arrival, 0, bank,
-                free > arrival ? free - arrival : 0);
+          if (ack > makespan) {
+            makespan = ack;
+            attr_.observe_cache_hit(ack, depart, depart);
           }
-        }
-        const std::uint64_t served =
-            ids_are_banks ? banks_.serve(bank, arrival)
-                          : banks_.serve_addr(bank, arrival, ids[elem]);
-        const std::uint64_t ack = served + latency;
-        if (!banks_.last_combined())
-          rec(trace_, obs::TraceKind::kBankBusy, banks_.last_start(),
-              served - banks_.last_start(), bank, 0);
-        if (timing != nullptr) {
-          timing->issue[elem] = depart;
-          timing->arrival[elem] = arrival;
-          timing->start[elem] = banks_.last_start();
-          timing->completion[elem] = ack;
-          timing->bank[elem] = bank;
-        }
-        if (ack > makespan) {
-          makespan = ack;
-          // Same latch rule as the scheduler path (first strict max in
-          // pop order): depart == j·g exactly, so window_stall is 0 and
-          // the fresh gap is the departure itself.
-          attr_.observe_served(ack, /*fresh=*/true, elem, depart, depart,
-                               arrival, served, latency,
-                               /*redirected=*/false);
+          return;
         }
       }
-    }
+      const std::uint64_t bank = route[elem];
+      const std::uint64_t arrival = network_.traverse(bank, depart, proc);
+      if constexpr (obs::kTraceCompiledIn) {
+        if (trace_ != nullptr) {
+          const std::uint64_t free = banks_.free_at(bank);
+          rec(trace_, obs::TraceKind::kQueueDepth, arrival, 0, bank,
+              free > arrival ? free - arrival : 0);
+        }
+      }
+      const std::uint64_t served =
+          ids_are_banks ? banks_.serve(bank, arrival)
+                        : banks_.serve_addr(bank, arrival, ids[elem]);
+      const std::uint64_t ack = served + latency;
+      if (!banks_.last_combined())
+        rec(trace_, obs::TraceKind::kBankBusy, banks_.last_start(),
+            served - banks_.last_start(), bank, 0);
+      if (timing != nullptr) {
+        timing->issue[elem] = depart;
+        timing->arrival[elem] = arrival;
+        timing->start[elem] = banks_.last_start();
+        timing->completion[elem] = ack;
+        timing->bank[elem] = bank;
+      }
+      if (ack > makespan) {
+        makespan = ack;
+        // Same latch rule as the scheduler path (first strict max in pop
+        // order): depart == j·g exactly, so window_stall is 0 and the
+        // fresh gap is the departure itself.
+        attr_.observe_served(ack, /*fresh=*/true, elem, depart, depart,
+                             arrival, served, latency,
+                             /*redirected=*/false);
+      }
+    });
     res.completed += n;
     res.last_issue = (max_count - 1) * g;
     return makespan;
@@ -854,10 +863,9 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
   // (util/calendar_queue.hpp; EventHeap above). Retry backoffs beyond
   // the wheel horizon take the calendar queue's internal heap fallback.
   //
-  // Under kAuto two compile-time specializations shave the per-event
-  // constant without touching pop order or results (the pinned engines
-  // deliberately stay on the unspecialized loop — they are the frozen
-  // A/B baselines; docs/performance.md §selector):
+  // Two compile-time specializations shave the per-event constant
+  // without touching pop order or results, whether or not the strategy
+  // was forced:
   //   kNoObs:  tier, tracer and timing are null for this op — fold the
   //            observability branches away entirely.
   //   kNoRing: S >= every per-processor count, so the outstanding
@@ -1066,17 +1074,15 @@ std::uint64_t Machine::run_soa(std::span<const std::uint64_t> ids,
     // Combining, a bank-side MRU cache or multi-port banks: per-request
     // bank state transitions can't run as a free-chain, so the counting
     // sort buys nothing (measured: the permutation's random gathers cost
-    // more than they save). Instead walk pop order directly — exactly
-    // the dense fast path's loop, minus its dead generality: arrival is
+    // more than they save). Instead walk pop order directly — the dense
+    // fast path's walk, minus its dead generality: arrival is
     // inlined (ideal network by eligibility) and the tier/trace/timing
     // branches are gone (all null by eligibility).
     std::uint64_t makespan = 0;
-    std::uint64_t events = 0;
-    const auto serve_one = [&](std::uint64_t elem, std::uint64_t arrival) {
-      if (cancel_ != nullptr && (++events & 0xFFFU) == 0) {
-        cancel_->heartbeat();
-        cancel_->raise_if_expired("Machine::run");
-      }
+    for_each_in_pop_order(block, n, p, cancel_,
+                          [&](std::uint64_t, std::uint64_t elem, std::uint64_t,
+                              std::uint64_t j) {
+      const std::uint64_t arrival = j * g + latency;
       const std::uint64_t bank = route[elem];
       const std::uint64_t served =
           ids_are_banks ? banks_.serve(bank, arrival)
@@ -1090,26 +1096,7 @@ std::uint64_t Machine::run_soa(std::span<const std::uint64_t> ids,
                              arrival - latency, arrival, served, latency,
                              /*redirected=*/false);
       }
-    };
-    if (block) {
-      const std::uint64_t per = util::ceil_div(n, p);
-      for (std::uint64_t j = 0; j < max_count; ++j) {
-        const std::uint64_t arrival = j * g + latency;
-        for (std::uint64_t proc = 0; proc < p; ++proc) {
-          const std::uint64_t elem = proc * per + j;
-          if (elem < n && j < per) serve_one(elem, arrival);
-        }
-      }
-    } else {
-      // Cyclic: pop order IS element order, p consecutive elements per
-      // departure wave.
-      std::uint64_t arrival = latency;
-      for (std::uint64_t base = 0; base < n; base += p) {
-        const std::uint64_t end = std::min(base + p, n);
-        for (std::uint64_t i = base; i < end; ++i) serve_one(i, arrival);
-        arrival += g;
-      }
-    }
+    });
     res.completed += n;
     res.last_issue = (max_count - 1) * g;
     return makespan;
@@ -1137,12 +1124,10 @@ std::uint64_t Machine::run_soa(std::span<const std::uint64_t> ids,
     const std::uint64_t d = banks_.delay();
     std::uint64_t* chain = banks_.open_chain();
     std::uint64_t fin = 0;
-    std::uint64_t events = 0;
-    const auto chain_one = [&](std::uint64_t elem, std::uint64_t arrival) {
-      if (cancel_ != nullptr && (++events & 0xFFFU) == 0) {
-        cancel_->heartbeat();
-        cancel_->raise_if_expired("Machine::run");
-      }
+    for_each_in_pop_order(block, n, p, cancel_,
+                          [&](std::uint64_t, std::uint64_t elem, std::uint64_t,
+                              std::uint64_t j) {
+      const std::uint64_t arrival = j * g + latency;
       const std::uint64_t b = route[elem];
       const std::uint64_t f = chain[b];
       fin = (arrival > f ? arrival : f) + d;
@@ -1152,26 +1137,7 @@ std::uint64_t Machine::run_soa(std::span<const std::uint64_t> ids,
         best_elem = elem;
         best_arr = arrival;
       }
-    };
-    if (block) {
-      const std::uint64_t per = util::ceil_div(n, p);
-      for (std::uint64_t j = 0; j < max_count; ++j) {
-        const std::uint64_t arrival = j * g + latency;
-        for (std::uint64_t proc = 0; proc < p; ++proc) {
-          const std::uint64_t elem = proc * per + j;
-          if (elem < n && j < per) chain_one(elem, arrival);
-        }
-      }
-    } else {
-      // Cyclic: pop order IS element order (element k is processor
-      // k%p's (k/p)-th issue), p consecutive elements per wave.
-      std::uint64_t arrival = latency;
-      for (std::uint64_t base = 0; base < n; base += p) {
-        const std::uint64_t end = std::min(base + p, n);
-        for (std::uint64_t i = base; i < end; ++i) chain_one(i, arrival);
-        arrival += g;
-      }
-    }
+    });
     banks_.finish_chain(cnt, n, fin - d);
   } else {
     // Bucketed kernel for bank arrays too large to chain in cache:
@@ -1192,36 +1158,16 @@ std::uint64_t Machine::run_soa(std::span<const std::uint64_t> ids,
     std::uint64_t* last_pop = last;               // pop index of last request
     std::uint64_t* last_elem = last + nbanks;     // its element id
     std::uint64_t* last_arr = last + 2 * nbanks;  // its bank arrival
-    if (block) {
-      const std::uint64_t per = util::ceil_div(n, p);
-      std::uint64_t out = 0;
-      for (std::uint64_t j = 0; j < max_count; ++j) {
-        const std::uint64_t arrival = j * g + latency;
-        for (std::uint64_t proc = 0; proc < p; ++proc) {
-          const std::uint64_t elem = proc * per + j;
-          if (elem < n && j < per) {
-            const std::uint64_t b = route[elem];
-            bkt[cnt[b]++] = arrival;
-            last_pop[b] = out++;
-            last_elem[b] = elem;
-            last_arr[b] = arrival;
-          }
-        }
-      }
-    } else {
-      std::uint64_t arrival = latency;
-      for (std::uint64_t base = 0; base < n; base += p) {
-        const std::uint64_t end = std::min(base + p, n);
-        for (std::uint64_t i = base; i < end; ++i) {
-          const std::uint64_t b = route[i];
-          bkt[cnt[b]++] = arrival;
-          last_pop[b] = i;
-          last_elem[b] = i;
-          last_arr[b] = arrival;
-        }
-        arrival += g;
-      }
-    }
+    for_each_in_pop_order(block, n, p, cancel_,
+                          [&](std::uint64_t pop, std::uint64_t elem,
+                              std::uint64_t, std::uint64_t j) {
+      const std::uint64_t arrival = j * g + latency;
+      const std::uint64_t b = route[elem];
+      bkt[cnt[b]++] = arrival;
+      last_pop[b] = pop;
+      last_elem[b] = elem;
+      last_arr[b] = arrival;
+    });
     // cnt[b] now holds the END of bank b's bucket (== start of b+1's).
     std::uint64_t best_bank = 0;
     std::uint64_t start = 0;

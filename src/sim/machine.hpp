@@ -157,33 +157,25 @@ class Machine {
     }
   };
 
-  /// Event-engine selection (docs/performance.md). kAuto — the default —
-  /// classifies each bulk op from cheap pre-dispatch features
-  /// (EngineSelector) and dispatches it to the calendar wheel, the binary
-  /// heap, the dense fast path or the SoA batched kernel; kCalendar pins
-  /// the calendar-queue scheduler (with its dense fast path), kReference
-  /// the original heap-based loop, kept for differential testing and
-  /// before/after benchmarking. All strategies produce bit-identical
-  /// BulkResult/RequestTiming/trace output
-  /// (tests/engine_equivalence_test.cpp). Compiling with
-  /// -DDXBSP_REFERENCE_ENGINE pins the default to kReference.
-  enum class Engine { kCalendar, kReference, kAuto };
-  void set_engine(Engine e) noexcept { engine_ = e; }
-  [[nodiscard]] Engine engine() const noexcept { return engine_; }
-
   /// Attaches the selector log (non-owning; nullptr detaches): each bulk
   /// op appends one decision row under `track` (use the sweep-point key)
-  /// — features, choice, predicted vs measured cycles. Resets the
-  /// selector's one-superstep memory and the superstep sequence so
-  /// decision sequences are reproducible per attach point.
+  /// — features, choice, measured cycles. Resets the superstep sequence
+  /// so decision sequences are reproducible per attach point.
   void set_selector(obs::SelectorLog* log, std::uint64_t track = 0) noexcept {
     selector_log_ = log;
     selector_track_ = track;
-    selector_.reset();
     superstep_seq_ = 0;
   }
 
-  /// The adaptive policy instance (test hook: selector().force(...)).
+  /// Event-engine selection (docs/performance.md §selector). Unforced —
+  /// the default — each bulk op is classified from cheap pre-dispatch
+  /// features and dispatched to the calendar wheel, the binary heap, the
+  /// dense fast path or the SoA batched kernel. selector().force(c) is
+  /// the one way to pin a strategy, kReference (the original
+  /// priority_queue loop) included; an ineligible pin is demoted to the
+  /// nearest exact strategy. All strategies produce bit-identical
+  /// BulkResult/RequestTiming/trace output
+  /// (tests/engine_equivalence_test.cpp).
   [[nodiscard]] EngineSelector& selector() noexcept { return selector_; }
 
   /// Attaches a cancellation token (non-owning; may outlive bulk ops but
@@ -361,16 +353,11 @@ class Machine {
   // a cache-sized table), reused across bulk ops.
   obs::CostAttributor attr_;
   util::MultiplicityCounter contention_;
-#ifdef DXBSP_REFERENCE_ENGINE
-  Engine engine_ = Engine::kReference;
-#else
-  Engine engine_ = Engine::kAuto;
-#endif
   // Calendar-engine working state (scheduler buckets, route vector,
   // per-processor issue state, completion rings), allocated on first use
   // and reused across every bulk op of this Machine's lifetime.
-  struct EngineState;
-  std::unique_ptr<EngineState> state_;
+  struct Workspace;
+  std::unique_ptr<Workspace> state_;
 };
 
 }  // namespace dxbsp::sim

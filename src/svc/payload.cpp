@@ -296,9 +296,8 @@ void write_aggregates_body(JsonWriter& w, const AggregatesMsg& m) {
   }
 
   // Engine-selection rows (obs/selector.hpp): a compact fixed-width
-  // tuple per row, in SelectorRow field order. last_binding travels as
-  // the raw index (0xFF = none) — the report writer, not the wire,
-  // renders names.
+  // tuple per row, in SelectorRow field order. choice travels as the raw
+  // index — the report writer, not the wire, renders names.
   w.key("selector").begin_array();
   for (const obs::SelectorRow& r : m.selector) {
     w.begin_object();
@@ -307,11 +306,8 @@ void write_aggregates_body(JsonWriter& w, const AggregatesMsg& m) {
     w.member("n", r.n);
     w.member("h_proc", r.h_proc);
     w.member("window", r.window);
-    w.member("h_bank_est", r.h_bank_est);
     w.member("plan_fingerprint", r.plan_fingerprint);
-    w.member("predicted", r.predicted);
     w.member("measured", r.measured);
-    w.member("last_binding", static_cast<std::uint64_t>(r.last_binding));
     w.member("eligible_dense", r.eligible_dense);
     w.member("eligible_soa", r.eligible_soa);
     w.member("forced", r.forced);
@@ -394,11 +390,8 @@ Expected<AggregatesMsg> read_aggregates_body(const JsonValue& v,
       r.n = rd.u64("n");
       r.h_proc = rd.u64("h_proc");
       r.window = rd.u64("window");
-      r.h_bank_est = rd.u64("h_bank_est");
       r.plan_fingerprint = rd.u64("plan_fingerprint");
-      r.predicted = rd.u64("predicted");
       r.measured = rd.u64("measured");
-      r.last_binding = static_cast<std::uint8_t>(rd.u64("last_binding"));
       r.eligible_dense = rd.boolean("eligible_dense");
       r.eligible_soa = rd.boolean("eligible_soa");
       r.forced = rd.boolean("forced");

@@ -286,7 +286,7 @@ void WorkerContext::on_point(std::uint64_t done, std::uint64_t /*total*/) {
         const obs::SelectorRow& r = rows.back();
         flight_->append(obs::FlightKind::kSelector,
                         static_cast<std::uint8_t>(r.choice), r.step, r.n,
-                        r.predicted, r.measured);
+                        /*unused=*/0, r.measured);
       }
     }
     // The point phase record goes LAST so the harvester's "last protocol

@@ -1,6 +1,6 @@
 // Tests for the model-attribution profiler (docs/observability.md
 // §attribution, §drift): the per-bulk-op cost decomposition must sum
-// exactly to the measured makespan on BOTH engines across
+// exactly to the measured makespan on EVERY engine across
 // distributions, mappings, fault plans and slackness regimes; the
 // bank-load sketch must count served requests only; and the drift
 // detector must reproduce the paper's ±25% prediction band on healthy
@@ -12,10 +12,12 @@
 #include <memory>
 #include <vector>
 
+#include "engine_pins.hpp"
 #include "fault/fault_plan.hpp"
 #include "mem/bank_mapping.hpp"
 #include "obs/attribution.hpp"
 #include "obs/drift.hpp"
+#include "obs/trace.hpp"
 #include "sim/machine.hpp"
 #include "stats/degraded.hpp"
 #include "util/rng.hpp"
@@ -55,36 +57,43 @@ std::shared_ptr<const fault::FaultPlan> chaos_plan(std::uint64_t banks) {
 }
 
 // ---- The attribution identity, property-style: sum(terms) == cycles
-// on every operation, and the breakdown is bit-identical between the
-// calendar and reference engines. ----
+// on every operation, and the breakdown is bit-identical between every
+// engine pin and the forced reference engine. ----
 
+using testing_pins::kPins;
+using testing_pins::pin_name;
+
+/// One machine per engine pin (testing_pins::kPins), each run once with
+/// an exact tracer and once untraced (which also covers scratch-arena
+/// reuse), diffed against the forced kReference oracle.
 void check_identity(sim::MachineConfig cfg,
                     const std::vector<std::uint64_t>& addrs,
                     std::shared_ptr<const fault::FaultPlan> plan,
                     std::shared_ptr<const mem::BankMapping> mapping) {
-  sim::Machine cal = mapping ? sim::Machine(cfg, mapping) : sim::Machine(cfg);
-  sim::Machine ref = mapping ? sim::Machine(cfg, mapping) : sim::Machine(cfg);
-  cal.set_engine(sim::Machine::Engine::kCalendar);
-  ref.set_engine(sim::Machine::Engine::kReference);
-  if (plan) {
-    cal.inject(plan);
-    ref.inject(plan);
-  }
-  // Two rounds so the calendar engine's scratch-arena reuse is covered.
-  for (int round = 0; round < 2; ++round) {
-    const auto out_cal = cal.scatter_faulty(addrs);
-    const auto out_ref = ref.scatter_faulty(addrs);
-    EXPECT_EQ(out_cal.bulk.breakdown.total(), out_cal.bulk.cycles)
-        << "calendar identity, round " << round;
-    EXPECT_EQ(out_ref.bulk.breakdown.total(), out_ref.bulk.cycles)
-        << "reference identity, round " << round;
-    EXPECT_EQ(out_cal.bulk.breakdown, out_ref.bulk.breakdown)
-        << "round " << round;
-    EXPECT_EQ(out_cal.bulk.bank_sketch, out_ref.bulk.bank_sketch)
-        << "round " << round;
-    EXPECT_EQ(out_cal.bulk.max_location_contention,
-              out_ref.bulk.max_location_contention)
-        << "round " << round;
+  const auto machines = testing_pins::pinned_machines([&] {
+    return mapping ? std::make_unique<sim::Machine>(cfg, mapping)
+                   : std::make_unique<sim::Machine>(cfg);
+  });
+  if (plan)
+    for (const auto& m : machines) m->inject(plan);
+  for (const bool traced : {true, false}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    std::vector<sim::FaultyBulk> outs;
+    for (const auto& m : machines) {
+      obs::TraceRing ring(1 << 18);
+      if (traced) m->set_tracer(&ring);
+      outs.push_back(m->scatter_faulty(addrs));
+      m->set_tracer(nullptr);
+    }
+    const sim::BulkResult& want = outs.front().bulk;
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      SCOPED_TRACE(pin_name(kPins[i]));
+      const sim::BulkResult& got = outs[i].bulk;
+      EXPECT_EQ(got.breakdown.total(), got.cycles);
+      EXPECT_EQ(got.breakdown, want.breakdown);
+      EXPECT_EQ(got.bank_sketch, want.bank_sketch);
+      EXPECT_EQ(got.max_location_contention, want.max_location_contention);
+    }
   }
 }
 
@@ -131,15 +140,24 @@ TEST(AttributionIdentity, ScatterBanksPath) {
   std::vector<std::uint64_t> banks(5000);
   for (std::size_t i = 0; i < banks.size(); ++i)
     banks[i] = (i * 7 + i / 13) % cfg.banks();
-  sim::Machine cal(cfg);
-  sim::Machine ref(cfg);
-  cal.set_engine(sim::Machine::Engine::kCalendar);
-  ref.set_engine(sim::Machine::Engine::kReference);
-  const auto a = cal.scatter_banks(banks);
-  const auto b = ref.scatter_banks(banks);
-  EXPECT_EQ(a.breakdown.total(), a.cycles);
-  EXPECT_EQ(a.breakdown, b.breakdown);
-  EXPECT_EQ(a.bank_sketch, b.bank_sketch);
+  const auto machines = testing_pins::pinned_machines(
+      [&] { return std::make_unique<sim::Machine>(cfg); });
+  for (const bool traced : {true, false}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    std::vector<sim::BulkResult> outs;
+    for (const auto& m : machines) {
+      obs::TraceRing ring(1 << 18);
+      if (traced) m->set_tracer(&ring);
+      outs.push_back(m->scatter_banks(banks));
+      m->set_tracer(nullptr);
+    }
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      SCOPED_TRACE(pin_name(kPins[i]));
+      EXPECT_EQ(outs[i].breakdown.total(), outs[i].cycles);
+      EXPECT_EQ(outs[i].breakdown, outs.front().breakdown);
+      EXPECT_EQ(outs[i].bank_sketch, outs.front().bank_sketch);
+    }
+  }
 }
 
 TEST(AttributionIdentity, BulkDeliveryAblation) {

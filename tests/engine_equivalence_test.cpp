@@ -1,6 +1,6 @@
-// Differential tests for the event engines: the calendar-queue
-// scheduler AND the adaptive selector (kAuto, the default) must produce
-// BIT-IDENTICAL results to the reference priority_queue loop —
+// Differential tests for the event engines: every execution strategy,
+// pinned with EngineSelector::force(), AND the unforced selector must
+// produce BIT-IDENTICAL results to the reference priority_queue loop —
 // BulkResult field for field, RequestTiming slot for slot, trace event
 // for event — across machine features, distributions, fault scenarios
 // and slackness regimes (docs/performance.md). SoA-kernel-specific and
@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cache/placement.hpp"
+#include "engine_pins.hpp"
 #include "fault/fault_plan.hpp"
+#include "obs/selector.hpp"
 #include "obs/trace.hpp"
 #include "sim/machine.hpp"
 #include "workload/patterns.hpp"
@@ -68,86 +71,78 @@ void expect_same_trace(const obs::TraceRing& a, const obs::TraceRing& b) {
   }
 }
 
-/// Runs the same workload on all three engine modes of
-/// otherwise-identical machines and asserts byte-identical outputs
-/// (kAuto may pick a different path per superstep; it must never show).
-/// Each engine runs the workload twice back-to-back so scratch-arena
-/// reuse (second bulk op hits warm buffers) is covered by the same
-/// assertions. The attached tracer keeps kAuto off the SoA kernel here;
-/// tests/engine_select_test.cpp covers the tracer-free SoA path.
+void expect_same_degraded(const sim::FaultyBulk& a, const sim::FaultyBulk& b) {
+  ASSERT_EQ(a.degraded.has_value(), b.degraded.has_value());
+  if (!a.degraded) return;
+  EXPECT_EQ(a.degraded->failed_requests, b.degraded->failed_requests);
+  EXPECT_EQ(a.degraded->first_failed_element,
+            b.degraded->first_failed_element);
+  EXPECT_EQ(a.degraded->attempts, b.degraded->attempts);
+  EXPECT_EQ(a.degraded->reason, b.degraded->reason);
+}
+
+using testing_pins::kPins;
+using testing_pins::pin_name;
+
+/// Runs the same workload on one otherwise-identical machine per engine
+/// pin (testing_pins::kPins) and asserts each is byte-identical to the
+/// forced kReference oracle. Every machine runs the workload twice,
+/// once with an exact tracer and once untraced: the traced run diffs
+/// the fully-traced loops event for event, the untraced one the
+/// observer-free specializations and the SoA kernel a tracer
+/// disqualifies — and hits warm scratch-arena buffers.
 void check_equivalent(sim::MachineConfig cfg,
                       const std::vector<std::uint64_t>& addrs,
                       std::shared_ptr<const fault::FaultPlan> plan = nullptr,
                       bool with_timing = true) {
-  sim::Machine cal(cfg);
-  sim::Machine ref(cfg);
-  sim::Machine aut(cfg);
-  cal.set_engine(sim::Machine::Engine::kCalendar);
-  ref.set_engine(sim::Machine::Engine::kReference);
-  aut.set_engine(sim::Machine::Engine::kAuto);
-  if (plan) {
-    cal.inject(plan);
-    ref.inject(plan);
-    aut.inject(plan);
+  const auto machines = testing_pins::pinned_machines(
+      [&] { return std::make_unique<sim::Machine>(cfg); });
+  if (plan)
+    for (const auto& m : machines) m->inject(plan);
+  sim::Machine& ref = *machines.front();
+
+  bool degraded = false;
+  for (const bool traced : {true, false}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    obs::TraceRing ref_ring(1 << 18);
+    if (traced) ref.set_tracer(&ref_ring);
+    const auto want = ref.scatter_faulty(addrs);
+    ref.set_tracer(nullptr);
+    degraded = want.degraded.has_value();
+    for (std::size_t i = 1; i < machines.size(); ++i) {
+      SCOPED_TRACE(pin_name(kPins[i]));
+      sim::Machine& m = *machines[i];
+      obs::TraceRing ring(1 << 18);
+      if (traced) m.set_tracer(&ring);
+      const auto got = m.scatter_faulty(addrs);
+      m.set_tracer(nullptr);
+      expect_same_bulk(got.bulk, want.bulk);
+      expect_same_degraded(got, want);
+      if (traced) expect_same_trace(ring, ref_ring);
+    }
   }
 
-  for (int round = 0; round < 2; ++round) {
-    obs::TraceRing ring_cal(1 << 18);
-    obs::TraceRing ring_ref(1 << 18);
-    obs::TraceRing ring_aut(1 << 18);
-    cal.set_tracer(&ring_cal);
-    ref.set_tracer(&ring_ref);
-    aut.set_tracer(&ring_aut);
-
-    const auto out_cal = cal.scatter_faulty(addrs);
-    const auto out_ref = ref.scatter_faulty(addrs);
-    const auto out_aut = aut.scatter_faulty(addrs);
-    expect_same_bulk(out_cal.bulk, out_ref.bulk);
-    expect_same_bulk(out_aut.bulk, out_ref.bulk);
-    ASSERT_EQ(out_cal.degraded.has_value(), out_ref.degraded.has_value());
-    ASSERT_EQ(out_aut.degraded.has_value(), out_ref.degraded.has_value());
-    if (out_cal.degraded) {
-      EXPECT_EQ(out_cal.degraded->failed_requests,
-                out_ref.degraded->failed_requests);
-      EXPECT_EQ(out_cal.degraded->first_failed_element,
-                out_ref.degraded->first_failed_element);
-      EXPECT_EQ(out_cal.degraded->attempts, out_ref.degraded->attempts);
-      EXPECT_EQ(out_cal.degraded->reason, out_ref.degraded->reason);
-      EXPECT_EQ(out_aut.degraded->failed_requests,
-                out_ref.degraded->failed_requests);
-      EXPECT_EQ(out_aut.degraded->first_failed_element,
-                out_ref.degraded->first_failed_element);
-      EXPECT_EQ(out_aut.degraded->attempts, out_ref.degraded->attempts);
-      EXPECT_EQ(out_aut.degraded->reason, out_ref.degraded->reason);
+  if (!with_timing) return;
+  // Degraded runs throw from scatter_detailed but must still leave
+  // identical timing records (kUnserved in the failed slots).
+  const auto detailed = [&](sim::Machine& m, sim::Machine::RequestTiming& t)
+      -> std::optional<sim::BulkResult> {
+    try {
+      return m.scatter_detailed(addrs, t);
+    } catch (const fault::DegradedError&) {
+      return std::nullopt;
     }
-    expect_same_trace(ring_cal, ring_ref);
-    expect_same_trace(ring_aut, ring_ref);
-
-    if (with_timing && !out_cal.degraded) {
-      sim::Machine::RequestTiming t_cal, t_ref, t_aut;
-      const auto d_cal = cal.scatter_detailed(addrs, t_cal);
-      const auto d_ref = ref.scatter_detailed(addrs, t_ref);
-      const auto d_aut = aut.scatter_detailed(addrs, t_aut);
-      expect_same_bulk(d_cal, d_ref);
-      expect_same_bulk(d_aut, d_ref);
-      expect_same_timing(t_cal, t_ref);
-      expect_same_timing(t_aut, t_ref);
-    } else if (with_timing) {
-      // Degraded runs throw from scatter_detailed but must still leave
-      // identical timing records (kUnserved in the failed slots).
-      sim::Machine::RequestTiming t_cal, t_ref, t_aut;
-      EXPECT_THROW((void)cal.scatter_detailed(addrs, t_cal),
-                   fault::DegradedError);
-      EXPECT_THROW((void)ref.scatter_detailed(addrs, t_ref),
-                   fault::DegradedError);
-      EXPECT_THROW((void)aut.scatter_detailed(addrs, t_aut),
-                   fault::DegradedError);
-      expect_same_timing(t_cal, t_ref);
-      expect_same_timing(t_aut, t_ref);
-    }
-    cal.set_tracer(nullptr);
-    ref.set_tracer(nullptr);
-    aut.set_tracer(nullptr);
+  };
+  sim::Machine::RequestTiming want_t;
+  const auto want = detailed(ref, want_t);
+  EXPECT_EQ(want.has_value(), !degraded);
+  for (std::size_t i = 1; i < machines.size(); ++i) {
+    SCOPED_TRACE(pin_name(kPins[i]));
+    sim::Machine::RequestTiming t;
+    const auto got = detailed(*machines[i], t);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (got) expect_same_bulk(*got, *want);
+    expect_same_timing(t, want_t);
   }
 }
 
@@ -259,14 +254,16 @@ TEST(EngineEquivalence, CacheTierScratchpad) {
 
   const auto addrs = workload::k_hot(6000, 3000, 1 << 13, 9);
   const auto pinned = cache::hot_lines(addrs, cfg.cache.line_words, 8);
-  sim::Machine cal(cfg);
-  sim::Machine ref(cfg);
-  cal.set_engine(sim::Machine::Engine::kCalendar);
-  ref.set_engine(sim::Machine::Engine::kReference);
-  cal.pin_scratchpad(pinned);
-  ref.pin_scratchpad(pinned);
-  for (int round = 0; round < 2; ++round)
-    expect_same_bulk(cal.scatter(addrs), ref.scatter(addrs));
+  const auto machines = testing_pins::pinned_machines(
+      [&] { return std::make_unique<sim::Machine>(cfg); });
+  for (const auto& m : machines) m->pin_scratchpad(pinned);
+  for (int round = 0; round < 2; ++round) {
+    const auto want = machines.front()->scatter(addrs);
+    for (std::size_t i = 1; i < machines.size(); ++i) {
+      SCOPED_TRACE(pin_name(kPins[i]));
+      expect_same_bulk(machines[i]->scatter(addrs), want);
+    }
+  }
 }
 
 TEST(EngineEquivalence, CacheTierWithFaults) {
@@ -332,21 +329,23 @@ TEST(EngineEquivalence, FaultyChaosSlowDeadAndDrops) {
 
 TEST(EngineEquivalence, ScatterBanksPath) {
   // Bank ids supplied directly (mapping bypassed, serve() not
-  // serve_addr()); also covers the calendar engine's id validation.
+  // serve_addr()); also covers every engine's id validation.
   auto cfg = base_config(sim::Distribution::kBlock);
   std::vector<std::uint64_t> banks(5000);
   for (std::size_t i = 0; i < banks.size(); ++i)
     banks[i] = (i * 7 + i / 13) % cfg.banks();
 
-  sim::Machine cal(cfg);
-  sim::Machine ref(cfg);
-  cal.set_engine(sim::Machine::Engine::kCalendar);
-  ref.set_engine(sim::Machine::Engine::kReference);
-  expect_same_bulk(cal.scatter_banks(banks), ref.scatter_banks(banks));
+  const auto machines = testing_pins::pinned_machines(
+      [&] { return std::make_unique<sim::Machine>(cfg); });
+  const auto want = machines.front()->scatter_banks(banks);
+  for (std::size_t i = 1; i < machines.size(); ++i) {
+    SCOPED_TRACE(pin_name(kPins[i]));
+    expect_same_bulk(machines[i]->scatter_banks(banks), want);
+  }
 
-  banks[123] = cfg.banks();  // out of range: both engines must reject
-  EXPECT_THROW((void)cal.scatter_banks(banks), dxbsp::Error);
-  EXPECT_THROW((void)ref.scatter_banks(banks), dxbsp::Error);
+  banks[123] = cfg.banks();  // out of range: every engine must reject
+  for (const auto& m : machines)
+    EXPECT_THROW((void)m->scatter_banks(banks), dxbsp::Error);
 }
 
 TEST(EngineEquivalence, GapAndLatencyVariants) {
@@ -361,14 +360,22 @@ TEST(EngineEquivalence, GapAndLatencyVariants) {
   }
 }
 
-TEST(EngineEquivalence, DefaultEngineIsAuto) {
-#ifdef DXBSP_REFERENCE_ENGINE
-  sim::Machine m(sim::MachineConfig::test_machine());
-  EXPECT_EQ(m.engine(), sim::Machine::Engine::kReference);
-#else
-  sim::Machine m(sim::MachineConfig::test_machine());
-  EXPECT_EQ(m.engine(), sim::Machine::Engine::kAuto);
-#endif
+TEST(EngineEquivalence, UnforcedMachineRowsAreNotForced) {
+  // A fresh Machine is unforced: the selector decides every op, and the
+  // selector log says so.
+  sim::Machine m(base_config(sim::Distribution::kBlock));
+  EXPECT_FALSE(m.selector().forced().has_value());
+  obs::SelectorLog log;
+  m.set_selector(&log);
+  const auto addrs = workload::uniform_random(4000, 1 << 18, 37);
+  (void)m.scatter(addrs);
+  (void)m.scatter(addrs);
+  const auto rows = log.snapshot().rows;
+  ASSERT_EQ(rows.size(), 2u);
+  for (const auto& row : rows) {
+    EXPECT_FALSE(row.forced);
+    EXPECT_FALSE(row.fallback);
+  }
 }
 
 }  // namespace

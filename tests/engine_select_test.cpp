@@ -1,8 +1,7 @@
-// Tests for the adaptive execution layer (docs/performance.md
-// §selector): the EngineSelector's dispatch policy, the SoA batched
-// kernel's bit-identity with the reference engine (the tracer-free
-// scenarios engine_equivalence_test.cpp cannot reach, since attaching a
-// tracer disqualifies the SoA path), the forced-misprediction fallback,
+// Tests for the execution layer (docs/performance.md §selector): the
+// EngineSelector's dispatch policy, the unforced SoA batched kernel's
+// bit-identity with the reference engine on the SoA-specific legs
+// (fused, bucketed, per-element), the forced-misprediction fallback,
 // and the determinism of the selector report section across thread
 // interleavings.
 
@@ -51,24 +50,23 @@ sim::MachineConfig base_config(sim::Distribution dist) {
   return cfg;
 }
 
-/// Runs `addrs` through kAuto and kReference on tracer-free machines
-/// (so the SoA kernel is reachable) and asserts identical telemetry.
-/// Returns the selector row kAuto recorded, for policy assertions.
+/// Runs `addrs` through an unforced machine and a forced kReference one,
+/// both tracer-free (so the SoA kernel is reachable), and asserts
+/// identical telemetry. Returns the unforced machine's last selector
+/// row, for policy assertions.
 obs::SelectorRow check_auto_vs_reference(
     const sim::MachineConfig& cfg, const std::vector<std::uint64_t>& addrs,
     std::shared_ptr<const fault::FaultPlan> plan = nullptr) {
   obs::SelectorLog log;
   sim::Machine aut(cfg);
   sim::Machine ref(cfg);
-  aut.set_engine(sim::Machine::Engine::kAuto);
-  ref.set_engine(sim::Machine::Engine::kReference);
+  ref.selector().force(obs::EngineChoice::kReference);
   aut.set_selector(&log);
   if (plan) {
     aut.inject(plan);
     ref.inject(plan);
   }
-  // Two rounds: the second hits warm scratch-arena planes and a selector
-  // with memory (last bank load, last binding term).
+  // Two rounds: the second hits warm scratch-arena planes.
   for (int round = 0; round < 2; ++round) {
     const auto out_aut = aut.scatter_faulty(addrs);
     const auto out_ref = ref.scatter_faulty(addrs);
@@ -126,8 +124,7 @@ TEST(EngineSelect, SoaPathScatterBanks) {
 
   sim::Machine aut(cfg);
   sim::Machine ref(cfg);
-  aut.set_engine(sim::Machine::Engine::kAuto);
-  ref.set_engine(sim::Machine::Engine::kReference);
+  ref.selector().force(obs::EngineChoice::kReference);
   expect_same_bulk(aut.scatter_banks(banks), ref.scatter_banks(banks));
 
   banks[123] = cfg.banks();  // out of range: both engines must reject
@@ -158,8 +155,8 @@ TEST(EngineSelect, SoaPerElementLegCombiningCachedAndMultiPort) {
 }
 
 TEST(EngineSelect, FaultyDropRetryMatchesReference) {
-  // A fault plan disqualifies the dense and SoA paths; kAuto must land
-  // on a scheduled path and still match the reference bit for bit.
+  // A fault plan disqualifies the dense and SoA paths; the selector must
+  // land on a scheduled path and still match the reference bit for bit.
   auto cfg = base_config(sim::Distribution::kBlock);
   fault::FaultConfig fc;
   fc.seed = 11;
@@ -182,7 +179,6 @@ TEST(EngineSelect, AttributionIdentityHoldsOnSoaPath) {
   // kernel's single-latch attribution, same as on the event engines.
   auto cfg = base_config(sim::Distribution::kCyclic);
   sim::Machine aut(cfg);
-  aut.set_engine(sim::Machine::Engine::kAuto);
   obs::SelectorLog log;
   aut.set_selector(&log);
   const auto out = aut.scatter(workload::k_hot(16000, 4000, 1 << 20, 3));
@@ -191,7 +187,7 @@ TEST(EngineSelect, AttributionIdentityHoldsOnSoaPath) {
   EXPECT_GT(out.cycles, 0u);
 }
 
-TEST(EngineSelect, SelectorRowRecordsPredictionAndMeasurement) {
+TEST(EngineSelect, SelectorRowRecordsDecisionAndMeasurement) {
   auto cfg = base_config(sim::Distribution::kBlock);
   obs::SelectorLog log;
   sim::Machine m(cfg);
@@ -205,12 +201,12 @@ TEST(EngineSelect, SelectorRowRecordsPredictionAndMeasurement) {
   EXPECT_EQ(rows[0].step, 0u);
   EXPECT_EQ(rows[1].step, 1u);
   EXPECT_EQ(rows[0].n, addrs.size());
+  EXPECT_EQ(rows[0].h_proc, addrs.size() / cfg.processors);
+  EXPECT_EQ(rows[0].window, rows[0].h_proc);
+  EXPECT_EQ(rows[0].plan_fingerprint, 0u);
+  EXPECT_EQ(rows[0].choice, obs::EngineChoice::kSoA);
   EXPECT_EQ(rows[0].measured, out0.cycles);
   EXPECT_EQ(rows[1].measured, out1.cycles);
-  EXPECT_GT(rows[0].predicted, 0u);
-  // Step 0 predicts from the static h_bank lower bound; step 1 has seen
-  // step 0's actual max bank load, so its estimate can only be tighter.
-  EXPECT_GE(rows[1].h_bank_est, rows[0].h_bank_est);
 }
 
 TEST(EngineSelect, ForcedMispredictionFallsBackToDense) {
@@ -225,8 +221,7 @@ TEST(EngineSelect, ForcedMispredictionFallsBackToDense) {
   obs::SelectorLog log;
   sim::Machine aut(cfg);
   sim::Machine ref(cfg);
-  aut.set_engine(sim::Machine::Engine::kAuto);
-  ref.set_engine(sim::Machine::Engine::kReference);
+  ref.selector().force(obs::EngineChoice::kReference);
   aut.set_selector(&log);
   aut.selector().force(obs::EngineChoice::kSoA);
 
@@ -253,8 +248,7 @@ TEST(EngineSelect, ForcedDenseUnderFaultsFallsBackToHeap) {
   obs::SelectorLog log;
   sim::Machine aut(cfg);
   sim::Machine ref(cfg);
-  aut.set_engine(sim::Machine::Engine::kAuto);
-  ref.set_engine(sim::Machine::Engine::kReference);
+  ref.selector().force(obs::EngineChoice::kReference);
   aut.set_selector(&log);
   aut.inject(plan);
   ref.inject(plan);
@@ -272,15 +266,19 @@ TEST(EngineSelect, ForcedDenseUnderFaultsFallsBackToHeap) {
 }
 
 TEST(EngineSelect, PinnedEngineRowsAreMarkedForced) {
+  // A forced kCalendar runs the calendar scheduler even where the dense
+  // and SoA fast paths are eligible: a pin is never silently upgraded.
   obs::SelectorLog log;
   sim::Machine m(base_config(sim::Distribution::kBlock));
-  m.set_engine(sim::Machine::Engine::kCalendar);
+  m.selector().force(obs::EngineChoice::kCalendar);
   m.set_selector(&log);
   (void)m.scatter(workload::uniform_random(4000, 1 << 18, 17));
   const auto rows = log.snapshot().rows;
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_TRUE(rows[0].forced);
-  EXPECT_NE(rows[0].choice, obs::EngineChoice::kSoA);
+  EXPECT_FALSE(rows[0].fallback);
+  EXPECT_TRUE(rows[0].eligible_soa);
+  EXPECT_EQ(rows[0].choice, obs::EngineChoice::kCalendar);
 }
 
 /// Renders just the report for a selector log (no tracer/attribution/
@@ -335,11 +333,13 @@ TEST(EngineSelect, ReportSectionShapeAndOmissionWhenEmpty) {
   (void)m.scatter(workload::uniform_random(20000, 1 << 20, 42));
   const std::string json = render_selector_report(log);
   EXPECT_NE(json.find("\"selector\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"choice\": \"soa\""), std::string::npos);
   EXPECT_NE(json.find("\"track\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"predicted_cycles\""), std::string::npos);
   EXPECT_NE(json.find("\"measured_cycles\""), std::string::npos);
+  // Schema 2 dropped the selector's own prediction columns.
+  EXPECT_EQ(json.find("\"predicted_cycles\""), std::string::npos);
+  EXPECT_EQ(json.find("\"h_bank_est\""), std::string::npos);
   // Merging a snapshot (the coordinator's path) reproduces the rows.
   obs::SelectorLog merged;
   merged.merge(log.snapshot());
