@@ -9,9 +9,12 @@
 #    shared path shows up here as a flaky failure.
 # 2. Configure + build + ctest a second tree with DXBSP_SANITIZE=ON
 #    (-fsanitize=address,undefined), and run the chaos fault harness and
-#    the snapshot corruption fuzz explicitly under the sanitizers (random
-#    seeded fault plans and attacker-shaped snapshot bytes are the
-#    likeliest places for a latent memory bug to hide). The whole
+#    the framed-file corruption fuzz explicitly under the sanitizers
+#    (random seeded fault plans and attacker-shaped snapshot, spill,
+#    wire and flight-ring bytes are the likeliest places for a latent
+#    memory bug to hide). Every leg that runs a --gtest_filter subset
+#    fails when its filter selects no test, so a renamed test cannot
+#    turn a leg into a silent no-op. The whole
 #    engine-equivalence and attribution suites also run explicitly
 #    under the sanitizers: they diff every forced engine strategy and
 #    the unforced selector, traced and untraced, against the reference
@@ -46,9 +49,9 @@
 #    probed-peak + 25%; injected ENOSPC must exit 69 (degraded) and a
 #    hung spill write must exit 75 (revoked by the stall watchdog), not
 #    crash or wedge; SIGKILL at the worst spill instant must leave an
-#    fsck-clean spill directory and resume byte-identically; the DXSPL1
-#    corruption fuzz (every truncation, every bit flip) runs under the
-#    sanitizers.
+#    fsck-clean spill directory and resume byte-identically; the spill
+#    store's on-disk damage and pressure-model tests rerun under the
+#    sanitizers next to the framed-file corruption fuzz of step 2.
 # 8. Perf smoke (docs/performance.md): bench_perf_hotpath --quick on the
 #    plain (optimized) build must emit valid metrics JSON, and on every
 #    one of the five headline workload classes the auto-engine
@@ -75,6 +78,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
+# run_filtered BINARY FILTER: runs the gtest subset FILTER selects and
+# fails when it selects no test. gtest exits 0 on an empty selection, so
+# without the check a renamed test would make the leg a silent no-op.
+run_filtered() {
+  local listed
+  listed=$("$1" --gtest_list_tests --gtest_filter="$2")
+  if ! grep -q '^  ' <<<"$listed"; then
+    echo "ci.sh: --gtest_filter='$2' selects no test in $1" >&2
+    exit 1
+  fi
+  "$1" --gtest_filter="$2"
+}
+
 echo "== tier-1 (plain) =="
 cmake -B build-ci -S . >/dev/null
 cmake --build build-ci -j"$JOBS"
@@ -90,18 +106,17 @@ cmake --build build-ci-san -j"$JOBS"
 ctest --test-dir build-ci-san -j"$JOBS" --output-on-failure
 
 echo "== chaos fault harness under sanitizers =="
-./build-ci-san/tests/fault_test \
-  --gtest_filter='Chaos.*:FaultDeterminism.*'
+run_filtered ./build-ci-san/tests/fault_test 'Chaos.*:FaultDeterminism.*'
 
-echo "== snapshot corruption fuzz under sanitizers =="
-./build-ci-san/tests/resilience_test \
-  --gtest_filter='Snapshot.*:Sweep.Resume*'
+echo "== framed-file corruption fuzz under sanitizers =="
+# Every truncation point and every single-bit flip of a snapshot, spill
+# chunk, wire message and flight ring, through each format's parse.
+./build-ci-san/tests/framed_file_test
 
-echo "== spill corruption fuzz under sanitizers =="
-# Every truncation point and every single-bit flip of a DXSPL1 chunk,
-# plus the pressure-model model check, on attacker-shaped bytes.
-./build-ci-san/tests/stream_test \
-  --gtest_filter='SpillFuzz.*:SpillStore.*:PressureModel.*'
+echo "== snapshot resume and spill store under sanitizers =="
+run_filtered ./build-ci-san/tests/resilience_test 'Snapshot.*:Sweep.Resume*'
+run_filtered ./build-ci-san/tests/stream_test \
+  'SpillFuzz.*:SpillStore.*:PressureModel.*'
 
 echo "== engine matrix under sanitizers =="
 # One machine per forced EngineChoice plus an unforced one, each run
@@ -180,8 +195,8 @@ cmp "$SMOKE/t1.trace.json" "$SMOKE/t4.trace.json"
 echo "report and trace are byte-identical across --threads=1/4"
 
 # Reconciliation + registry stress under the sanitizers.
-./build-ci-san/tests/obs_test \
-  --gtest_filter='Reconcile.*:Metrics.ConcurrentUpdatesAreExact'
+run_filtered ./build-ci-san/tests/obs_test \
+  'Reconcile.*:Metrics.ConcurrentUpdatesAreExact'
 
 echo "== attribution & drift smoke =="
 ATTR_BENCH=./build-ci/bench/bench_r1_fault_sweep
@@ -231,8 +246,8 @@ echo "faulty-sweep report is byte-identical across --threads=1/4"
 # Identity property matrix and the drift-band acceptance tests under
 # the sanitizers (the attributor's origin maps and the sketch merge are
 # fresh pointer-heavy code).
-./build-ci-san/tests/attribution_test \
-  --gtest_filter='AttributionIdentity.*:DriftBand.*:AttributionUnserved.*'
+run_filtered ./build-ci-san/tests/attribution_test \
+  'AttributionIdentity.*:DriftBand.*:AttributionUnserved.*'
 
 # Trend-reader lint over the committed baselines: malformed BENCH_*.json
 # exits non-zero here instead of surprising the first person to chart it.
@@ -283,8 +298,8 @@ echo "cache capacity=0 output is byte-identical to cache-off"
 # The tier's tag/state machinery and the cached engine-equivalence
 # scenarios rerun under the sanitizers.
 ./build-ci-san/tests/cache_test
-./build-ci-san/tests/engine_equivalence_test \
-  --gtest_filter='EngineEquivalence.CacheTier*'
+run_filtered ./build-ci-san/tests/engine_equivalence_test \
+  'EngineEquivalence.CacheTier*'
 echo "cache tier is sanitizer-clean"
 
 echo "== perf smoke (event-engine throughput) =="

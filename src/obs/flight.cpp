@@ -7,13 +7,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <span>
 #include <sstream>
 
 #include "obs/selector.hpp"
 #include "obs/trace.hpp"
-#include "resilience/snapshot.hpp"
+#include "resilience/framed_file.hpp"
 
 namespace dxbsp::obs {
 
@@ -30,22 +29,8 @@ constexpr char kFlightMagic[8] = {'D', 'X', 'F', 'D', 'R', '1', 0, 0};
 constexpr std::size_t kCrcOffset = 0;
 constexpr std::size_t kBodyOffset = 4;  // crc covers [kBodyOffset, 64)
 
-void put_u32(unsigned char* p, std::uint32_t v) noexcept {
-  std::memcpy(p, &v, sizeof v);
-}
-void put_u64(unsigned char* p, std::uint64_t v) noexcept {
-  std::memcpy(p, &v, sizeof v);
-}
-std::uint32_t get_u32(const unsigned char* p) noexcept {
-  std::uint32_t v = 0;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-std::uint64_t get_u64(const unsigned char* p) noexcept {
-  std::uint64_t v = 0;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
+using resilience::load_le;
+using resilience::store_le;
 
 }  // namespace
 
@@ -101,10 +86,10 @@ FlightRecorder::FlightRecorder(const std::string& path,
 
   std::memset(map_, 0, map_bytes_);
   std::memcpy(map_, kFlightMagic, sizeof kFlightMagic);
-  put_u32(map_ + 8, kFlightVersion);
-  put_u32(map_ + 12, static_cast<std::uint32_t>(kFlightRecordBytes));
-  put_u64(map_ + 16, slots_);
-  put_u64(map_ + 24, static_cast<std::uint64_t>(::getpid()));
+  store_le(map_ + 8, kFlightVersion);
+  store_le(map_ + 12, static_cast<std::uint32_t>(kFlightRecordBytes));
+  store_le(map_ + 16, slots_);
+  store_le(map_ + 24, static_cast<std::uint64_t>(::getpid()));
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -123,89 +108,84 @@ void FlightRecorder::append(FlightKind kind, std::uint8_t sub,
   unsigned char rec[kFlightRecordBytes] = {};
   rec[kBodyOffset] = static_cast<unsigned char>(kind);
   rec[kBodyOffset + 1] = sub;
-  put_u64(rec + 8, seq_);
-  put_u64(rec + 16, t_us);
-  put_u64(rec + 24, a);
-  put_u64(rec + 32, b);
-  put_u64(rec + 40, c);
-  put_u64(rec + 48, d);
-  const std::uint32_t crc = resilience::crc32(std::span<const unsigned char>(
-      rec + kBodyOffset, kFlightRecordBytes - kBodyOffset));
-  put_u32(rec + kCrcOffset, crc);
+  store_le(rec + 8, seq_);
+  store_le(rec + 16, t_us);
+  store_le(rec + 24, a);
+  store_le(rec + 32, b);
+  store_le(rec + 40, c);
+  store_le(rec + 48, d);
+  resilience::seal_crc(rec, kCrcOffset);
+  const auto crc = load_le<std::uint32_t>(rec + kCrcOffset);
 
   unsigned char* slot =
       map_ + kFlightHeaderBytes + (seq_ % slots_) * kFlightRecordBytes;
   // Invalidate the slot's CRC first: if death lands mid-copy, the
   // reader sees a torn slot, never a chimera of two records.
-  put_u32(slot + kCrcOffset, ~crc);
+  store_le(slot + kCrcOffset, ~crc);
   std::memcpy(slot + kBodyOffset, rec + kBodyOffset,
               kFlightRecordBytes - kBodyOffset);
-  put_u32(slot + kCrcOffset, crc);
+  store_le(slot + kCrcOffset, crc);
   ++seq_;
 }
 
 Expected<FlightTail> flight_read(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
-    return Error(ErrorCode::kIo, path + ": cannot open flight ring");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string bytes = std::move(buf).str();
+  Expected<std::vector<unsigned char>> bytes = resilience::read_file(path);
+  if (!bytes) return bytes.error();
+  return flight_parse(bytes.value(), path);
+}
+
+Expected<FlightTail> flight_parse(std::span<const unsigned char> bytes,
+                                  const std::string& origin) {
+  auto corrupt = [&origin](const std::string& why) {
+    return Error(ErrorCode::kCorruptInput, origin + ": " + why);
+  };
   if (bytes.size() < kFlightHeaderBytes)
-    return Error(ErrorCode::kCorruptInput,
-                 path + ": flight ring shorter than its header");
-  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+    return corrupt("flight ring shorter than its header");
+  const unsigned char* p = bytes.data();
   if (std::memcmp(p, kFlightMagic, sizeof kFlightMagic) != 0)
-    return Error(ErrorCode::kCorruptInput, path + ": bad flight magic");
-  if (get_u32(p + 8) != kFlightVersion)
-    return Error(ErrorCode::kCorruptInput,
-                 path + ": unsupported flight version " +
-                     std::to_string(get_u32(p + 8)));
-  if (get_u32(p + 12) != kFlightRecordBytes)
-    return Error(ErrorCode::kCorruptInput,
-                 path + ": unexpected record size " +
-                     std::to_string(get_u32(p + 12)));
+    return corrupt("bad flight magic");
+  if (load_le<std::uint32_t>(p + 8) != kFlightVersion)
+    return corrupt("unsupported flight version " +
+                   std::to_string(load_le<std::uint32_t>(p + 8)));
+  if (load_le<std::uint32_t>(p + 12) != kFlightRecordBytes)
+    return corrupt("unexpected record size " +
+                   std::to_string(load_le<std::uint32_t>(p + 12)));
 
   FlightTail tail;
-  tail.slots = get_u64(p + 16);
-  tail.pid = get_u64(p + 24);
-  const std::uint64_t present = std::min<std::uint64_t>(
-      tail.slots, (bytes.size() - kFlightHeaderBytes) / kFlightRecordBytes);
-  if (tail.slots == 0 || present < tail.slots)
-    return Error(ErrorCode::kCorruptInput,
-                 path + ": header claims " + std::to_string(tail.slots) +
-                     " slots but the file holds " + std::to_string(present));
+  tail.slots = load_le<std::uint64_t>(p + 16);
+  tail.pid = load_le<std::uint64_t>(p + 24);
+  // FlightRecorder sizes the file to exactly header + slots records, so
+  // any other size is damage: a slots field that shrank would otherwise
+  // silently drop the records past it.
+  const std::size_t ring_bytes = bytes.size() - kFlightHeaderBytes;
+  if (tail.slots == 0 || ring_bytes % kFlightRecordBytes != 0 ||
+      tail.slots != ring_bytes / kFlightRecordBytes)
+    return corrupt("header claims " + std::to_string(tail.slots) +
+                   " slots but the file holds " +
+                   std::to_string(bytes.size()) + " bytes");
 
   for (std::uint64_t i = 0; i < tail.slots; ++i) {
     const unsigned char* slot =
         p + kFlightHeaderBytes + i * kFlightRecordBytes;
-    bool all_zero = true;
-    for (std::size_t j = 0; j < kFlightRecordBytes; ++j)
-      if (slot[j] != 0) {
-        all_zero = false;
-        break;
-      }
-    if (all_zero) continue;  // never written
-    const std::uint32_t crc = resilience::crc32(std::span<const unsigned char>(
-        slot + kBodyOffset, kFlightRecordBytes - kBodyOffset));
-    if (get_u32(slot + kCrcOffset) != crc) {
+    if (std::all_of(slot, slot + kFlightRecordBytes,
+                    [](unsigned char b) { return b == 0; }))
+      continue;  // never written
+    const unsigned char kind = slot[kBodyOffset];
+    if (kind >= kFlightKinds ||
+        !resilience::crc_mismatch({slot, kFlightRecordBytes}, kCrcOffset)
+             .empty()) {
       ++tail.torn;
       continue;
     }
     FlightRecord r;
-    const unsigned char kind = slot[kBodyOffset];
-    if (kind >= kFlightKinds) {
-      ++tail.torn;
-      continue;
-    }
     r.kind = static_cast<FlightKind>(kind);
     r.sub = slot[kBodyOffset + 1];
-    r.seq = get_u64(slot + 8);
-    r.t_us = get_u64(slot + 16);
-    r.a = get_u64(slot + 24);
-    r.b = get_u64(slot + 32);
-    r.c = get_u64(slot + 40);
-    r.d = get_u64(slot + 48);
+    r.seq = load_le<std::uint64_t>(slot + 8);
+    r.t_us = load_le<std::uint64_t>(slot + 16);
+    r.a = load_le<std::uint64_t>(slot + 24);
+    r.b = load_le<std::uint64_t>(slot + 32);
+    r.c = load_le<std::uint64_t>(slot + 40);
+    r.d = load_le<std::uint64_t>(slot + 48);
     tail.records.push_back(r);
     ++tail.valid;
   }

@@ -13,7 +13,8 @@
 // that failure mode already loses the worker's checkpoint fsync
 // ordering guarantees anyway.
 //
-// File layout (`DXFDR1`, little-endian, fixed geometry):
+// File layout (`DXFDR1`, little-endian, fixed geometry; framing, CRC
+// span and the bytes outside it in docs/resilience.md §framed files):
 //
 //   [64-byte header] magic "DXFDR1\0\0", u32 version, u32 record_bytes,
 //                    u64 slots, u64 pid, zero padding
@@ -27,13 +28,14 @@
 // the worker's epoch (the same clock its heartbeat `mono_us` carries,
 // so flight tails line up with the stitched fleet timeline).
 //
-// The reader (flight_read) is the harvesting side: the coordinator runs
-// it after any revocation/SIGKILL/poison and embeds the decoded tail as
-// the run report's "post_mortem" section; tools/flight_reader is the
-// standalone CLI over the same decoder.
+// The reader (flight_read = read_file + flight_parse) is the harvesting
+// side: the coordinator runs it after any revocation/SIGKILL/poison and
+// embeds the decoded tail as the run report's "post_mortem" section;
+// tools/flight_reader is the standalone CLI over the same decoder.
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,10 +123,16 @@ struct FlightTail {
   std::vector<FlightRecord> records;
 };
 
-/// Decodes a flight-recorder file, tolerating torn slots (counted, not
-/// fatal). Missing file = Error{kIo}; bad magic/version/geometry =
-/// Error{kCorruptInput}. Never throws — the harvesting side must treat a
-/// garbage file as evidence, not as a crash.
+/// Decodes the bytes of a flight-recorder file, tolerating torn slots
+/// (counted, not fatal). Bad magic/version/geometry, or a file size other
+/// than header + slots records, is Error{kCorruptInput}. Never throws —
+/// the harvesting side must treat a garbage file as evidence, not as a
+/// crash. `origin` names the source in error messages.
+[[nodiscard]] Expected<FlightTail> flight_parse(
+    std::span<const unsigned char> bytes, const std::string& origin);
+
+/// Reads and decodes the flight-recorder file at `path`. Missing file =
+/// Error{kIo}; otherwise as flight_parse.
 [[nodiscard]] Expected<FlightTail> flight_read(const std::string& path);
 
 /// One-line human rendering of a record ("phase point completed=3/16

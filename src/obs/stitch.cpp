@@ -1,13 +1,13 @@
 #include "obs/stitch.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/json_read.hpp"
+#include "resilience/framed_file.hpp"
 
 namespace dxbsp::obs {
 
@@ -26,18 +26,6 @@ struct OutEvent {
   std::string scope;      // "s" member for instants ("" = omit)
   std::string args_json;  // rendered args object ("" = omit)
 };
-
-std::string slurp(const std::string& path, bool& ok) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    ok = false;
-    return {};
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  ok = true;
-  return std::move(buf).str();
-}
 
 std::string dir_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -93,11 +81,11 @@ std::uint64_t num_or(const JsonValue* v, std::uint64_t fallback) {
 
 StitchSummary stitch_traces(const std::string& manifest_path,
                             std::ostream& os) {
-  bool ok = false;
-  const std::string text = slurp(manifest_path, ok);
-  if (!ok)
+  const auto text = resilience::read_file(manifest_path);
+  if (!text)
     raise(ErrorCode::kIo, manifest_path + ": cannot open stitch manifest");
-  auto parsed = JsonValue::parse(text, manifest_path);
+  auto parsed =
+      JsonValue::parse(resilience::text_view(text.value()), manifest_path);
   if (!parsed.ok())
     raise(ErrorCode::kCorruptInput, parsed.error().what());
   const JsonValue doc = std::move(parsed).value();
@@ -132,10 +120,9 @@ StitchSummary stitch_traces(const std::string& manifest_path,
     if (trace != nullptr && trace->is_string() &&
         !trace->as_string().empty()) {
       const std::string path = resolve(base_dir, trace->as_string());
-      bool readable = false;
-      const std::string body = slurp(path, readable);
-      if (readable) {
-        auto tdoc = JsonValue::parse(body, path);
+      const auto body = resilience::read_file(path);
+      if (body) {
+        auto tdoc = JsonValue::parse(resilience::text_view(body.value()), path);
         const JsonValue* tevents =
             tdoc.ok() ? tdoc.value().find("traceEvents") : nullptr;
         if (tevents != nullptr && tevents->is_array()) {

@@ -1,15 +1,11 @@
 #include "resilience/snapshot.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <type_traits>
 #include <unordered_set>
+
+#include "resilience/framed_file.hpp"
 
 namespace dxbsp::resilience {
 
@@ -17,111 +13,70 @@ namespace {
 
 constexpr std::array<unsigned char, 8> kMagic = {'D', 'X', 'S', 'N',
                                                  'A', 'P', '0', '1'};
-
-// Little-endian scalar append/read. The simulator only targets
-// little-endian hosts; static_assert keeps that assumption loud.
-static_assert(std::endian::native == std::endian::little,
-              "snapshot format assumes a little-endian host");
-
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const unsigned char*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
-}
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const unsigned char*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
-}
-
-std::uint32_t read_u32(const unsigned char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-std::uint64_t read_u64(const unsigned char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
+// The CRC follows the u32 version and covers every byte after itself,
+// so a flip anywhere in the ids, counts, or payload is caught.
+constexpr std::size_t kCrcAt = kMagic.size() + sizeof(std::uint32_t);
 
 // Field order is the format contract: key, rng_state, failed_requests,
 // aux[4], then the BulkResult fields in declaration order with
 // bank_utilization bit-cast to u64 and the CostBreakdown flattened
 // term-by-term (the BankLoadSketch is not persisted — see kRecordBytes).
-// Changing this bumps kSnapshotVersion.
+// Every field is a u64 on disk. Changing this bumps kSnapshotVersion.
+// Writer and reader share this one list, so they cannot disagree.
+template <typename Record, typename Field>
+void for_each_field(Record& r, Field&& field) {
+  field(r.key);
+  field(r.rng_state);
+  field(r.failed_requests);
+  for (auto& a : r.aux) field(a);
+  auto& b = r.result;
+  field(b.cycles);
+  field(b.n);
+  field(b.max_bank_load);
+  field(b.max_proc_requests);
+  field(b.last_issue);
+  field(b.stall_cycles);
+  field(b.port_conflicts);
+  field(b.cache_hits);
+  field(b.cache_misses);
+  field(b.cache_evictions);
+  field(b.max_proc_miss);
+  field(b.combined);
+  field(b.completed);
+  field(b.retries);
+  field(b.nacks);
+  field(b.failovers);
+  field(b.degraded_cycles);
+  field(b.max_location_contention);
+  field(b.bank_utilization);
+  field(b.breakdown.issue_gap);
+  field(b.breakdown.window_stall);
+  field(b.breakdown.latency);
+  field(b.breakdown.bank_service);
+  field(b.breakdown.retry_backoff);
+  field(b.breakdown.failover);
+  field(b.breakdown.cache_hit);
+}
+
 void put_record(std::vector<unsigned char>& out, const SnapshotRecord& r) {
-  put_u64(out, r.key);
-  put_u64(out, r.rng_state);
-  put_u64(out, r.failed_requests);
-  for (const std::uint64_t a : r.aux) put_u64(out, a);
-  const sim::BulkResult& b = r.result;
-  put_u64(out, b.cycles);
-  put_u64(out, b.n);
-  put_u64(out, b.max_bank_load);
-  put_u64(out, b.max_proc_requests);
-  put_u64(out, b.last_issue);
-  put_u64(out, b.stall_cycles);
-  put_u64(out, b.port_conflicts);
-  put_u64(out, b.cache_hits);
-  put_u64(out, b.cache_misses);
-  put_u64(out, b.cache_evictions);
-  put_u64(out, b.max_proc_miss);
-  put_u64(out, b.combined);
-  put_u64(out, b.completed);
-  put_u64(out, b.retries);
-  put_u64(out, b.nacks);
-  put_u64(out, b.failovers);
-  put_u64(out, b.degraded_cycles);
-  put_u64(out, b.max_location_contention);
-  put_u64(out, std::bit_cast<std::uint64_t>(b.bank_utilization));
-  put_u64(out, b.breakdown.issue_gap);
-  put_u64(out, b.breakdown.window_stall);
-  put_u64(out, b.breakdown.latency);
-  put_u64(out, b.breakdown.bank_service);
-  put_u64(out, b.breakdown.retry_backoff);
-  put_u64(out, b.breakdown.failover);
-  put_u64(out, b.breakdown.cache_hit);
+  for_each_field(r, [&out](const auto& v) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
+      append_le(out, std::bit_cast<std::uint64_t>(v));
+    else
+      append_le(out, std::uint64_t{v});
+  });
 }
 
 SnapshotRecord read_record(const unsigned char* p) {
   SnapshotRecord r;
-  auto next = [&p] {
-    const std::uint64_t v = read_u64(p);
-    p += sizeof(v);
-    return v;
-  };
-  r.key = next();
-  r.rng_state = next();
-  r.failed_requests = next();
-  for (auto& a : r.aux) a = next();
-  sim::BulkResult& b = r.result;
-  b.cycles = next();
-  b.n = next();
-  b.max_bank_load = next();
-  b.max_proc_requests = next();
-  b.last_issue = next();
-  b.stall_cycles = next();
-  b.port_conflicts = next();
-  b.cache_hits = next();
-  b.cache_misses = next();
-  b.cache_evictions = next();
-  b.max_proc_miss = next();
-  b.combined = next();
-  b.completed = next();
-  b.retries = next();
-  b.nacks = next();
-  b.failovers = next();
-  b.degraded_cycles = next();
-  b.max_location_contention = next();
-  b.bank_utilization = std::bit_cast<double>(next());
-  b.breakdown.issue_gap = next();
-  b.breakdown.window_stall = next();
-  b.breakdown.latency = next();
-  b.breakdown.bank_service = next();
-  b.breakdown.retry_backoff = next();
-  b.breakdown.failover = next();
-  b.breakdown.cache_hit = next();
+  for_each_field(r, [&p](auto& v) {
+    const auto bits = load_le<std::uint64_t>(p);
+    p += sizeof bits;
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
+      v = std::bit_cast<double>(bits);
+    else
+      v = bits;
+  });
   return r;
 }
 
@@ -131,43 +86,17 @@ Error corrupt(const std::string& origin, const std::string& why) {
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const unsigned char> data,
-                    std::uint32_t seed) noexcept {
-  // Table-driven IEEE CRC-32; the table is built once, lazily.
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t c = seed ^ 0xFFFFFFFFU;
-  for (const unsigned char byte : data)
-    c = table[(c ^ byte) & 0xFFU] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFU;
-}
-
 std::vector<unsigned char> Snapshot::serialize() const {
   std::vector<unsigned char> out;
   out.reserve(kHeaderBytes + records.size() * kRecordBytes);
   out.insert(out.end(), kMagic.begin(), kMagic.end());
-  put_u32(out, static_cast<std::uint32_t>(kSnapshotVersion));
-  put_u32(out, 0);  // CRC placeholder, patched below
-  put_u64(out, sweep_id);
-  put_u64(out, records.size());
-  put_u64(out, kRecordBytes);
+  append_le(out, static_cast<std::uint32_t>(kSnapshotVersion));
+  append_le(out, std::uint32_t{0});  // CRC placeholder, patched below
+  append_le(out, sweep_id);
+  append_le(out, std::uint64_t{records.size()});
+  append_le(out, kRecordBytes);
   for (const auto& r : records) put_record(out, r);
-
-  // CRC over everything after the CRC field itself, so a flip anywhere
-  // in the ids, counts, or payload is caught.
-  const std::size_t crc_at = kMagic.size() + sizeof(std::uint32_t);
-  const std::size_t body = crc_at + sizeof(std::uint32_t);
-  const std::uint32_t crc =
-      crc32(std::span(out).subspan(body));
-  std::memcpy(out.data() + crc_at, &crc, sizeof(crc));
+  seal_crc(out, kCrcAt);
   return out;
 }
 
@@ -179,11 +108,10 @@ Expected<Snapshot> Snapshot::parse(std::span<const unsigned char> bytes,
   if (!std::equal(kMagic.begin(), kMagic.end(), bytes.begin()))
     return corrupt(origin, "bad magic (not a dxbsp snapshot)");
   const unsigned char* p = bytes.data() + kMagic.size();
-  const std::uint32_t version = read_u32(p);
-  const std::uint32_t stored_crc = read_u32(p + 4);
-  const std::uint64_t sweep_id = read_u64(p + 8);
-  const std::uint64_t count = read_u64(p + 16);
-  const std::uint64_t record_bytes = read_u64(p + 24);
+  const auto version = load_le<std::uint32_t>(p);
+  const auto sweep_id = load_le<std::uint64_t>(p + 8);
+  const auto count = load_le<std::uint64_t>(p + 16);
+  const auto record_bytes = load_le<std::uint64_t>(p + 24);
   if (version != kSnapshotVersion) {
     // A retired version is only believed when the record size agrees
     // with what that version actually wrote — a self-consistent old
@@ -222,12 +150,8 @@ Expected<Snapshot> Snapshot::parse(std::span<const unsigned char> bytes,
                                " records but file holds " +
                                std::to_string(payload) + " payload bytes");
 
-  const std::uint32_t actual_crc =
-      crc32(bytes.subspan(kMagic.size() + 2 * sizeof(std::uint32_t)));
-  if (actual_crc != stored_crc)
-    return corrupt(origin, "CRC mismatch (stored " +
-                               std::to_string(stored_crc) + ", computed " +
-                               std::to_string(actual_crc) + ")");
+  if (const std::string bad = crc_mismatch(bytes, kCrcAt); !bad.empty())
+    return corrupt(origin, bad);
 
   Snapshot snap;
   snap.sweep_id = sweep_id;
@@ -246,14 +170,9 @@ Expected<Snapshot> Snapshot::parse(std::span<const unsigned char> bytes,
 }
 
 Expected<Snapshot> Snapshot::load(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
-    return Error(ErrorCode::kIo, "Snapshot::load: cannot open " + path);
-  std::vector<unsigned char> bytes((std::istreambuf_iterator<char>(is)),
-                                   std::istreambuf_iterator<char>());
-  if (is.bad())
-    return Error(ErrorCode::kIo, "Snapshot::load: read failed for " + path);
-  return parse(bytes, path);
+  Expected<std::vector<unsigned char>> bytes = read_file(path);
+  if (!bytes) return bytes.error();
+  return parse(bytes.value(), path);
 }
 
 CheckpointWriter::CheckpointWriter(std::string path, std::uint64_t sweep_id)
@@ -266,41 +185,7 @@ void CheckpointWriter::flush(std::span<const SnapshotRecord> records) {
   Snapshot snap;
   snap.sweep_id = sweep_id_;
   snap.records.assign(records.begin(), records.end());
-  const std::vector<unsigned char> bytes = snap.serialize();
-
-  // tmp -> fsync -> rename: the checkpoint at path_ is always a
-  // complete, validated snapshot even if the process dies mid-flush.
-  const std::string tmp = path_ + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0)
-    raise(ErrorCode::kIo, "CheckpointWriter: cannot open " + tmp + ": " +
-                              std::strerror(errno));
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      raise(ErrorCode::kIo, "CheckpointWriter: write failed for " + tmp +
-                                ": " + std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    raise(ErrorCode::kIo,
-          "CheckpointWriter: fsync failed for " + tmp + ": " +
-              std::strerror(err));
-  }
-  if (::close(fd) != 0)
-    raise(ErrorCode::kIo, "CheckpointWriter: close failed for " + tmp + ": " +
-                              std::strerror(errno));
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0)
-    raise(ErrorCode::kIo, "CheckpointWriter: rename " + tmp + " -> " + path_ +
-                              " failed: " + std::strerror(errno));
+  publish(path_, snap.serialize(), Durability::kFsync);
 }
 
 }  // namespace dxbsp::resilience

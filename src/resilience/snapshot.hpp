@@ -9,8 +9,8 @@
 // rows without re-simulating, so a resumed sweep is byte-identical to an
 // uninterrupted one.
 //
-// On-disk layout (little-endian, fixed field order — see
-// docs/resilience.md):
+// On-disk layout (little-endian, fixed field order; framing, CRC span
+// and publish durability in docs/resilience.md §framed files):
 //
 //   u8  magic[8]   "DXSNAP01"
 //   u32 version    (currently 3)
@@ -27,9 +27,6 @@
 // on a *retired* format (v1 or v2) is a well-formed old checkpoint, not
 // damage, and is refused with Error{kConfig} so the caller knows to
 // restart the sweep rather than hunt for disk corruption.
-// CheckpointWriter::flush is crash-atomic: tmp file -> fsync -> rename,
-// so a checkpoint on disk is always either the old or the new complete
-// snapshot, never a torn one.
 
 #include <array>
 #include <cstdint>
@@ -41,10 +38,6 @@
 #include "sim/machine.hpp"
 
 namespace dxbsp::resilience {
-
-/// IEEE CRC-32 (the zlib/PNG polynomial), for snapshot integrity.
-[[nodiscard]] std::uint32_t crc32(std::span<const unsigned char> data,
-                                  std::uint32_t seed = 0) noexcept;
 
 /// One completed grid point.
 struct SnapshotRecord {
@@ -84,8 +77,9 @@ struct Snapshot {
   [[nodiscard]] static Expected<Snapshot> load(const std::string& path);
 };
 
-/// Crash-atomic checkpoint persistence: each flush writes the complete
-/// snapshot to `path` + ".tmp", fsyncs, and renames over `path`.
+/// Crash-atomic checkpoint persistence: each flush publishes the
+/// complete snapshot over `path` (tmp -> fsync -> rename), so the file
+/// is always the old or the new complete snapshot, never a torn one.
 class CheckpointWriter {
  public:
   CheckpointWriter(std::string path, std::uint64_t sweep_id);

@@ -7,7 +7,8 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "resilience/snapshot.hpp"
+#include "resilience/framed_file.hpp"
+#include "resilience/snapshot.hpp"  // the partition bank
 #include "stream/slab_pool.hpp"
 #include "stream/spill_store.hpp"
 #include "workload/patterns.hpp"

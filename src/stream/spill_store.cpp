@@ -1,66 +1,28 @@
 #include "stream/spill_store.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "resilience/snapshot.hpp"  // resilience::crc32
+#include "resilience/framed_file.hpp"
 
 namespace dxbsp::stream {
 
 namespace {
 
+using resilience::append_le;
+using resilience::load_le;
+
 constexpr std::array<unsigned char, 6> kSpillMagic = {'D', 'X', 'S',
                                                       'P', 'L', '1'};
 // CRC covers every byte after the CRC field itself.
 constexpr std::size_t kCrcAt = kSpillMagic.size() + sizeof(std::uint16_t);
-constexpr std::size_t kCrcBodyAt = kCrcAt + sizeof(std::uint32_t);
-
-static_assert(std::endian::native == std::endian::little,
-              "spill format assumes a little-endian host");
-
-void put_u16(std::vector<unsigned char>& out, std::uint16_t v) {
-  const auto* p = reinterpret_cast<const unsigned char*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
-}
-
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const unsigned char*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
-}
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const unsigned char*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
-}
-
-std::uint16_t read_u16(const unsigned char* p) {
-  std::uint16_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-std::uint32_t read_u32(const unsigned char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-std::uint64_t read_u64(const unsigned char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 Error corrupt(const std::string& origin, const std::string& why) {
   return Error(ErrorCode::kCorruptSnapshot, origin + ": " + why);
@@ -101,19 +63,16 @@ std::string SpillStore::chunk_path(std::uint64_t partition,
 std::vector<unsigned char> SpillStore::encode(
     std::uint64_t stream_id, std::uint64_t partition, std::uint64_t chunk,
     std::span<const std::uint64_t> data) {
-  std::vector<unsigned char> out;
+  std::vector<unsigned char> out(kSpillMagic.begin(), kSpillMagic.end());
   out.reserve(kSpillHeaderBytes + data.size() * sizeof(std::uint64_t));
-  out.insert(out.end(), kSpillMagic.begin(), kSpillMagic.end());
-  put_u16(out, static_cast<std::uint16_t>(kSpillVersion));
-  put_u32(out, 0);  // CRC placeholder, patched below
-  put_u64(out, stream_id);
-  put_u64(out, partition);
-  put_u64(out, chunk);
-  put_u64(out, data.size());
-  for (const std::uint64_t v : data) put_u64(out, v);
-  const std::uint32_t crc =
-      resilience::crc32(std::span(out).subspan(kCrcBodyAt));
-  std::memcpy(out.data() + kCrcAt, &crc, sizeof(crc));
+  append_le(out, static_cast<std::uint16_t>(kSpillVersion));
+  append_le(out, std::uint32_t{0});  // CRC placeholder, patched below
+  append_le(out, stream_id);
+  append_le(out, partition);
+  append_le(out, chunk);
+  append_le(out, std::uint64_t{data.size()});
+  for (const std::uint64_t v : data) append_le(out, v);
+  resilience::seal_crc(out, kCrcAt);
   return out;
 }
 
@@ -124,18 +83,17 @@ Expected<SpillChunk> SpillStore::parse(std::span<const unsigned char> bytes,
                                std::to_string(bytes.size()) + " bytes)");
   if (!std::equal(kSpillMagic.begin(), kSpillMagic.end(), bytes.begin()))
     return corrupt(origin, "bad magic (not a dxbsp spill chunk)");
-  const std::uint16_t version = read_u16(bytes.data() + kSpillMagic.size());
+  const auto version = load_le<std::uint16_t>(bytes.data() + kSpillMagic.size());
   if (version != kSpillVersion)
     return corrupt(origin, "unsupported spill version " +
                                std::to_string(version) + " (expected " +
                                std::to_string(kSpillVersion) + ")");
-  const std::uint32_t stored_crc = read_u32(bytes.data() + kCrcAt);
-  const unsigned char* p = bytes.data() + kCrcBodyAt;
+  const unsigned char* p = bytes.data() + kCrcAt + sizeof(std::uint32_t);
   SpillChunk out;
-  out.stream_id = read_u64(p);
-  out.partition = read_u64(p + 8);
-  out.chunk = read_u64(p + 16);
-  const std::uint64_t count = read_u64(p + 24);
+  out.stream_id = load_le<std::uint64_t>(p);
+  out.partition = load_le<std::uint64_t>(p + 8);
+  out.chunk = load_le<std::uint64_t>(p + 16);
+  const auto count = load_le<std::uint64_t>(p + 24);
 
   // The header count is untrusted: bound it by the bytes actually
   // present before believing it (no allocation sized from the header).
@@ -146,17 +104,14 @@ Expected<SpillChunk> SpillStore::parse(std::span<const unsigned char> bytes,
                                " elements but file holds " +
                                std::to_string(payload) + " payload bytes");
 
-  const std::uint32_t actual_crc =
-      resilience::crc32(bytes.subspan(kCrcBodyAt));
-  if (actual_crc != stored_crc)
-    return corrupt(origin, "CRC mismatch (stored " +
-                               std::to_string(stored_crc) + ", computed " +
-                               std::to_string(actual_crc) + ")");
+  if (const std::string bad = resilience::crc_mismatch(bytes, kCrcAt);
+      !bad.empty())
+    return corrupt(origin, bad);
 
   out.data.reserve(count);
   const unsigned char* elem = bytes.data() + kSpillHeaderBytes;
   for (std::uint64_t i = 0; i < count; ++i, elem += sizeof(std::uint64_t))
-    out.data.push_back(read_u64(elem));
+    out.data.push_back(load_le<std::uint64_t>(elem));
   return out;
 }
 
@@ -191,7 +146,11 @@ void SpillStore::write(std::uint64_t partition, std::uint64_t chunk,
     bytes.back() ^= 0x01U;
 
   const std::string path = chunk_path(partition, chunk);
-  const std::string tmp = path + ".tmp";
+  // disk=short_write — every write() syscall stores at most 100 bytes
+  // (not a multiple of 8, so element boundaries split too); exercises
+  // the partial-write path constantly.
+  const std::size_t max_write =
+      fault == fault::DiskFault::kShortWrite ? 100 : 0;
   const std::uint64_t attempts = opt_.write_retries + 1;
   std::string last_error;
 
@@ -207,46 +166,15 @@ void SpillStore::write(std::uint64_t partition, std::uint64_t chunk,
     // device is full forever: every attempt fails the same way and the
     // bounded retry loop converts it into a typed Error{kIo}.
     if (fault == fault::DiskFault::kEnospc && ordinal >= fault_param) {
-      last_error = std::string("write failed for ") + tmp + ": " +
+      last_error = "write failed for " + path + ".tmp: " +
                    std::strerror(ENOSPC) + " (injected)";
       continue;
     }
 
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-      last_error = "cannot open " + tmp + ": " + std::strerror(errno);
-      continue;
-    }
-    bool failed = false;
-    std::size_t written = 0;
-    while (written < bytes.size()) {
-      std::size_t want = bytes.size() - written;
-      // disk=short_write — every syscall stores only part of what was
-      // asked (at least one byte, so the loop always makes progress and
-      // always terminates); exercises the partial-write path constantly.
-      if (fault == fault::DiskFault::kShortWrite)
-        want = std::max<std::size_t>(1, want / 2);
-      const ssize_t n = ::write(fd, bytes.data() + written, want);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        last_error = "write failed for " + tmp + ": " + std::strerror(errno);
-        failed = true;
-        break;
-      }
-      written += static_cast<std::size_t>(n);
-    }
-    if (!failed && ::fsync(fd) != 0) {
-      last_error = "fsync failed for " + tmp + ": " + std::strerror(errno);
-      failed = true;
-    }
-    if (::close(fd) != 0 && !failed) {
-      last_error = "close failed for " + tmp + ": " + std::strerror(errno);
-      failed = true;
-    }
-    if (failed) {
-      std::remove(tmp.c_str());  // best-effort: never leave a torn tmp
-      continue;
-    }
+    last_error = resilience::write_tmp(path, bytes,
+                                       resilience::Durability::kFsync,
+                                       max_write);
+    if (!last_error.empty()) continue;
 
     // The worst crash point a spill tier has: tmp durable, rename
     // pending. phase=spill:K chaos fires here so crash tests land on
@@ -268,12 +196,8 @@ void SpillStore::write(std::uint64_t partition, std::uint64_t chunk,
       }
     }
 
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      last_error =
-          "rename " + tmp + " -> " + path + " failed: " + std::strerror(errno);
-      std::remove(tmp.c_str());
-      continue;
-    }
+    last_error = resilience::rename_tmp(path);
+    if (!last_error.empty()) continue;
     ++chunks_written_;
     bytes_written_ += bytes.size();
     auto& reg = obs::MetricsRegistry::global();
@@ -289,13 +213,9 @@ void SpillStore::write(std::uint64_t partition, std::uint64_t chunk,
 Expected<std::vector<std::uint64_t>> SpillStore::read(
     std::uint64_t partition, std::uint64_t chunk) const {
   const std::string path = chunk_path(partition, chunk);
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Error(ErrorCode::kIo, "SpillStore: cannot open " + path);
-  std::vector<unsigned char> bytes((std::istreambuf_iterator<char>(is)),
-                                   std::istreambuf_iterator<char>());
-  if (is.bad())
-    return Error(ErrorCode::kIo, "SpillStore: read failed for " + path);
-  Expected<SpillChunk> parsed = parse(bytes, path);
+  Expected<std::vector<unsigned char>> bytes = resilience::read_file(path);
+  if (!bytes) return bytes.error();
+  Expected<SpillChunk> parsed = parse(bytes.value(), path);
   if (!parsed) return parsed.error();
   const SpillChunk& c = parsed.value();
   if (c.stream_id != opt_.stream_id)

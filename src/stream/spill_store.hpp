@@ -1,13 +1,12 @@
 #pragma once
 // Partitioned spill tier for the streaming executor: CRC-guarded chunk
-// files written crash-atomically (tmp -> fsync -> rename, the same
-// pattern as resilience::CheckpointWriter), validated byte-for-byte on
-// the way back in. A spill file on disk is always either complete and
+// files published crash-atomically with fsync (resilience/framed_file,
+// docs/resilience.md §framed files), validated byte-for-byte on the way
+// back in. A spill file on disk is always either complete and
 // self-checking or absent — never torn — and a chunk that fails any
 // validation decodes to a typed Error, never a crash or silent bad data.
 //
-// On-disk layout of one chunk (little-endian, docs/resilience.md and
-// docs/streaming.md):
+// On-disk layout of one chunk (little-endian):
 //
 //   u8  magic[6]  "DXSPL1"
 //   u16 version   (currently 1)

@@ -219,9 +219,9 @@ void Coordinator::grant(ShardState& s) {
 }
 
 void Coordinator::bank_partial(ShardState& s) {
-  auto msg = wire_read_file(s.agg_path);
-  if (!msg.ok() || msg.value().type != kMsgAggregates) return;
-  auto agg = decode_aggregates(msg.value().payload);
+  auto msg = wire_read_file(s.agg_path, kMsgAggregates);
+  if (!msg.ok()) return;
+  auto agg = decode_aggregates(msg.value());
   if (!agg.ok()) return;  // torn/corrupt partials: retry covers the gap
   const AggregatesMsg& a = agg.value();
   if (a.shard != s.spec.str() || a.attempt != s.attempt) return;
@@ -283,17 +283,13 @@ void Coordinator::fail_attempt(ShardState& s, const std::string& why) {
 }
 
 void Coordinator::on_result(ShardState& s) {
-  auto msg = wire_read_file(s.res_path);
+  auto msg = wire_read_file(s.res_path, kMsgResult);
   if (!msg.ok()) {
-    fail_attempt(s, "exited 0 without a result message");
+    fail_attempt(s, std::string("exited 0 without a result message: ") +
+                        msg.error().what());
     return;
   }
-  if (msg.value().type != kMsgResult) {
-    fail_attempt(s, "result file holds a '" + msg.value().type +
-                        "' message");
-    return;
-  }
-  auto decoded = decode_result(msg.value().payload);
+  auto decoded = decode_result(msg.value());
   if (!decoded.ok()) {
     fail_attempt(s, std::string("result decode: ") + decoded.error().what());
     return;
@@ -365,9 +361,9 @@ void Coordinator::check_stalls() {
   for (auto& sp : states_) {
     ShardState& s = *sp;
     if (s.phase != ShardState::Phase::kRunning) continue;
-    auto msg = wire_read_file(s.hb_path);
-    if (msg.ok() && msg.value().type == kMsgHeartbeat) {
-      auto hb = decode_heartbeat(msg.value().payload);
+    auto msg = wire_read_file(s.hb_path, kMsgHeartbeat);
+    if (msg.ok()) {
+      auto hb = decode_heartbeat(msg.value());
       if (hb.ok() && hb.value().shard == s.spec.str() &&
           hb.value().attempt == s.attempt) {
         if (hb.value().total > 0) s.total = hb.value().total;

@@ -1,140 +1,66 @@
 #include "svc/wire.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
-#include "resilience/snapshot.hpp"
+#include "resilience/framed_file.hpp"
 
 namespace dxbsp::svc {
 
 namespace {
 
-std::string crc_hex(std::uint32_t crc) {
-  char buf[9];
-  std::snprintf(buf, sizeof buf, "%08x", crc);
-  return buf;
-}
-
-std::uint32_t payload_crc(std::string_view payload) {
-  return resilience::crc32(
-      {reinterpret_cast<const unsigned char*>(payload.data()),
-       payload.size()});
-}
-
-Error corrupt(const std::string& origin, const std::string& what) {
-  return Error(ErrorCode::kCorruptInput, origin + ": " + what);
+// "DXSVCW1 <type> <payload-bytes> <crc32-hex8>".
+std::string frame_header(std::string_view type, std::string_view payload) {
+  char crc[9];
+  std::snprintf(crc, sizeof crc, "%08x",
+                resilience::crc32(resilience::byte_span(payload)));
+  return std::string(kWireMagic) + ' ' + std::string(type) + ' ' +
+         std::to_string(payload.size()) + ' ' + crc;
 }
 
 }  // namespace
 
 std::string wire_frame(const std::string& type,
                        const std::string& payload_json) {
-  std::string out;
-  out.reserve(payload_json.size() + 64);
-  out += kWireMagic;
-  out += ' ';
-  out += type;
-  out += ' ';
-  out += std::to_string(payload_json.size());
-  out += ' ';
-  out += crc_hex(payload_crc(payload_json));
-  out += '\n';
-  out += payload_json;
-  return out;
+  return frame_header(type, payload_json) + '\n' + payload_json;
 }
 
-Expected<WireMessage> wire_parse(std::string_view bytes,
-                                 const std::string& origin) {
+Expected<obs::JsonValue> wire_parse(std::string_view bytes,
+                                    std::string_view type,
+                                    const std::string& origin) {
   const std::size_t nl = bytes.find('\n');
   if (nl == std::string_view::npos)
-    return corrupt(origin, "missing frame header line");
+    return Error(ErrorCode::kCorruptInput,
+                 origin + ": missing frame header line");
   const std::string_view header = bytes.substr(0, nl);
   const std::string_view payload = bytes.substr(nl + 1);
-
-  // Header: magic SP type SP length SP crc — strict, no extra fields.
-  std::istringstream hs{std::string(header)};
-  std::string magic;
-  std::string type;
-  std::string len_text;
-  std::string crc_text;
-  std::string extra;
-  hs >> magic >> type >> len_text >> crc_text;
-  if (hs.fail() || (hs >> extra))
-    return corrupt(origin, "malformed frame header '" + std::string(header) +
-                               "'");
-  if (magic != kWireMagic)
-    return corrupt(origin, "bad magic/version '" + magic + "' (want " +
-                               std::string(kWireMagic) + ")");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long len = std::strtoull(len_text.c_str(), &end, 10);
-  if (errno != 0 || end != len_text.c_str() + len_text.size())
-    return corrupt(origin, "bad payload length '" + len_text + "'");
-  if (len != payload.size())
-    return corrupt(origin, "payload length " + std::to_string(payload.size()) +
-                               " does not match declared " + len_text);
-  errno = 0;
-  const unsigned long long crc = std::strtoull(crc_text.c_str(), &end, 16);
-  if (errno != 0 || end != crc_text.c_str() + crc_text.size() ||
-      crc_text.size() != 8)
-    return corrupt(origin, "bad crc field '" + crc_text + "'");
-  if (static_cast<std::uint32_t>(crc) != payload_crc(payload))
-    return corrupt(origin, "payload CRC mismatch");
-
+  // The header is a pure function of type and payload: comparing it with
+  // the rebuilt one checks magic/version, type, length and CRC at once
+  // and accepts only the exact bytes wire_frame writes (lowercase hex),
+  // so every header bit is guarded, not just the CRC-covered payload.
+  const std::string want = frame_header(type, payload);
+  if (header != want)
+    return Error(ErrorCode::kCorruptInput,
+                 origin + ": frame header '" + std::string(header) +
+                     "' does not match its payload (want '" + want + "')");
   auto parsed = obs::JsonValue::parse(payload, origin);
   if (!parsed.ok())
-    return corrupt(origin, std::string("payload JSON invalid: ") +
-                               parsed.error().what());
-  WireMessage msg;
-  msg.type = type;
-  msg.payload = std::move(parsed).value();
-  return msg;
+    return Error(ErrorCode::kCorruptInput,
+                 origin + ": payload JSON invalid: " + parsed.error().what());
+  return parsed;
 }
 
 void wire_write_file(const std::string& path, const std::string& type,
                      const std::string& payload_json) {
-  const std::string bytes = wire_frame(type, payload_json);
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0)
-    raise(ErrorCode::kIo,
-          "wire: cannot open " + tmp + ": " + std::strerror(errno));
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      raise(ErrorCode::kIo,
-            "wire: write failed for " + tmp + ": " + std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::close(fd) != 0)
-    raise(ErrorCode::kIo,
-          "wire: close failed for " + tmp + ": " + std::strerror(errno));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    raise(ErrorCode::kIo, "wire: rename " + tmp + " -> " + path +
-                              " failed: " + std::strerror(errno));
+  resilience::publish(path,
+                      resilience::byte_span(wire_frame(type, payload_json)),
+                      resilience::Durability::kRenameOnly);
 }
 
-Expected<WireMessage> wire_read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
-    return Error(ErrorCode::kIo, "wire: cannot open " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (is.bad())
-    return Error(ErrorCode::kIo, "wire: read failed for " + path);
-  return wire_parse(buf.str(), path);
+Expected<obs::JsonValue> wire_read_file(const std::string& path,
+                                        std::string_view type) {
+  Expected<std::vector<unsigned char>> bytes = resilience::read_file(path);
+  if (!bytes) return bytes.error();
+  return wire_parse(resilience::text_view(bytes.value()), type, path);
 }
 
 }  // namespace dxbsp::svc

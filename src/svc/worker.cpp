@@ -27,13 +27,7 @@ bool coordinator_synthesized(const std::string& name) {
 WorkerContext::~WorkerContext() { stop_heartbeat(); }
 
 void WorkerContext::init(const std::string& lease_path) {
-  auto msg = wire_read_file(lease_path);
-  if (!msg.ok()) throw msg.error();
-  if (msg.value().type != kMsgLease)
-    raise(ErrorCode::kCorruptInput, lease_path + ": expected a '" +
-                                        kMsgLease + "' message, got '" +
-                                        msg.value().type + "'");
-  auto decoded = decode_lease(msg.value().payload);
+  auto decoded = decode_lease(wire_read_file(lease_path, kMsgLease).value());
   if (!decoded.ok()) throw decoded.error();
   lease_ = std::move(decoded).value();
   shard_ = resilience::ShardSpec::parse(lease_.shard);

@@ -1,0 +1,291 @@
+// Framed-file tests (docs/resilience.md §framed files): one corruption
+// harness over the four on-disk formats, a golden encoding per format,
+// and the shared publish helpers.
+//
+// The harness runs every truncation and every single-bit flip of a valid
+// encoding through the format's own parse, in memory. DXSNAP01, DXSPL1
+// and DXSVCW1 must reject every mutant with their error code. A DXFDR1
+// ring tolerates torn slots by design, so a mutant may decode; it must
+// never throw, keep the ring's geometry, and hold only records that were
+// written, with identical fields.
+
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <filesystem>
+#include <functional>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "obs/flight.hpp"
+#include "resilience/error.hpp"
+#include "resilience/framed_file.hpp"
+#include "resilience/snapshot.hpp"
+#include "stream/spill_store.hpp"
+#include "svc/wire.hpp"
+#include "test_tmp.hpp"
+
+namespace {
+
+using namespace dxbsp;
+using Bytes = std::vector<unsigned char>;
+
+struct Format {
+  Bytes bytes;     ///< a valid encoding
+  Bytes pinned;    ///< the bytes the golden case pins (flight: masked)
+  ErrorCode code = ErrorCode::kInternal;  ///< what every rejection carries
+  bool may_accept = false;  ///< flight: parse itself checks what decodes
+  /// Parses one mutant through the format's parse; nullopt = accepted.
+  std::function<std::optional<Error>(std::span<const unsigned char>,
+                                     const std::string&)>
+      parse;
+};
+
+template <typename T>
+std::optional<Error> error_of(const Expected<T>& r) {
+  if (r.ok()) return std::nullopt;
+  return r.error();
+}
+
+::testing::AssertionResult verdict(const Format& f,
+                                   std::span<const unsigned char> mutant,
+                                   const std::string& label) {
+  std::optional<Error> err;
+  try {
+    err = f.parse(mutant, label);
+  } catch (const std::exception& e) {
+    return ::testing::AssertionFailure() << "threw: " << e.what();
+  }
+  if (!err)
+    return f.may_accept ? ::testing::AssertionSuccess()
+                        : ::testing::AssertionFailure() << "parsed OK";
+  if (err->code() != f.code)
+    return ::testing::AssertionFailure() << "wrong error: " << err->what();
+  return ::testing::AssertionSuccess();
+}
+
+Format snapshot_format() {
+  resilience::Snapshot s;
+  s.sweep_id = 0x5eedf00dULL;
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    resilience::SnapshotRecord r;
+    r.key = 10 + k;
+    r.rng_state = 0x9e3779b97f4a7c15ULL * (k + 1);
+    r.failed_requests = k;
+    r.aux = {k, 2 * k, 3 * k, 4 * k};
+    r.result.cycles = 1000 + k;
+    r.result.n = 64;
+    r.result.max_bank_load = 5 + k;
+    r.result.cache_misses = k;
+    r.result.max_location_contention = 3 + k;
+    r.result.bank_utilization = 0.25 * static_cast<double>(k + 1);
+    r.result.breakdown.bank_service = 7 * k;
+    r.result.breakdown.cache_hit = k;
+    s.records.push_back(r);
+  }
+  Format f;
+  f.bytes = s.serialize();
+  f.pinned = f.bytes;
+  f.code = ErrorCode::kCorruptSnapshot;
+  f.parse = [](std::span<const unsigned char> m, const std::string& label) {
+    return error_of(resilience::Snapshot::parse(m, label));
+  };
+  return f;
+}
+
+Format spill_format() {
+  Format f;
+  f.bytes = stream::SpillStore::encode(9, 2, 1, std::vector<std::uint64_t>{
+                                                    101, 202, 303, 404});
+  f.pinned = f.bytes;
+  f.code = ErrorCode::kCorruptSnapshot;
+  f.parse = [](std::span<const unsigned char> m, const std::string& label) {
+    return error_of(stream::SpillStore::parse(m, label));
+  };
+  return f;
+}
+
+Format wire_format() {
+  const std::string framed = svc::wire_frame("result", "{\"points\":12}");
+  Format f;
+  f.bytes.assign(framed.begin(), framed.end());
+  f.pinned = f.bytes;
+  f.code = ErrorCode::kCorruptInput;
+  f.parse = [](std::span<const unsigned char> m, const std::string& label) {
+    return error_of(svc::wire_parse(resilience::text_view(m), "result", label));
+  };
+  return f;
+}
+
+constexpr std::uint64_t kRingSlots = 7;  // odd: low slots-field bits set
+
+Format flight_format() {
+  const std::string path = testing_tmp::path("framed.flight");
+  {
+    obs::FlightRecorder rec(path, std::chrono::steady_clock::now(),
+                            64 + kRingSlots * 64);
+    // Five records in seven slots: two slots stay never-written.
+    for (std::uint64_t i = 0; i < 5; ++i)
+      rec.append(static_cast<obs::FlightKind>(i % 4),
+                 static_cast<std::uint8_t>(i + 1), 11 * i, 22 * i, 33 * i,
+                 44 * i + 1);
+  }
+  Format f;
+  f.bytes = resilience::read_file(path).value();
+  // The writer's pid and each record's timestamp and CRC vary per run.
+  f.pinned = f.bytes;
+  std::fill_n(f.pinned.begin() + 24, 8, 0);
+  for (std::size_t slot = 64; slot < f.pinned.size(); slot += 64) {
+    std::fill_n(f.pinned.begin() + static_cast<std::ptrdiff_t>(slot), 4, 0);
+    std::fill_n(f.pinned.begin() + static_cast<std::ptrdiff_t>(slot) + 16, 8,
+                0);
+  }
+  // An accepted mutant must keep the geometry and hold only records
+  // that were written, with identical fields; a violation surfaces as
+  // Error{kInternal}, which no rejection may carry.
+  const obs::FlightTail written = obs::flight_parse(f.bytes, "pristine").value();
+  f.code = ErrorCode::kCorruptInput;
+  f.may_accept = true;
+  f.parse = [written](std::span<const unsigned char> m,
+                      const std::string& label) -> std::optional<Error> {
+    const Expected<obs::FlightTail> r = obs::flight_parse(m, label);
+    if (!r.ok()) return r.error();
+    const obs::FlightTail& tail = r.value();
+    if (tail.slots != written.slots)
+      return Error(ErrorCode::kInternal,
+                   label + ": decoded " + std::to_string(tail.slots) +
+                       " slots, wrote " + std::to_string(written.slots));
+    for (const obs::FlightRecord& got : tail.records) {
+      bool found = false;
+      for (const obs::FlightRecord& w : written.records)
+        found = found || (got.seq == w.seq && got.kind == w.kind &&
+                          got.sub == w.sub && got.t_us == w.t_us &&
+                          got.a == w.a && got.b == w.b && got.c == w.c &&
+                          got.d == w.d);
+      if (!found)
+        return Error(ErrorCode::kInternal,
+                     label + ": decoded a record never written (seq " +
+                         std::to_string(got.seq) + ")");
+    }
+    return std::nullopt;
+  };
+  return f;
+}
+
+// Every truncation and every single-bit flip of the format's valid
+// encoding, after checking that the encoding itself parses: a fixture
+// its parse refused would make every mutant "rejected" vacuously.
+void run_harness(const Format& f) {
+  const std::optional<Error> err = f.parse(f.bytes, "pristine");
+  ASSERT_FALSE(err.has_value()) << err->what();
+  for (std::size_t len = 0; len < f.bytes.size(); ++len)
+    ASSERT_TRUE(verdict(f, std::span(f.bytes.data(), len),
+                        "trunc@" + std::to_string(len)))
+        << "truncated to " << len << " bytes";
+  Bytes mutant = f.bytes;
+  for (std::size_t byte = 0; byte < mutant.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      mutant[byte] ^= static_cast<unsigned char>(1U << bit);
+      const std::string label =
+          "flip@" + std::to_string(byte) + "." + std::to_string(bit);
+      ASSERT_TRUE(verdict(f, mutant, label)) << label;
+      mutant[byte] ^= static_cast<unsigned char>(1U << bit);
+    }
+  }
+}
+
+TEST(FramedCorruption, Snapshot) { run_harness(snapshot_format()); }
+TEST(FramedCorruption, Spill) { run_harness(spill_format()); }
+TEST(FramedCorruption, Wire) { run_harness(wire_format()); }
+TEST(FramedCorruption, Flight) { run_harness(flight_format()); }
+
+// Length and CRC-32 of each fixture's encoding, taken from the encoders
+// before they moved onto resilience/framed_file: any change to the bytes
+// a format writes fails here.
+void expect_golden(const Format& f, std::size_t len, std::uint32_t crc) {
+  EXPECT_EQ(f.pinned.size(), len);
+  EXPECT_EQ(resilience::crc32(f.pinned), crc);
+}
+
+TEST(FramedGolden, Snapshot) {
+  expect_golden(snapshot_format(), 832, 0xbba0fd9cU);
+}
+TEST(FramedGolden, Spill) { expect_golden(spill_format(), 76, 0x8f9a3322U); }
+TEST(FramedGolden, Wire) { expect_golden(wire_format(), 40, 0x1c6162f0U); }
+TEST(FramedGolden, Flight) {
+  expect_golden(flight_format(), 512, 0x8e0fb174U);
+}
+
+// The golden flight case masks each record's CRC (it covers a
+// timestamp); pin what it covers instead: the 60 bytes after it.
+TEST(FramedFile, FlightRecordCrcCoversTheBytesAfterIt) {
+  const Bytes ring = flight_format().bytes;
+  for (std::size_t slot = 64; slot < ring.size(); slot += 64) {
+    const std::uint32_t stored = resilience::load_le<std::uint32_t>(&ring[slot]);
+    if (stored == 0) continue;  // never written
+    EXPECT_EQ(stored, resilience::crc32(std::span(&ring[slot + 4], 60)))
+        << "slot at byte " << slot;
+  }
+}
+
+// A full default ring has slots = 1023: flipping any low bit of the
+// slots field shrinks it, and a reader that trusted it would silently
+// drop the records past the new end. The file size pins the geometry.
+TEST(FramedFile, FlightRejectsEverySlotCountFlip) {
+  const std::string path = testing_tmp::path("full.flight");
+  std::uint64_t slots = 0;
+  {
+    obs::FlightRecorder rec(path, std::chrono::steady_clock::now());
+    slots = rec.slots();
+    for (std::uint64_t i = 0; i < slots; ++i)
+      rec.append(obs::FlightKind::kNote, 0, i);
+  }
+  ASSERT_EQ(slots, 1023u);
+  Bytes ring = resilience::read_file(path).value();
+  ASSERT_EQ(obs::flight_parse(ring, "full").value().valid, slots);
+  constexpr std::size_t kSlotsField = 16;
+  for (std::size_t bit = 0; bit < 64; ++bit) {
+    ring[kSlotsField + bit / 8] ^= static_cast<unsigned char>(1U << (bit % 8));
+    const auto r = obs::flight_parse(ring, "slots bit " + std::to_string(bit));
+    ASSERT_FALSE(r.ok()) << "slots bit " << bit << " flipped, parsed OK";
+    EXPECT_EQ(r.error().code(), ErrorCode::kCorruptInput);
+    ring[kSlotsField + bit / 8] ^= static_cast<unsigned char>(1U << (bit % 8));
+  }
+}
+
+// The two publish steps: the tmp holds the complete bytes (written
+// through a 3-byte per-syscall cap) before the rename, the rename leaves
+// no tmp, and each failure is reported, never thrown or ignored.
+TEST(FramedFile, PublishStepsAndFailures) {
+  const std::string path = testing_tmp::path("published.bin");
+  const Bytes bytes = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  ASSERT_EQ(resilience::write_tmp(path, bytes, resilience::Durability::kFsync,
+                                  3),
+            "");
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(resilience::read_file(path + ".tmp").value(), bytes);
+  ASSERT_EQ(resilience::rename_tmp(path), "");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(resilience::read_file(path).value(), bytes);
+
+  EXPECT_NE(resilience::rename_tmp(path), "") << "no tmp left to rename";
+  const std::string nowhere = testing_tmp::path("missing-dir/x.bin");
+  EXPECT_NE(resilience::write_tmp(nowhere, bytes,
+                                  resilience::Durability::kRenameOnly),
+            "");
+  try {
+    resilience::publish(nowhere, bytes, resilience::Durability::kRenameOnly);
+    ADD_FAILURE() << "publish into a missing directory must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kIo);
+  }
+  const auto missing = resilience::read_file(nowhere);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code(), ErrorCode::kIo);
+}
+
+}  // namespace

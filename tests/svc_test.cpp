@@ -108,31 +108,26 @@ TEST(ShardSpec, ShardScopedSweepIdsAreDistinct) {
 TEST(Wire, FrameRoundTrips) {
   const std::string framed = svc::wire_frame("lease", "{\"x\":1}");
   EXPECT_EQ(framed.substr(0, 7), svc::kWireMagic);
-  const auto msg = svc::wire_parse(framed, "test");
+  const auto msg = svc::wire_parse(framed, "lease", "test");
   ASSERT_TRUE(msg.ok()) << msg.error().what();
-  EXPECT_EQ(msg.value().type, "lease");
-  const auto* x = msg.value().payload.find("x");
+  const auto* x = msg.value().find("x");
   ASSERT_NE(x, nullptr);
   EXPECT_EQ(x->as_u64(), 1u);
 }
 
+// Single-bit flips and truncations of a frame are covered by the
+// framed-file corruption harness (framed_file_test.cpp).
 TEST(Wire, RejectsCorruption) {
-  std::string framed = svc::wire_frame("result", "{\"points\":12}");
-  // Flip one payload byte: CRC must catch it.
-  std::string flipped = framed;
-  flipped[flipped.size() - 2] ^= 0x20;
-  EXPECT_FALSE(svc::wire_parse(flipped, "t").ok());
-  // Truncated payload: declared length no longer matches.
-  EXPECT_FALSE(svc::wire_parse(framed.substr(0, framed.size() - 3), "t").ok());
+  const std::string framed = svc::wire_frame("result", "{\"points\":12}");
   // Foreign magic / future version.
   std::string magic = framed;
   magic[6] = '9';
-  EXPECT_FALSE(svc::wire_parse(magic, "t").ok());
-  EXPECT_FALSE(svc::wire_parse("", "t").ok());
-  EXPECT_FALSE(svc::wire_parse("not a frame at all", "t").ok());
-  for (const auto* bytes : {"", "not a frame at all"}) {
-    const auto r = svc::wire_parse(bytes, "t");
-    ASSERT_FALSE(r.ok());
+  // A well-formed frame of another type than the reader expects.
+  const std::string lease = svc::wire_frame("lease", "{\"points\":12}");
+  for (const std::string& bytes :
+       {magic, lease, std::string(), std::string("not a frame at all")}) {
+    const auto r = svc::wire_parse(bytes, "result", "t");
+    ASSERT_FALSE(r.ok()) << bytes;
     EXPECT_EQ(r.error().code(), ErrorCode::kCorruptInput);
   }
 }
@@ -140,10 +135,9 @@ TEST(Wire, RejectsCorruption) {
 TEST(Wire, FileRoundTripAndFailureModes) {
   const std::string path = tmp_path("wire.msg");
   svc::wire_write_file(path, "heartbeat", "{\"beat\":7}");
-  const auto msg = svc::wire_read_file(path);
+  const auto msg = svc::wire_read_file(path, "heartbeat");
   ASSERT_TRUE(msg.ok()) << msg.error().what();
-  EXPECT_EQ(msg.value().type, "heartbeat");
-  const auto* beat = msg.value().payload.find("beat");
+  const auto* beat = msg.value().find("beat");
   ASSERT_NE(beat, nullptr);
   EXPECT_EQ(beat->as_u64(), 7u);
   {
@@ -151,13 +145,14 @@ TEST(Wire, FileRoundTripAndFailureModes) {
     EXPECT_FALSE(tmp.good()) << "tmp file left behind after rename";
   }
 
-  const auto missing = svc::wire_read_file(tmp_path("wire_missing.msg"));
+  const auto missing =
+      svc::wire_read_file(tmp_path("wire_missing.msg"), "heartbeat");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.error().code(), ErrorCode::kIo)
       << "missing message must read as retryable, not corrupt";
 
   write_raw(path, "DXSVCW1 heartbeat 10 00000000\n{\"beat\":7}");
-  const auto corrupt = svc::wire_read_file(path);
+  const auto corrupt = svc::wire_read_file(path, "heartbeat");
   ASSERT_FALSE(corrupt.ok());
   EXPECT_EQ(corrupt.error().code(), ErrorCode::kCorruptInput);
   std::remove(path.c_str());
@@ -229,9 +224,9 @@ TEST(Chaos, MatchRespectsShardAttemptPhaseAndPoint) {
 
 template <typename T, typename Decode>
 T reencode(const std::string& type, const std::string& json, Decode decode) {
-  const auto msg = svc::wire_parse(svc::wire_frame(type, json), "test");
+  const auto msg = svc::wire_parse(svc::wire_frame(type, json), type, "test");
   EXPECT_TRUE(msg.ok());
-  auto decoded = decode(msg.value().payload);
+  auto decoded = decode(msg.value());
   EXPECT_TRUE(decoded.ok()) << decoded.error().what();
   return std::move(decoded).value();
 }
@@ -388,19 +383,20 @@ TEST(Payload, DecodersReturnErrorsInsteadOfThrowing) {
   // A half-dead worker writing structurally-valid JSON with the wrong
   // shape must be a decode error the coordinator turns into a strike.
   const auto msg = svc::wire_parse(
-      svc::wire_frame(svc::kMsgLease, "{\"shard\":\"0/2\"}"), "t");
+      svc::wire_frame(svc::kMsgLease, "{\"shard\":\"0/2\"}"), svc::kMsgLease,
+      "t");
   ASSERT_TRUE(msg.ok());
-  const auto lease = svc::decode_lease(msg.value().payload);
+  const auto lease = svc::decode_lease(msg.value());
   EXPECT_FALSE(lease.ok());
-  const auto hb = svc::decode_heartbeat(msg.value().payload);
+  const auto hb = svc::decode_heartbeat(msg.value());
   EXPECT_FALSE(hb.ok());
-  const auto agg = svc::decode_aggregates(msg.value().payload);
+  const auto agg = svc::decode_aggregates(msg.value());
   EXPECT_FALSE(agg.ok());
-  const auto res = svc::decode_result(msg.value().payload);
+  const auto res = svc::decode_result(msg.value());
   EXPECT_FALSE(res.ok());
-  const auto tel = svc::decode_telemetry(msg.value().payload);
+  const auto tel = svc::decode_telemetry(msg.value());
   EXPECT_FALSE(tel.ok());
-  const auto fs = svc::decode_fleet_status(msg.value().payload);
+  const auto fs = svc::decode_fleet_status(msg.value());
   EXPECT_FALSE(fs.ok());
 }
 
@@ -514,15 +510,15 @@ void fuzz_decoder(const std::string& type, const std::string& json,
                   Decode decode) {
   const std::string framed = svc::wire_frame(type, json);
   for (std::size_t len = 0; len < framed.size(); ++len) {
-    const auto msg = svc::wire_parse(framed.substr(0, len), "fuzz");
-    if (msg.ok()) (void)decode(msg.value().payload);
+    const auto msg = svc::wire_parse(framed.substr(0, len), type, "fuzz");
+    if (msg.ok()) (void)decode(msg.value());
   }
   for (std::size_t i = 0; i < framed.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string mut = framed;
       mut[i] = static_cast<char>(mut[i] ^ (1 << bit));
-      const auto msg = svc::wire_parse(mut, "fuzz");
-      if (msg.ok()) (void)decode(msg.value().payload);
+      const auto msg = svc::wire_parse(mut, type, "fuzz");
+      if (msg.ok()) (void)decode(msg.value());
     }
   }
   for (std::size_t len = 0; len < json.size(); ++len) {

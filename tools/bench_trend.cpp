@@ -26,15 +26,14 @@
 
 #include <glob.h>
 
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/json_read.hpp"
 #include "resilience/error.hpp"
+#include "resilience/framed_file.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -43,12 +42,12 @@ using dxbsp::obs::JsonValue;
 
 /// name -> raw value text for one file's metrics section.
 std::map<std::string, std::string> load_metrics(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
+  const auto bytes = dxbsp::resilience::read_file(path);
+  if (!bytes)
     dxbsp::raise(dxbsp::ErrorCode::kIo, "cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const JsonValue doc = JsonValue::parse(buf.str(), path).value();
+  const JsonValue doc =
+      JsonValue::parse(dxbsp::resilience::text_view(bytes.value()), path)
+          .value();
   const JsonValue* metrics = doc.find("metrics");
   if (metrics == nullptr || !metrics->is_object())
     dxbsp::raise(dxbsp::ErrorCode::kCorruptInput,

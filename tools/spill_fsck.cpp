@@ -16,11 +16,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <vector>
 
 #include "resilience/error.hpp"
+#include "resilience/framed_file.hpp"
 #include "stream/spill_store.hpp"
 #include "util/cli.hpp"
 
@@ -58,16 +58,14 @@ int main(int argc, char** argv) {
     std::uint64_t bytes = 0;
     bool io_failed = false;
     for (const auto& path : files) {
-      std::ifstream is(path, std::ios::binary);
-      std::vector<unsigned char> data((std::istreambuf_iterator<char>(is)),
-                                      std::istreambuf_iterator<char>());
-      if (is.bad()) {
-        std::cout << "UNREADABLE " << path.string() << "\n";
+      const auto data = resilience::read_file(path.string());
+      if (!data) {
+        std::cout << "UNREADABLE " << data.error().what() << "\n";
         io_failed = true;
         continue;
       }
       const Expected<stream::SpillChunk> parsed =
-          stream::SpillStore::parse(data, path.string());
+          stream::SpillStore::parse(data.value(), path.string());
       if (!parsed) {
         std::cout << "BAD " << parsed.error().what() << "\n";
         ++bad;
@@ -89,7 +87,7 @@ int main(int argc, char** argv) {
         continue;
       }
       ++ok;
-      bytes += data.size();
+      bytes += data.value().size();
       if (verbose)
         std::cout << "OK " << path.string() << " stream=" << c.stream_id
                   << " elements=" << c.data.size() << "\n";

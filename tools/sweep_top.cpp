@@ -66,18 +66,19 @@ struct Frame {
 /// best-effort — a shard between attempts simply has no row detail.
 Frame sample(const std::string& dir) {
   Frame f;
-  auto status = svc::wire_read_file(dir + "/fleet.status");
-  if (!status.ok() || status.value().type != svc::kMsgFleetStatus) return f;
-  auto decoded = svc::decode_fleet_status(status.value().payload);
+  auto status =
+      svc::wire_read_file(dir + "/fleet.status", svc::kMsgFleetStatus);
+  if (!status.ok()) return f;
+  auto decoded = svc::decode_fleet_status(status.value());
   if (!decoded.ok()) return f;
   f.status = std::move(decoded).value();
   f.has_status = true;
   f.telem.resize(f.status.rows.size());
   for (std::size_t i = 0; i < f.status.rows.size(); ++i) {
-    auto msg = svc::wire_read_file(dir + "/shard-" + std::to_string(i) +
-                                   ".telem");
-    if (!msg.ok() || msg.value().type != svc::kMsgTelemetry) continue;
-    auto t = svc::decode_telemetry(msg.value().payload);
+    auto msg = svc::wire_read_file(
+        dir + "/shard-" + std::to_string(i) + ".telem", svc::kMsgTelemetry);
+    if (!msg.ok()) continue;
+    auto t = svc::decode_telemetry(msg.value());
     if (t.ok()) f.telem[i] = std::move(t).value();
   }
   return f;
