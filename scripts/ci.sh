@@ -65,7 +65,12 @@
 #    a pure speed knob. A scalar build of the fig4 bench must produce a
 #    byte-identical run report, and the hotpath bench's three-engine
 #    cross-check must still pass.
-# 10. Fleet-observability smoke (docs/observability.md §fleet): an
+# 10. Trace-off build leg (DXBSP_OBS_TRACE=OFF): compiling tracing out
+#     must be a pure observability knob. A trace-off tree must pass the
+#     full tier-1 ctest (the few assertions that count trace events are
+#     guarded by obs::kTraceCompiledIn) and produce a fig4 run report
+#     byte-identical to the plain build's.
+# 11. Fleet-observability smoke (docs/observability.md §fleet): an
 #     obs-on merged report strips back to the serial run's bytes, a
 #     chaos-killed worker's flight ring surfaces as the post_mortem
 #     section (last protocol phase + trace tail), the stitched fleet
@@ -359,6 +364,18 @@ cmake --build build-ci-scalar -j"$JOBS" \
 cmp "$SMOKE/report_vec.json" "$SMOKE/report_scalar.json"
 ./build-ci-scalar/bench/bench_perf_hotpath --quick --reps=1 > /dev/null
 echo "scalar build is byte-identical to the vectorized build"
+
+echo "== trace-off build leg (DXBSP_OBS_TRACE=OFF) =="
+# Tracing compiled out must change no simulated number: the whole tier-1
+# suite passes in a trace-off tree, and its fig4 report (untraced, so
+# the trace section never appears) matches the plain build's bytes.
+cmake -B build-ci-notrace -S . -DDXBSP_OBS_TRACE=OFF >/dev/null
+cmake --build build-ci-notrace -j"$JOBS"
+ctest --test-dir build-ci-notrace -j"$JOBS" --output-on-failure
+./build-ci-notrace/bench/bench_fig4_contention_sweep "${OBS_ARGS[@]}" \
+  --report="$SMOKE/report_notrace.json" > /dev/null
+cmp "$SMOKE/report_vec.json" "$SMOKE/report_notrace.json"
+echo "trace-off build passes tier-1 and is byte-identical to the plain build"
 
 echo "== coordinator smoke (fleet mode) =="
 COORD=./build-ci/tools/sweep_coordinator

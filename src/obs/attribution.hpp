@@ -17,9 +17,9 @@
 //                           (docs/cache.md; replaces latency + bank time
 //                           when the critical request hit locally)
 // so the terms sum to the measured cycles by construction — an identity
-// Machine::run enforces on every operation. Both engines latch the same
-// critical event (pop order is identical), so the breakdown is
-// bit-identical between kCalendar and kReference.
+// Machine::run enforces on every operation. All five execution
+// strategies (obs::EngineChoice) latch the same critical event (pop
+// order is identical), so the breakdown is bit-identical across them.
 //
 // The bank-load distribution of the operation is kept as a mergeable
 // sketch: an exact histogram up to 64 requests per bank plus an
@@ -134,13 +134,13 @@ struct BankLoadSketch {
 };
 
 /// Per-operation scratch that latches the critical (makespan-defining)
-/// event and its cost decomposition. Owned by Machine, shared by both
-/// engines; begin() is called once per bulk op.
+/// event and its cost decomposition. Owned by Machine, shared by every
+/// execution strategy; begin() is called once per bulk op.
 ///
 /// Latch rule: the FIRST event in pop order whose ack strictly exceeds
-/// every earlier ack. Pop order is identical across engines
+/// every earlier ack. Pop order is identical across the five strategies
 /// ((depart, proc, attempt, elem) tiebreaks), so the latched breakdown
-/// is bit-identical between kCalendar and kReference.
+/// is bit-identical among them.
 class CostAttributor {
  public:
   void begin() noexcept {

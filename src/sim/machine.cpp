@@ -731,12 +731,12 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
   // Batched bank routing: ONE virtual dispatch per bulk op fills the
   // whole addr→bank route, replacing the per-event mapping_->bank_of
   // call of the reference engine. scatter_banks traffic routes itself.
-  const std::uint64_t* route = ids.data();
+  std::span<const std::uint64_t> route = ids;
   if (!ids_are_banks) {
     auto& banks = st.arena.vec<std::uint64_t>(kRouteSlot);
     banks.resize(n);
     mapping_->bank_of_batch(ids, banks);
-    route = banks.data();
+    route = banks;
   } else {
     // Caller-supplied bank ids are the only ones that can be out of
     // range (mappings are bank-count checked at construction); validate
@@ -748,7 +748,6 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
 
   auto& procs = st.arena.vec<ProcFlat>();
   procs.assign(p, ProcFlat{});
-  auto& rings = st.arena.vec<std::uint64_t>(kRingSlot);
   std::uint64_t ring_total = 0;
   std::uint64_t max_count = 0;
   for (std::uint64_t i = 0; i < p; ++i) {
@@ -762,151 +761,33 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
   }
   res.max_proc_requests = max_count;
 
-  // Specialization eligibility for the scheduled loop below.
-  const bool no_obs = tier == nullptr &&
-                      (trace_ == nullptr || trace_passive_) &&
-                      timing == nullptr;
-  const bool no_ring = no_obs && config_.slackness >= max_count;
-
-  // Ring slot j % window is written at issue j and first read at issue
-  // j + window, so stale contents from the previous bulk op are never
-  // observed — resize without zeroing. The kNoRing specialization never
-  // touches the rings at all.
-  if (!no_ring && rings.size() < ring_total)
-    rings.resize(static_cast<std::size_t>(ring_total));
-
   std::uint64_t makespan = 0;
-  std::uint64_t events = 0;
   const std::uint64_t g = config_.gap;
 
-  if (choice == obs::EngineChoice::kSoA)
-    return run_soa(ids, ids_are_banks, route, res, max_count);
-
-  if (choice == obs::EngineChoice::kDense) {
-    // Dense fast path. With no fault plan there are no retries, and with
-    // the outstanding window never binding (S >= every per-proc count;
-    // window = min(S, count) = count, and the gate index never reaches
-    // it) every issue departs exactly `gap` after the previous one, so
-    // for_each_in_pop_order reproduces the scheduler's pop order and the
-    // scheduler itself — and the completion rings — can be skipped.
-    // Bit-identical results, traces and cancellation cadence to the
-    // general path.
-    for_each_in_pop_order(block, n, p, cancel_,
-                          [&](std::uint64_t, std::uint64_t elem,
-                              std::uint64_t proc, std::uint64_t j) {
-      const std::uint64_t depart = j * g;
-      if (tier != nullptr) {
-        const cache::CacheTier::Access acc = tier->access(proc, ids[elem]);
-        if (acc.writeback)
-          line_writeback(acc.victim_addr, depart, proc, true, res);
-        if (acc.hit) {
-          if (write_through)
-            line_writeback(ids[elem], depart, proc, false, res);
-          const std::uint64_t ack = depart + hit_latency;
-          rec(trace_, obs::TraceKind::kCacheHit, depart, hit_latency, elem,
-              proc);
-          if (timing != nullptr) {
-            timing->issue[elem] = depart;
-            timing->arrival[elem] = depart;
-            timing->start[elem] = depart;
-            timing->completion[elem] = ack;
-            timing->bank[elem] = RequestTiming::kUnserved;
-          }
-          if (ack > makespan) {
-            makespan = ack;
-            attr_.observe_cache_hit(ack, depart, depart);
-          }
-          return;
-        }
-      }
-      const std::uint64_t bank = route[elem];
-      const std::uint64_t arrival = network_.traverse(bank, depart, proc);
-      if constexpr (obs::kTraceCompiledIn) {
-        if (trace_ != nullptr) {
-          const std::uint64_t free = banks_.free_at(bank);
-          rec(trace_, obs::TraceKind::kQueueDepth, arrival, 0, bank,
-              free > arrival ? free - arrival : 0);
-        }
-      }
-      const std::uint64_t served =
-          ids_are_banks ? banks_.serve(bank, arrival)
-                        : banks_.serve_addr(bank, arrival, ids[elem]);
-      const std::uint64_t ack = served + latency;
-      if (!banks_.last_combined())
-        rec(trace_, obs::TraceKind::kBankBusy, banks_.last_start(),
-            served - banks_.last_start(), bank, 0);
-      if (timing != nullptr) {
-        timing->issue[elem] = depart;
-        timing->arrival[elem] = arrival;
-        timing->start[elem] = banks_.last_start();
-        timing->completion[elem] = ack;
-        timing->bank[elem] = bank;
-      }
-      if (ack > makespan) {
-        makespan = ack;
-        // Same latch rule as the scheduler path (first strict max in pop
-        // order): depart == j·g exactly, so window_stall is 0 and the
-        // fresh gap is the departure itself.
-        attr_.observe_served(ack, /*fresh=*/true, elem, depart, depart,
-                             arrival, served, latency,
-                             /*redirected=*/false);
-      }
-    });
-    res.completed += n;
-    res.last_issue = (max_count - 1) * g;
-    return makespan;
-  }
-
-  // General path, scheduled by either the calendar wheel (kCalendar) or
-  // the binary heap (kHeap): pop order is identical — the total Event
-  // order — so the queue choice is pure performance
-  // (util/calendar_queue.hpp; EventHeap above). Retry backoffs beyond
-  // the wheel horizon take the calendar queue's internal heap fallback.
-  //
-  // Two compile-time specializations shave the per-event constant
-  // without touching pop order or results, whether or not the strategy
-  // was forced:
-  //   kNoObs:  tier, tracer and timing are null for this op — fold the
-  //            observability branches away entirely.
-  //   kNoRing: S >= every per-processor count, so the outstanding
-  //            window provably never gates an issue — skip the
-  //            completion-ring writes (the only random-access store on
-  //            the fresh-issue path).
-  auto scheduled = [&](auto& q, auto no_obs_c, auto no_ring_c)
-      -> std::uint64_t {
-  constexpr bool kNoObs = decltype(no_obs_c)::value;
-  constexpr bool kNoRing = decltype(no_ring_c)::value;
-  obs::TraceRing* const tr = kNoObs ? nullptr : trace_;
-  RequestTiming* const tm = kNoObs ? nullptr : timing;
-  cache::CacheTier* const tierp = kNoObs ? nullptr : tier;
-  q.reset();
-  for (std::uint64_t i = 0; i < p; ++i)
-    if (procs[i].count > 0)
-      q.push(Event{0, 0, static_cast<std::uint32_t>(i), 0});
-
-  while (!q.empty()) {
-    if (cancel_ != nullptr && (++events & 0xFFFU) == 0) {
-      cancel_->heartbeat();
-      cancel_->raise_if_expired("Machine::run");
-    }
-    const Event ev = q.pop();
-    ProcFlat& ps = procs[ev.proc];
+  // One request's life, shared by the scheduled loops, the dense walk
+  // and the SoA per-element leg: cache tier, route, network, fault
+  // handling, bank service, attribution latch, trace records and timing
+  // slots. `fresh_gap` is j·g for a fresh issue (0 for a retry). Returns
+  // when the processor learns the outcome; a NACKed attempt with retry
+  // budget left is re-queued on the scheduler `choice` names (only the
+  // scheduled loops run with a fault plan). kNoObs: tier, tracer and
+  // timing are folded away at compile time.
+  const auto step = [&](auto no_obs_c, const Event& ev, std::uint64_t elem,
+                        std::uint64_t fresh_gap) -> std::uint64_t {
+    constexpr bool kNoObs = decltype(no_obs_c)::value;
+    obs::TraceRing* const tr = kNoObs ? nullptr : trace_;
+    RequestTiming* const tm = kNoObs ? nullptr : timing;
+    cache::CacheTier* const tierp = kNoObs ? nullptr : tier;
     const bool fresh = ev.attempt == 0;
-
-    const std::uint64_t elem = fresh ? element_of(ev.proc, ps.issued) : ev.elem;
     const std::uint64_t addr = ids[elem];
-    const std::uint64_t fresh_gap = fresh ? ps.issued * g : 0;
 
-    bool local_hit = false;
-    std::uint64_t ack = 0;
     if (tierp != nullptr && fresh) {
       const cache::CacheTier::Access acc = tierp->access(ev.proc, addr);
       if (acc.writeback)
         line_writeback(acc.victim_addr, ev.depart, ev.proc, true, res);
       if (acc.hit) {
-        local_hit = true;
         if (write_through) line_writeback(addr, ev.depart, ev.proc, false, res);
-        ack = ev.depart + hit_latency;
+        const std::uint64_t ack = ev.depart + hit_latency;
         ++res.completed;
         attr_.observe_cache_hit(ack, fresh_gap, ev.depart);
         rec(tr, obs::TraceKind::kCacheHit, ev.depart, hit_latency, elem,
@@ -918,14 +799,12 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
           tm->completion[elem] = ack;
           tm->bank[elem] = RequestTiming::kUnserved;  // served locally
         }
+        return ack;
       }
     }
-    if (!local_hit) {
+
     std::uint64_t bank = route[elem];
-
     const std::uint64_t arrival = network_.traverse(bank, ev.depart, ev.proc);
-
-    bool served_ok = true;
     bool redirected = false;
     if (plan != nullptr) {
       const char* fail_reason = nullptr;
@@ -944,65 +823,150 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
         if (ev.attempt < plan->retry().max_retries) {
           ++res.nacks;
           rec(tr, obs::TraceKind::kNack, arrival, 0, elem, ev.attempt);
-          ack = network_.nack_return(arrival);
+          const std::uint64_t ack = network_.nack_return(arrival);
           if (fresh) attr_.note_origin(elem, fresh_gap, ev.depart);
-          const std::uint64_t delay =
-              plan->backoff_delay(elem, ev.attempt + 1);
-          q.push(Event{ack + delay, elem, ev.proc, ev.attempt + 1});
+          const Event retry{ack + plan->backoff_delay(elem, ev.attempt + 1),
+                            elem, ev.proc, ev.attempt + 1};
+          if (choice == obs::EngineChoice::kHeap) {
+            st.heap.push(retry);
+          } else {
+            st.queue.push(retry);
+          }
           ++res.retries;
-          rec(tr, obs::TraceKind::kRetry, ack + delay, 0, elem,
-              ev.attempt + 1);
-          served_ok = false;
-        } else {
-          fail_reason = "retry budget exhausted";
+          rec(tr, obs::TraceKind::kRetry, retry.depart, 0, elem,
+              retry.attempt);
+          attr_.observe_unserved(ack, fresh, elem, fresh_gap, ev.depart);
+          return ack;
         }
+        fail_reason = "retry budget exhausted";
       }
       if (fail_reason != nullptr) {
         ++res.nacks;
         rec(tr, obs::TraceKind::kNack, arrival, 0, elem, ev.attempt);
-        ack = network_.nack_return(arrival);
+        const std::uint64_t ack = network_.nack_return(arrival);
         if (tally.failed == 0) {
           tally.first_elem = elem;
           tally.first_attempts = ev.attempt + 1;
           tally.first_reason = fail_reason;
         }
         ++tally.failed;
-        served_ok = false;
+        attr_.observe_unserved(ack, fresh, elem, fresh_gap, ev.depart);
+        return ack;
       }
     }
 
-    if (served_ok) {
-      if constexpr (obs::kTraceCompiledIn && !kNoObs) {
-        if (tr != nullptr) {
-          const std::uint64_t free = banks_.free_at(bank);
-          rec(tr, obs::TraceKind::kQueueDepth, arrival, 0, bank,
-              free > arrival ? free - arrival : 0);
-        }
+    if constexpr (obs::kTraceCompiledIn && !kNoObs) {
+      if (tr != nullptr) {
+        const std::uint64_t free = banks_.free_at(bank);
+        rec(tr, obs::TraceKind::kQueueDepth, arrival, 0, bank,
+            free > arrival ? free - arrival : 0);
       }
-      const std::uint64_t scale =
-          plan != nullptr ? plan->busy_multiplier(bank, arrival) : 1;
-      const std::uint64_t served =
-          ids_are_banks ? banks_.serve(bank, arrival, scale)
-                        : banks_.serve_addr(bank, arrival, addr, scale);
-      ack = served + latency;
-      ++res.completed;
-      attr_.observe_served(ack, fresh, elem, fresh_gap, ev.depart, arrival,
-                           served, latency, redirected);
-      if (!banks_.last_combined())
-        rec(tr, obs::TraceKind::kBankBusy, banks_.last_start(),
-            served - banks_.last_start(), bank, 0);
-
-      if (tm != nullptr) {
-        tm->issue[elem] = ev.depart;
-        tm->arrival[elem] = arrival;
-        tm->start[elem] = banks_.last_start();
-        tm->completion[elem] = ack;
-        tm->bank[elem] = bank;
-      }
-    } else {
-      attr_.observe_unserved(ack, fresh, elem, fresh_gap, ev.depart);
     }
-    }  // !local_hit
+    const std::uint64_t scale =
+        plan != nullptr ? plan->busy_multiplier(bank, arrival) : 1;
+    const std::uint64_t served =
+        ids_are_banks ? banks_.serve(bank, arrival, scale)
+                      : banks_.serve_addr(bank, arrival, addr, scale);
+    const std::uint64_t ack = served + latency;
+    ++res.completed;
+    attr_.observe_served(ack, fresh, elem, fresh_gap, ev.depart, arrival,
+                         served, latency, redirected);
+    if (!banks_.last_combined())
+      rec(tr, obs::TraceKind::kBankBusy, banks_.last_start(),
+          served - banks_.last_start(), bank, 0);
+    if (tm != nullptr) {
+      tm->issue[elem] = ev.depart;
+      tm->arrival[elem] = arrival;
+      tm->start[elem] = banks_.last_start();
+      tm->completion[elem] = ack;
+      tm->bank[elem] = bank;
+    }
+    return ack;
+  };
+
+  if (choice == obs::EngineChoice::kSoA && banks_.batchable(!ids_are_banks))
+    return run_soa(route, res, max_count);
+
+  if (choice == obs::EngineChoice::kDense ||
+      choice == obs::EngineChoice::kSoA) {
+    // Dense walk. With no fault plan there are no retries, and with the
+    // outstanding window never binding (S >= every per-proc count) every
+    // issue departs exactly `gap` after the previous one, so
+    // for_each_in_pop_order reproduces the scheduler's pop order and the
+    // scheduler itself — and the completion rings — can be skipped:
+    // request j of a processor departs at j·g as attempt 0. Bit-identical
+    // results, traces and cancellation cadence to the scheduled loops.
+    // The SoA choice lands here when its banks are not batchable
+    // (combining, a bank-side MRU cache or multi-port banks: per-request
+    // bank state transitions can't run as a free-chain). It runs with
+    // kNoObs, so it never feeds a passive ring; the dense walk feeds
+    // whatever ring is attached.
+    const auto walk = [&](auto no_obs_c) {
+      for_each_in_pop_order(block, n, p, cancel_,
+                            [&](std::uint64_t, std::uint64_t elem,
+                                std::uint64_t proc, std::uint64_t j) {
+        const Event ev{j * g, elem, static_cast<std::uint32_t>(proc), 0};
+        makespan = std::max(makespan, step(no_obs_c, ev, elem, ev.depart));
+      });
+      res.last_issue = (max_count - 1) * g;
+      return makespan;
+    };
+    if (choice == obs::EngineChoice::kSoA ||
+        (tier == nullptr && trace_ == nullptr && timing == nullptr))
+      return walk(std::true_type{});
+    return walk(std::false_type{});
+  }
+
+  // Specialization eligibility for the scheduled loop below.
+  const bool no_obs = tier == nullptr &&
+                      (trace_ == nullptr || trace_passive_) &&
+                      timing == nullptr;
+  const bool no_ring = no_obs && config_.slackness >= max_count;
+
+  // Ring slot j % window is written at issue j and first read at issue
+  // j + window, so stale contents from the previous bulk op are never
+  // observed — resize without zeroing. The kNoRing specialization never
+  // touches the rings at all.
+  auto& rings = st.arena.vec<std::uint64_t>(kRingSlot);
+  if (!no_ring && rings.size() < ring_total)
+    rings.resize(static_cast<std::size_t>(ring_total));
+
+  // General path, scheduled by either the calendar wheel (kCalendar) or
+  // the binary heap (kHeap): pop order is identical — the total Event
+  // order — so the queue choice is pure performance
+  // (util/calendar_queue.hpp; EventHeap above). Retry backoffs beyond
+  // the wheel horizon take the calendar queue's internal heap fallback.
+  //
+  // Two compile-time specializations shave the per-event constant
+  // without touching pop order or results, whether or not the strategy
+  // was forced:
+  //   kNoObs:  tier, tracer and timing are null for this op — fold the
+  //            observability branches away entirely.
+  //   kNoRing: S >= every per-processor count, so the outstanding
+  //            window provably never gates an issue — skip the
+  //            completion-ring writes (the only random-access store on
+  //            the fresh-issue path).
+  auto scheduled = [&](auto& q, auto no_obs_c, auto no_ring_c)
+      -> std::uint64_t {
+  constexpr bool kNoRing = decltype(no_ring_c)::value;
+  obs::TraceRing* const tr = decltype(no_obs_c)::value ? nullptr : trace_;
+  q.reset();
+  for (std::uint64_t i = 0; i < p; ++i)
+    if (procs[i].count > 0)
+      q.push(Event{0, 0, static_cast<std::uint32_t>(i), 0});
+
+  std::uint64_t events = 0;
+  while (!q.empty()) {
+    if (cancel_ != nullptr && (++events & 0xFFFU) == 0) {
+      cancel_->heartbeat();
+      cancel_->raise_if_expired("Machine::run");
+    }
+    const Event ev = q.pop();
+    ProcFlat& ps = procs[ev.proc];
+    const bool fresh = ev.attempt == 0;
+    const std::uint64_t elem = fresh ? element_of(ev.proc, ps.issued) : ev.elem;
+    const std::uint64_t ack =
+        step(no_obs_c, ev, elem, fresh ? ps.issued * g : 0);
     makespan = std::max(makespan, ack);
 
     if (fresh) {
@@ -1048,21 +1012,19 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
   return run_q(std::false_type{}, std::false_type{});
 }
 
-std::uint64_t Machine::run_soa(std::span<const std::uint64_t> ids,
-                               bool ids_are_banks,
-                               const std::uint64_t* route, BulkResult& res,
-                               std::uint64_t max_count) {
+std::uint64_t Machine::run_soa(std::span<const std::uint64_t> route,
+                               BulkResult& res, std::uint64_t max_count) {
   // SoA batched kernel (docs/performance.md §soa). Eligibility, checked
-  // by run(): no fault plan, window never binds, ideal network, no cache
-  // tier, no tracer, no per-request timing. Under those conditions
-  // processor P's j-th request departs at exactly j·g and arrives at
-  // j·g + L, so the whole op is a data-parallel pipeline over flat
-  // planes: counting-sort arrivals into contiguous per-bank buckets
-  // (stable, so each bank sees its arrivals in scheduler pop order),
-  // run the branch-free free-chain over each bucket, then latch the
-  // critical request from per-bank tail state. Bit-identical to the
-  // dense fast path.
-  const std::uint64_t n = ids.size();
+  // by run() and run_calendar(): no fault plan, window never binds, ideal
+  // network, no cache tier, no tracer, no per-request timing, batchable
+  // banks. Under those conditions processor P's j-th request departs at
+  // exactly j·g and arrives at j·g + L, so the whole op is a
+  // data-parallel pipeline over flat planes: counting-sort arrivals into
+  // contiguous per-bank buckets (stable, so each bank sees its arrivals
+  // in scheduler pop order), run the branch-free free-chain over each
+  // bucket, then latch the critical request from per-bank tail state.
+  // Bit-identical to the dense walk.
+  const std::uint64_t n = route.size();
   const std::uint64_t p = config_.processors;
   const std::uint64_t g = config_.gap;
   const std::uint64_t latency = config_.latency;
@@ -1070,42 +1032,9 @@ std::uint64_t Machine::run_soa(std::span<const std::uint64_t> ids,
   const bool block = config_.distribution == Distribution::kBlock;
   util::ScratchArena& arena = state_->arena;
 
-  if (!banks_.batchable(/*address_aware=*/!ids_are_banks)) {
-    // Combining, a bank-side MRU cache or multi-port banks: per-request
-    // bank state transitions can't run as a free-chain, so the counting
-    // sort buys nothing (measured: the permutation's random gathers cost
-    // more than they save). Instead walk pop order directly — the dense
-    // fast path's walk, minus its dead generality: arrival is
-    // inlined (ideal network by eligibility) and the tier/trace/timing
-    // branches are gone (all null by eligibility).
-    std::uint64_t makespan = 0;
-    for_each_in_pop_order(block, n, p, cancel_,
-                          [&](std::uint64_t, std::uint64_t elem, std::uint64_t,
-                              std::uint64_t j) {
-      const std::uint64_t arrival = j * g + latency;
-      const std::uint64_t bank = route[elem];
-      const std::uint64_t served =
-          ids_are_banks ? banks_.serve(bank, arrival)
-                        : banks_.serve_addr(bank, arrival, ids[elem]);
-      const std::uint64_t ack = served + latency;
-      if (ack > makespan) {
-        // Same latch rule as the dense path: first strict max in pop
-        // order, depart == j·g exactly, window stall provably zero.
-        makespan = ack;
-        attr_.observe_served(ack, /*fresh=*/true, elem, arrival - latency,
-                             arrival - latency, arrival, served, latency,
-                             /*redirected=*/false);
-      }
-    });
-    res.completed += n;
-    res.last_issue = (max_count - 1) * g;
-    return makespan;
-  }
-
-  // Batchable banks: per-bank counts first (order-independent, so plain
-  // element order works for both distributions); they feed BankArray's
-  // load counters on the fused path and the bucket offsets on the
-  // bucketed one.
+  // Per-bank counts first (order-independent, so plain element order
+  // works for both distributions); they feed BankArray's load counters
+  // on the fused path and the bucket offsets on the bucketed one.
   std::uint64_t* cnt = util::soa_plane(arena, kCntSlot, nbanks);
   std::fill(cnt, cnt + nbanks, 0);
   for (std::size_t i = 0; i < n; ++i) ++cnt[route[i]];

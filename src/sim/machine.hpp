@@ -79,7 +79,7 @@ struct BulkResult {
   /// Exact decomposition of `cycles` into issue-gap / window-stall /
   /// latency / bank-service / retry-backoff / failover. The terms sum to
   /// `cycles` — an identity Machine::run enforces on every operation and
-  /// that holds bit-identically on both engines
+  /// that holds bit-identically on every execution strategy
   /// (docs/observability.md §attribution).
   obs::CostBreakdown breakdown;
 
@@ -306,19 +306,18 @@ class Machine {
                               bool ids_are_banks, RequestTiming* timing,
                               BulkResult& res, FailTally& tally);
 
-  /// Batched-routing engine hosting the scheduled paths (calendar wheel
-  /// or binary heap, per `choice`), the dense fast path and the SoA
-  /// batched kernel.
+  /// Batched-routing engine: one request step driven by the scheduled
+  /// loops (calendar wheel or binary heap, per `choice`) or by the dense
+  /// pop-order walk (kDense; kSoA on banks that are not batchable).
   std::uint64_t run_calendar(std::span<const std::uint64_t> ids,
                              bool ids_are_banks, RequestTiming* timing,
                              BulkResult& res, FailTally& tally,
                              obs::EngineChoice choice);
 
-  /// Structure-of-arrays batched kernel (docs/performance.md §soa);
-  /// exact only under EngineFeatures::eligible_soa. `route` is the
-  /// per-element bank plane already computed by run_calendar.
-  std::uint64_t run_soa(std::span<const std::uint64_t> ids,
-                        bool ids_are_banks, const std::uint64_t* route,
+  /// The fused and bucketed SoA kernels (docs/performance.md §soa);
+  /// exact only under EngineFeatures::eligible_soa with batchable banks.
+  /// `route` is the per-element bank plane run_calendar computed.
+  std::uint64_t run_soa(std::span<const std::uint64_t> route,
                         BulkResult& res, std::uint64_t max_count);
 
   /// Fire-and-forget write traffic from the cache tier: traverses the

@@ -84,13 +84,44 @@ void expect_same_degraded(const sim::FaultyBulk& a, const sim::FaultyBulk& b) {
 using testing_pins::kPins;
 using testing_pins::pin_name;
 
+/// Runs `op` on every machine of `machines` (one per engine pin,
+/// testing_pins::kPins order) and asserts each result is byte-identical
+/// to the forced kReference oracle's, machines.front(). Every machine
+/// runs `op` twice, once with an exact tracer and once untraced: the
+/// traced run diffs the fully-traced loops event for event, the
+/// untraced one the observer-free specializations and the SoA kernel a
+/// tracer disqualifies — and hits warm scratch-arena buffers. Returns
+/// whether the oracle's run degraded.
+template <typename Op>
+bool diff_pins(const std::vector<std::unique_ptr<sim::Machine>>& machines,
+               const Op& op) {
+  sim::Machine& ref = *machines.front();
+  bool degraded = false;
+  for (const bool traced : {true, false}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    obs::TraceRing ref_ring(1 << 18);
+    if (traced) ref.set_tracer(&ref_ring);
+    const sim::FaultyBulk want = op(ref);
+    ref.set_tracer(nullptr);
+    degraded = want.degraded.has_value();
+    for (std::size_t i = 1; i < machines.size(); ++i) {
+      SCOPED_TRACE(pin_name(kPins[i]));
+      sim::Machine& m = *machines[i];
+      obs::TraceRing ring(1 << 18);
+      if (traced) m.set_tracer(&ring);
+      const sim::FaultyBulk got = op(m);
+      m.set_tracer(nullptr);
+      expect_same_bulk(got.bulk, want.bulk);
+      expect_same_degraded(got, want);
+      if (traced) expect_same_trace(ring, ref_ring);
+    }
+  }
+  return degraded;
+}
+
 /// Runs the same workload on one otherwise-identical machine per engine
-/// pin (testing_pins::kPins) and asserts each is byte-identical to the
-/// forced kReference oracle. Every machine runs the workload twice,
-/// once with an exact tracer and once untraced: the traced run diffs
-/// the fully-traced loops event for event, the untraced one the
-/// observer-free specializations and the SoA kernel a tracer
-/// disqualifies — and hits warm scratch-arena buffers.
+/// pin through diff_pins, then diffs scatter_detailed's per-request
+/// timing the same way.
 void check_equivalent(sim::MachineConfig cfg,
                       const std::vector<std::uint64_t>& addrs,
                       std::shared_ptr<const fault::FaultPlan> plan = nullptr,
@@ -100,27 +131,8 @@ void check_equivalent(sim::MachineConfig cfg,
   if (plan)
     for (const auto& m : machines) m->inject(plan);
   sim::Machine& ref = *machines.front();
-
-  bool degraded = false;
-  for (const bool traced : {true, false}) {
-    SCOPED_TRACE(traced ? "traced" : "untraced");
-    obs::TraceRing ref_ring(1 << 18);
-    if (traced) ref.set_tracer(&ref_ring);
-    const auto want = ref.scatter_faulty(addrs);
-    ref.set_tracer(nullptr);
-    degraded = want.degraded.has_value();
-    for (std::size_t i = 1; i < machines.size(); ++i) {
-      SCOPED_TRACE(pin_name(kPins[i]));
-      sim::Machine& m = *machines[i];
-      obs::TraceRing ring(1 << 18);
-      if (traced) m.set_tracer(&ring);
-      const auto got = m.scatter_faulty(addrs);
-      m.set_tracer(nullptr);
-      expect_same_bulk(got.bulk, want.bulk);
-      expect_same_degraded(got, want);
-      if (traced) expect_same_trace(ring, ref_ring);
-    }
-  }
+  const bool degraded = diff_pins(
+      machines, [&](sim::Machine& m) { return m.scatter_faulty(addrs); });
 
   if (!with_timing) return;
   // Degraded runs throw from scatter_detailed but must still leave
@@ -329,21 +341,56 @@ TEST(EngineEquivalence, FaultyChaosSlowDeadAndDrops) {
 
 TEST(EngineEquivalence, ScatterBanksPath) {
   // Bank ids supplied directly (mapping bypassed, serve() not
-  // serve_addr()); also covers every engine's id validation.
-  auto cfg = base_config(sim::Distribution::kBlock);
+  // serve_addr(), the cache tier bypassed): every pin on every machine
+  // below, traced and untraced. Multi-port banks send the SoA pin down
+  // its per-element walk, the cache tier is bypassed on the dense and
+  // scheduled paths, and the fault plans drive NACK/retry and bank-id
+  // failover. Also covers every engine's id validation.
+  const auto base = base_config(sim::Distribution::kBlock);
   std::vector<std::uint64_t> banks(5000);
   for (std::size_t i = 0; i < banks.size(); ++i)
-    banks[i] = (i * 7 + i / 13) % cfg.banks();
+    banks[i] = (i * 7 + i / 13) % base.banks();
 
-  const auto machines = testing_pins::pinned_machines(
-      [&] { return std::make_unique<sim::Machine>(cfg); });
-  const auto want = machines.front()->scatter_banks(banks);
-  for (std::size_t i = 1; i < machines.size(); ++i) {
-    SCOPED_TRACE(pin_name(kPins[i]));
-    expect_same_bulk(machines[i]->scatter_banks(banks), want);
+  auto ported = base;
+  ported.bank_ports = 2;
+  auto tiered = base;
+  tiered.cache.capacity = 64;
+  tiered.cache.write = cache::WritePolicy::kBack;
+  auto sectioned = base;
+  sectioned.network_sections = 4;
+  sectioned.section_period = 2;
+  struct Case {
+    const char* name;
+    sim::MachineConfig cfg;
+    std::shared_ptr<const fault::FaultPlan> plan;
+  };
+  const Case cases[] = {
+      {"base", base, nullptr},
+      {"bank_ports=2", ported, nullptr},
+      {"cache tier", tiered, nullptr},
+      {"sectioned network", sectioned, nullptr},
+      {"drop_plan", base, drop_plan(base.banks(), 0.05, 8)},
+      {"chaos_plan", base, chaos_plan(base.banks())},
+  };
+  const auto scatter_banks = [&](sim::Machine& m) {
+    try {
+      return sim::FaultyBulk{m.scatter_banks(banks), std::nullopt};
+    } catch (const fault::DegradedError& e) {
+      return sim::FaultyBulk{{}, e.result()};
+    }
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto machines = testing_pins::pinned_machines(
+        [&] { return std::make_unique<sim::Machine>(c.cfg); });
+    if (c.plan)
+      for (const auto& m : machines) m->inject(c.plan);
+    diff_pins(machines, scatter_banks);
   }
 
-  banks[123] = cfg.banks();  // out of range: every engine must reject
+  banks[123] = base.banks();  // out of range: every engine must reject
+  const auto machines = testing_pins::pinned_machines(
+      [&] { return std::make_unique<sim::Machine>(base); });
   for (const auto& m : machines)
     EXPECT_THROW((void)m->scatter_banks(banks), dxbsp::Error);
 }

@@ -13,9 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "engine_pins.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/report.hpp"
 #include "obs/selector.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine_select.hpp"
 #include "sim/machine.hpp"
 #include "workload/patterns.hpp"
@@ -185,6 +187,90 @@ TEST(EngineSelect, AttributionIdentityHoldsOnSoaPath) {
   ASSERT_EQ(log.snapshot().rows.at(0).choice, obs::EngineChoice::kSoA);
   EXPECT_EQ(out.breakdown.total(), out.cycles);
   EXPECT_GT(out.cycles, 0u);
+}
+
+TEST(EngineSelect, PassiveTracerNeverSteersSelection) {
+  // set_tracer(ring, /*passive=*/true), the fleet flight recorder's
+  // mode: on every pin, healthy (SoA-eligible) and faulty, the run is
+  // byte-identical to an untraced one, selector row included, and the
+  // ring still receives the op's one superstep span.
+  const auto addrs = workload::uniform_random(6000, 1 << 18, 61);
+  const auto cfg = base_config(sim::Distribution::kBlock);
+  fault::FaultConfig fc;
+  fc.seed = 11;
+  fc.drop_rate = 0.05;
+  const std::shared_ptr<const fault::FaultPlan> plan =
+      std::make_shared<fault::FaultPlan>(fc, cfg.banks());
+  for (const auto& fault_plan : {decltype(plan){}, plan}) {
+    SCOPED_TRACE(fault_plan ? "faulty" : "healthy");
+    for (const auto pin : testing_pins::kPins) {
+      SCOPED_TRACE(testing_pins::pin_name(pin));
+      sim::Machine untraced(cfg);
+      sim::Machine passive(cfg);
+      obs::SelectorLog untraced_log;
+      obs::SelectorLog passive_log;
+      untraced.set_selector(&untraced_log);
+      passive.set_selector(&passive_log);
+      obs::TraceRing ring(1 << 18);
+      passive.set_tracer(&ring, /*passive=*/true);
+      for (sim::Machine* m : {&untraced, &passive}) {
+        m->selector().force(pin);
+        m->inject(fault_plan);
+      }
+
+      const auto want = untraced.scatter_faulty(addrs);
+      const auto got = passive.scatter_faulty(addrs);
+      expect_same_bulk(got.bulk, want.bulk);
+      EXPECT_EQ(got.degraded.has_value(), want.degraded.has_value());
+      const auto want_rows = untraced_log.snapshot().rows;
+      const auto got_rows = passive_log.snapshot().rows;
+      ASSERT_EQ(want_rows.size(), 1u);
+      ASSERT_EQ(got_rows.size(), 1u);
+      EXPECT_EQ(got_rows[0].choice, want_rows[0].choice);
+      EXPECT_EQ(got_rows[0].fallback, want_rows[0].fallback);
+
+      if constexpr (obs::kTraceCompiledIn) {
+        std::size_t supersteps = 0;
+        for (const auto& e : ring.drain()) {
+          if (e.kind != obs::TraceKind::kSuperstep) continue;
+          ++supersteps;
+          EXPECT_EQ(e.dur, got.bulk.cycles);
+        }
+        EXPECT_EQ(supersteps, 1u);
+      }
+    }
+  }
+}
+
+TEST(EngineSelect, PassiveRingMatchesExactRingOnDenseAndReference) {
+  // The dense walk and the reference loop feed whatever ring is
+  // attached: a passive ring receives exactly the exact ring's events.
+  const auto addrs = workload::k_hot(6000, 1500, 1 << 16, 67);
+  const auto cfg = base_config(sim::Distribution::kCyclic);
+  for (const auto pin :
+       {obs::EngineChoice::kDense, obs::EngineChoice::kReference}) {
+    SCOPED_TRACE(obs::engine_choice_name(pin));
+    sim::Machine exact(cfg);
+    sim::Machine passive(cfg);
+    obs::TraceRing exact_ring(1 << 18);
+    obs::TraceRing passive_ring(1 << 18);
+    exact.set_tracer(&exact_ring);
+    passive.set_tracer(&passive_ring, /*passive=*/true);
+    exact.selector().force(pin);
+    passive.selector().force(pin);
+    expect_same_bulk(passive.scatter(addrs), exact.scatter(addrs));
+
+    const auto want = exact_ring.drain();
+    const auto got = passive_ring.drain();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].ts, want[i].ts) << "event " << i;
+      EXPECT_EQ(got[i].dur, want[i].dur) << "event " << i;
+      EXPECT_EQ(got[i].a, want[i].a) << "event " << i;
+      EXPECT_EQ(got[i].b, want[i].b) << "event " << i;
+      EXPECT_EQ(got[i].kind, want[i].kind) << "event " << i;
+    }
+  }
 }
 
 TEST(EngineSelect, SelectorRowRecordsDecisionAndMeasurement) {
