@@ -10,7 +10,6 @@
 
 #include "bench_common.hpp"
 #include "mem/bank_mapping.hpp"
-#include "mem/contention.hpp"
 #include "sim/machine.hpp"
 #include "util/rng.hpp"
 #include "workload/patterns.hpp"
@@ -37,12 +36,10 @@ int main(int argc, char** argv) {
                    "max bank load", "cycles", "cyc/elt"});
     for (const char* name : mapping_names) {
       util::Xoshiro256 rng(util::substream(seed, 80));
-      auto mapping = mem::make_mapping(name, cfg.banks(), rng);
-      const auto loads = mem::analyze_banks(addrs, *mapping);
-      sim::Machine machine(cfg, std::move(mapping));
+      sim::Machine machine(cfg, mem::make_mapping(name, cfg.banks(), rng));
       obs.attach(machine);
       const auto meas = machine.scatter(addrs);
-      t.add_row(name, loads.max_load, meas.cycles,
+      t.add_row(name, meas.mapped_bank_load, meas.cycles,
                 meas.cycles_per_element());
     }
     bench::emit(cli, t);

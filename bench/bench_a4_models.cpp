@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t k = 1; k <= n; k *= 16) {
     const auto addrs = workload::k_hot(n, k, 1ULL << 30, seed + k);
     const auto meas = machine.scatter(addrs);
-    const auto pred = core::predict_scatter(addrs, cfg, &machine.mapping());
+    const auto pred = core::predict(meas, cfg);
     const core::StepProfile s{pred.profile.h_proc,
                               pred.profile.h_bank_mapped, n};
     t.add_row(k, meas.cycles, pred.dxbsp_mapped,

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     if (p.contention == last_k) continue;  // dedupe equal-k traces
     last_k = p.contention;
     const auto meas = machine.scatter(p.addrs);
-    const auto pred = core::predict_scatter(p.addrs, cfg, &machine.mapping());
+    const auto pred = core::predict(meas, cfg);
     cmp.add(static_cast<double>(p.contention),
             static_cast<double>(meas.cycles),
             static_cast<double>(pred.dxbsp_mapped),

@@ -51,11 +51,11 @@ int main(int argc, char** argv) {
       sim::Machine machine(cfg);
       machine.set_cancel(&runner.token());
       obs.attach(machine, k);
-      const auto pred = core::predict_scatter(addrs, cfg, &machine.mapping());
       resilience::SnapshotRecord rec;
       rec.key = k;
       rec.rng_state = seed + k;
       rec.result = machine.scatter(addrs);
+      const auto pred = core::predict(rec.result, cfg);
       rec.aux[0] = pred.dxbsp_mapped;
       rec.aux[1] = pred.bsp;
       return rec;

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     for (std::uint64_t hot = 1; hot * k <= n / 2; hot *= 4) {
       const auto addrs = workload::multi_hot(n, hot, k, 1ULL << 30, seed + hot);
       const auto meas = machine.scatter(addrs);
-      const auto pred = core::predict_scatter(addrs, cfg, &machine.mapping());
+      const auto pred = core::predict(meas, cfg);
       t.add_row(hot, meas.cycles, pred.dxbsp_mapped, pred.bsp,
                 meas.max_bank_load);
     }
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     for (std::uint64_t k = 4; hot * k <= n / 2; k *= 4) {
       const auto addrs = workload::multi_hot(n, hot, k, 1ULL << 30, seed + k);
       const auto meas = machine.scatter(addrs);
-      const auto pred = core::predict_scatter(addrs, cfg, &machine.mapping());
+      const auto pred = core::predict(meas, cfg);
       t.add_row(k, meas.cycles, pred.dxbsp_mapped, pred.bsp,
                 meas.max_bank_load);
     }

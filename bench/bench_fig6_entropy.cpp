@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
        workload::entropy_family(n, rounds, bits, 0, seed)) {
     const auto meas = machine.scatter(trace.keys);
     const auto pred =
-        core::predict_scatter(trace.keys, cfg, &machine.mapping());
+        core::predict(meas, cfg);
     cmp.add(trace.entropy_bits, static_cast<double>(meas.cycles),
             static_cast<double>(pred.dxbsp_mapped),
             static_cast<double>(pred.bsp));
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
       const auto addrs = workload::zipf(zn, 1 << 20, theta, seed);
       const auto meas = machine.scatter(addrs);
       const auto pred =
-          core::predict_scatter(addrs, cfg, &machine.mapping());
+          core::predict(meas, cfg);
       tz.add_row(theta, stats::shannon_entropy(addrs),
                  pred.profile.max_contention, meas.cycles, pred.dxbsp_mapped,
                  static_cast<double>(pred.dxbsp_mapped) / meas.cycles);

@@ -3,11 +3,14 @@
 // The (d,x)-BSP cost of a bulk op needs two numbers: the location
 // contention k (mem::analyze_locations, i.e. util::MultiplicityCounter)
 // and the mapped bank load h_bank (mem::analyze_banks). This binary
-// times each layer alone and core::predict_scatter, which composes
-// them, at n = 2^14, 2^16 and 2^20 on a uniform trace and a k-hot trace
-// (one location takes n/256 requests, the rest are distinct; the
-// perfbench scatter_large pattern), on the p=64, x=4, d=8 machine.
-// Reported as items_per_second; ns/element is its inverse.
+// times each layer alone; core::predict_scatter, which composes them
+// (the model-only path); and a simulated scatter followed by
+// core::predict on its result, the one mapping-and-count pass of a
+// simulate-then-predict caller. Sizes are n = 2^14, 2^16 and 2^20 on a
+// uniform trace and a k-hot trace (one location takes n/256 requests,
+// the rest are distinct; the perfbench scatter_large pattern), on the
+// p=64, x=4, d=8 machine. Reported as items_per_second; ns/element is
+// its inverse.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +22,7 @@
 #include "core/predictor.hpp"
 #include "mem/bank_mapping.hpp"
 #include "mem/contention.hpp"
+#include "sim/machine.hpp"
 #include "sim/machine_config.hpp"
 #include "util/multiplicity.hpp"
 #include "util/rng.hpp"
@@ -79,6 +83,16 @@ void bm_predict_scatter(benchmark::State& state, bool k_hot) {
   set_items(state, addrs.size());
 }
 
+void bm_scatter_then_predict(benchmark::State& state, bool k_hot) {
+  const auto addrs = trace(state.range(0), k_hot);
+  const sim::MachineConfig cfg = machine();
+  util::Xoshiro256 rng(7);
+  sim::Machine m(cfg, mem::make_mapping("linear", cfg.banks(), rng));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::predict(m.scatter(addrs), cfg));
+  set_items(state, addrs.size());
+}
+
 void register_all() {
   for (const bool k_hot : {false, true}) {
     const std::string dist = k_hot ? "/khot" : "/uniform";
@@ -102,6 +116,9 @@ void register_all() {
     benchmark::RegisterBenchmark(("core.predict_scatter" + dist).c_str(),
                                  bm_predict_scatter, k_hot)
         ->Apply(sizes);
+    benchmark::RegisterBenchmark(("scatter_then_result_predict" + dist).c_str(),
+                                 bm_scatter_then_predict, k_hot)
+        ->Apply(sizes);
   }
 }
 
@@ -111,7 +128,8 @@ int main(int argc, char** argv) {
   std::printf("=== Contention-analysis layers ===\n");
   std::printf(
       "Host cost of location counting (partitioned MultiplicityCounter,\n"
-      "kPartitionKeys = %zu), bank tallies and the predictor.\n"
+      "kPartitionKeys = %zu), bank tallies, the predictor, and a scatter\n"
+      "predicted from its own result.\n"
       "Measured host throughput (items/s; see items_per_second):\n",
       util::MultiplicityCounter::kPartitionKeys);
   register_all();

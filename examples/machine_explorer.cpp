@@ -161,7 +161,7 @@ static int run(int argc, char** argv) {
                  meas.bank_sketch.p99(), meas.bank_sketch.max, predicted,
                  rel_err);
     }
-    const auto pred = core::predict_scatter(addrs, cfg, &machine.mapping());
+    const auto pred = core::predict(meas, cfg);
     const double marginal =
         prev == 0 ? 1.0
                   : static_cast<double>(prev) /

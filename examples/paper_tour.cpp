@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     sim::Machine machine(cfg);
     const auto addrs = workload::k_hot(n, n / 4, 1ULL << 30, seed);
     const auto meas = machine.scatter(addrs);
-    const auto pred = core::predict_scatter(addrs, cfg, &machine.mapping());
+    const auto pred = core::predict(meas, cfg);
     const double dx = static_cast<double>(pred.dxbsp_mapped) / meas.cycles;
     const double bsp = static_cast<double>(pred.bsp) / meas.cycles;
     verdict("(d,x)-BSP tracks the simulator at high contention",

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   // 4. Predict with the models.
   const core::Prediction pred =
-      core::predict_scatter(addrs, cfg, &machine.mapping());
+      core::predict(meas, cfg);
 
   std::cout << "machine " << cfg.name << ": p=" << cfg.processors
             << " g=" << cfg.gap << " L=" << cfg.latency

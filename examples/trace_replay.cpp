@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   for (const auto& cfg : machines) {
     sim::Machine machine(cfg);
     const auto meas = machine.scatter(trace);
-    const auto pred = core::predict_scatter(trace, cfg, &machine.mapping());
+    const auto pred = core::predict(meas, cfg);
     t.add_row(cfg.name, meas.cycles, pred.dxbsp_mapped, pred.bsp,
               static_cast<double>(pred.dxbsp_mapped) / meas.cycles,
               static_cast<double>(pred.bsp) / meas.cycles,

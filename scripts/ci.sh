@@ -63,8 +63,11 @@
 #    sanitized timings measure the sanitizer.
 # 9. Scalar build leg (DXBSP_SIMD=OFF): the vectorization toggle must be
 #    a pure speed knob. A scalar build of the fig4 bench must produce a
-#    byte-identical run report, and the hotpath bench's three-engine
-#    cross-check must still pass.
+#    byte-identical run report, the hotpath bench's three-engine
+#    cross-check must still pass, and contention_diff_test must pass:
+#    the scalar bank_of_batch loops against per-element bank_of, and the
+#    simulator's access profile (which rests on them) against
+#    predict_scatter.
 # 10. Trace-off build leg (DXBSP_OBS_TRACE=OFF): compiling tracing out
 #     must be a pure observability knob. A trace-off tree must pass the
 #     full tier-1 ctest (the few assertions that count trace events are
@@ -354,15 +357,18 @@ echo "perf smoke passed (all five headline classes gated)"
 echo "== scalar build leg (DXBSP_SIMD=OFF) =="
 # The vectorized kernels must be a pure speed knob: a scalar build has
 # to produce byte-identical reports and pass the same three-engine
-# cross-check. Only the two targets this leg runs are built.
+# cross-check and contention diff. Only the targets this leg runs are
+# built.
 cmake -B build-ci-scalar -S . -DDXBSP_SIMD=OFF >/dev/null
 cmake --build build-ci-scalar -j"$JOBS" \
-  --target bench_fig4_contention_sweep bench_perf_hotpath
+  --target bench_fig4_contention_sweep bench_perf_hotpath contention_diff_test
 "$OBS_BENCH" "${OBS_ARGS[@]}" --report="$SMOKE/report_vec.json" > /dev/null
 ./build-ci-scalar/bench/bench_fig4_contention_sweep "${OBS_ARGS[@]}" \
   --report="$SMOKE/report_scalar.json" > /dev/null
 cmp "$SMOKE/report_vec.json" "$SMOKE/report_scalar.json"
 ./build-ci-scalar/bench/bench_perf_hotpath --quick --reps=1 > /dev/null
+run_filtered ./build-ci-scalar/tests/contention_diff_test \
+  'BankCounterDiff.*:ProfileDiff.*'
 echo "scalar build is byte-identical to the vectorized build"
 
 echo "== trace-off build leg (DXBSP_OBS_TRACE=OFF) =="

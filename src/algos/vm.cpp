@@ -41,12 +41,15 @@ void Vm::account(std::span<const std::uint64_t> addrs,
   if (addrs.empty()) return;
   if (streams < 0.0) streams = options_.aux_streams;
   if (trace_hook_) trace_hook_(label, addrs);
-  const core::Prediction pred =
-      core::predict_scatter(addrs, params_, &machine_.mapping());
+  // A simulated op returns its own access profile; only the model-only
+  // mode maps and counts the addresses for the prediction.
   sim::BulkResult res;
+  core::Prediction pred;
   if (options_.simulate) {
     res = machine_.scatter(addrs);
+    pred = core::predict(res, params_);
   } else {
+    pred = core::predict_scatter(addrs, params_, &machine_.mapping());
     res.n = addrs.size();
     res.cycles = pred.dxbsp_mapped;  // model-only mode
   }

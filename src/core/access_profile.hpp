@@ -9,6 +9,9 @@
 //     paper's predicted curves use);
 //   * the *mapped* (oracle) load — the true per-bank max under a concrete
 //     mapping, including module-map contention (§4).
+// A simulated op carries the same numbers in its sim::BulkResult, and
+// core::predict(result, ...) builds the profile from them (make_profile)
+// instead of analyzing the addresses again.
 
 #include <cstdint>
 #include <span>
@@ -37,7 +40,18 @@ struct AccessProfile {
   [[nodiscard]] StepProfile mapped_step() const noexcept {
     return StepProfile{h_proc, h_bank_mapped, n};
   }
+
+  friend bool operator==(const AccessProfile&, const AccessProfile&) = default;
 };
+
+/// The one place the model's derived loads are worked out: h_proc =
+/// ceil(n/p) and h_bank_location = max(k, ceil(n/B)); the other fields
+/// are taken as given (h_bank_mapped 0 = no mapping).
+[[nodiscard]] AccessProfile make_profile(std::uint64_t n,
+                                         std::uint64_t max_contention,
+                                         std::uint64_t distinct,
+                                         std::uint64_t h_bank_mapped,
+                                         const DxBspParams& m);
 
 /// Analyzes `addrs` for machine `m`. If `mapping` is non-null the true
 /// bank loads under that mapping are computed as well (O(n + B) extra).

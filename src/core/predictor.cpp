@@ -1,5 +1,7 @@
 #include "core/predictor.hpp"
 
+#include "sim/machine.hpp"
+
 namespace dxbsp::core {
 
 namespace {
@@ -25,6 +27,17 @@ Prediction predict_scatter(std::span<const std::uint64_t> addrs,
                            const sim::MachineConfig& cfg,
                            const mem::BankMapping* mapping) {
   return predict_scatter(addrs, DxBspParams::from_config(cfg), mapping);
+}
+
+Prediction predict(const sim::BulkResult& res, const DxBspParams& m) {
+  return predictions_from_profile(
+      make_profile(res.n, res.max_location_contention, res.distinct_locations,
+                   res.mapped_bank_load, m),
+      m);
+}
+
+Prediction predict(const sim::BulkResult& res, const sim::MachineConfig& cfg) {
+  return predict(res, DxBspParams::from_config(cfg));
 }
 
 Prediction predict_aggregate(std::uint64_t n, std::uint64_t max_contention,

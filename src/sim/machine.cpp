@@ -330,6 +330,42 @@ BulkResult Machine::scatter_banks(std::span<const std::uint64_t> banks) {
   return unwrap(run(banks, /*ids_are_banks=*/true));
 }
 
+std::span<const std::uint64_t> Machine::profile(
+    std::span<const std::uint64_t> ids, bool ids_are_banks, BulkResult& res) {
+  if (!state_) state_ = std::make_unique<Workspace>();
+  util::ScratchArena& arena = state_->arena;
+  const std::uint64_t nbanks = config_.banks();
+  // Batched bank routing: ONE virtual dispatch per bulk op fills the
+  // whole addr→bank route, replacing the per-event mapping_->bank_of
+  // call of the reference engine. scatter_banks traffic routes itself.
+  std::span<const std::uint64_t> route = ids;
+  if (!ids_are_banks) {
+    auto& banks = arena.vec<std::uint64_t>(kRouteSlot);
+    banks.resize(ids.size());
+    mapping_->bank_of_batch(ids, banks);
+    route = banks;
+  } else {
+    // Caller-supplied bank ids are the only ones that can be out of
+    // range (mappings are bank-count checked at construction); validate
+    // once up front so the hot loop indexes unchecked.
+    for (const std::uint64_t b : ids)
+      if (b >= nbanks)
+        raise(ErrorCode::kConfig, "Machine: bank id out of range");
+  }
+  // The route's per-bank tally is the pre-service mapped load; run_soa
+  // reuses the counts.
+  std::uint64_t* cnt = util::soa_plane(arena, kCntSlot, nbanks);
+  std::fill(cnt, cnt + nbanks, 0);
+  for (const std::uint64_t b : route) ++cnt[b];
+  res.mapped_bank_load = *std::max_element(cnt, cnt + nbanks);
+  // Location contention k and the distinct count over the requested ids
+  // (addresses; bank ids for scatter_banks).
+  const util::Multiplicity loc = contention_.count(ids);
+  res.max_location_contention = loc.max;
+  res.distinct_locations = loc.distinct;
+  return route;
+}
+
 FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
                         bool ids_are_banks, RequestTiming* timing) {
   banks_.reset(ids.size());
@@ -346,6 +382,9 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
 
   FailTally tally;
   attr_.begin();
+  // The access profile, once per op: route plane, tally, k, distinct.
+  const std::span<const std::uint64_t> route =
+      profile(ids, ids_are_banks, res);
 
   // Dispatch (docs/performance.md §selector): classify the op from O(1)
   // pre-dispatch features (or take the forced choice), and demote an
@@ -378,7 +417,8 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
   const std::uint64_t makespan =
       choice == obs::EngineChoice::kReference
           ? run_reference(ids, ids_are_banks, timing, res, tally)
-          : run_calendar(ids, ids_are_banks, timing, res, tally, choice);
+          : run_calendar(ids, route, ids_are_banks, timing, res, tally,
+                         choice);
 
   if (res.completed + tally.failed != res.n)
     raise(ErrorCode::kInternal, "Machine: request conservation violated");
@@ -405,13 +445,10 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
   res.bank_utilization = bank_utilization_of(config_.bank_delay, res.n,
                                              config_.banks(), res.cycles);
 
-  // Attribution (docs/observability.md): location contention k over the
-  // requested ids (addresses; bank ids for scatter_banks), the per-bank
-  // load distribution (served requests only — loads() never counts a
-  // NACK-failed or combined slot), and the critical-event cost
-  // decomposition, whose terms must reproduce the makespan exactly.
-  res.max_location_contention =
-      std::max(res.max_location_contention, contention_.max_multiplicity(ids));
+  // Attribution (docs/observability.md): the per-bank load distribution
+  // (served requests only — loads() never counts a NACK-failed or
+  // combined slot) and the critical-event cost decomposition, whose
+  // terms must reproduce the makespan exactly.
   for (const std::uint64_t load : banks_.loads())
     res.bank_sketch.observe(load);
   res.breakdown = attr_.breakdown();
@@ -693,6 +730,7 @@ std::uint64_t Machine::run_reference(std::span<const std::uint64_t> ids,
 }
 
 std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
+                                    std::span<const std::uint64_t> route,
                                     bool ids_are_banks,
                                     RequestTiming* timing, BulkResult& res,
                                     FailTally& tally,
@@ -727,24 +765,6 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
   const bool write_through =
       config_.cache.write == cache::WritePolicy::kThrough &&
       config_.cache.mode == cache::Mode::kCache;
-
-  // Batched bank routing: ONE virtual dispatch per bulk op fills the
-  // whole addr→bank route, replacing the per-event mapping_->bank_of
-  // call of the reference engine. scatter_banks traffic routes itself.
-  std::span<const std::uint64_t> route = ids;
-  if (!ids_are_banks) {
-    auto& banks = st.arena.vec<std::uint64_t>(kRouteSlot);
-    banks.resize(n);
-    mapping_->bank_of_batch(ids, banks);
-    route = banks;
-  } else {
-    // Caller-supplied bank ids are the only ones that can be out of
-    // range (mappings are bank-count checked at construction); validate
-    // once up front so the hot loop indexes unchecked.
-    for (std::size_t i = 0; i < n; ++i)
-      if (ids[i] >= config_.banks())
-        raise(ErrorCode::kConfig, "Machine: bank id out of range");
-  }
 
   auto& procs = st.arena.vec<ProcFlat>();
   procs.assign(p, ProcFlat{});
@@ -1032,12 +1052,10 @@ std::uint64_t Machine::run_soa(std::span<const std::uint64_t> route,
   const bool block = config_.distribution == Distribution::kBlock;
   util::ScratchArena& arena = state_->arena;
 
-  // Per-bank counts first (order-independent, so plain element order
-  // works for both distributions); they feed BankArray's load counters
-  // on the fused path and the bucket offsets on the bucketed one.
+  // Per-bank counts, left in the count plane by profile(); they feed
+  // BankArray's load counters on the fused path and the bucket offsets
+  // on the bucketed one.
   std::uint64_t* cnt = util::soa_plane(arena, kCntSlot, nbanks);
-  std::fill(cnt, cnt + nbanks, 0);
-  for (std::size_t i = 0; i < n; ++i) ++cnt[route[i]];
 
   std::uint64_t best = 0;       // critical completion time
   std::uint64_t best_elem = 0;  // its element id
@@ -1142,8 +1160,9 @@ BulkResult Machine::scatter_bulk_delivery(
   // there is no issue pipelining and no slackness limit. This models the
   // BSP assumption that an h-relation is simply "delivered".
   std::uint64_t makespan = 0;
-  for (const std::uint64_t addr : addrs) {
-    const std::uint64_t bank = mapping_->bank_of(addr);
+  const std::span<const std::uint64_t> route =
+      profile(addrs, /*ids_are_banks=*/false, res);
+  for (const std::uint64_t bank : route) {
     const std::uint64_t served = banks_.serve(bank, config_.latency);
     makespan = std::max(makespan, served + config_.latency);
   }
@@ -1158,8 +1177,6 @@ BulkResult Machine::scatter_bulk_delivery(
   // Attribution of the ablation: no issue pipeline, so the critical
   // request's lifetime is exactly wire-out + bank queue/service +
   // wire-back (makespan >= 2L holds because every request arrives at L).
-  res.max_location_contention = std::max(res.max_location_contention,
-                                         contention_.max_multiplicity(addrs));
   for (const std::uint64_t load : banks_.loads())
     res.bank_sketch.observe(load);
   res.breakdown.latency = 2 * config_.latency;

@@ -69,9 +69,21 @@ struct BulkResult {
   std::uint64_t failovers = 0;       ///< requests redirected off a dead bank
   std::uint64_t degraded_cycles = 0; ///< extra bank busy cycles from slowness
 
+  // The op's access profile, worked out once per op (Machine::profile)
+  // and read back by core::predict(result, ...) instead of a second
+  // mapping and count of the addresses.
   /// Location contention k: requests aimed at the hottest single address
   /// (hottest bank for scatter_banks) — the paper's k in the d·k bound.
   std::uint64_t max_location_contention = 0;
+  /// Distinct addresses requested (distinct bank ids for scatter_banks).
+  std::uint64_t distinct_locations = 0;
+  /// Pre-service mapped bank load: the most requests the route sends to
+  /// any one bank, before any cache, failover, NACK or combining — the
+  /// model's mapped h_bank. max_bank_load counts served requests instead.
+  /// Like bank_sketch, this field and distinct_locations are not
+  /// persisted in snapshots or svc payloads, so a caller predicts inside
+  /// the sweep point, never from a restored record.
+  std::uint64_t mapped_bank_load = 0;
 
   /// Fraction of bank service capacity used: d·n / (B · cycles).
   double bank_utilization = 0.0;
@@ -300,23 +312,36 @@ class Machine {
   FaultyBulk run(std::span<const std::uint64_t> ids, bool ids_are_banks,
                  RequestTiming* timing = nullptr);
 
+  /// The op's one mapping-and-count pass. Returns the route plane (bank
+  /// of every element; `ids` itself for scatter_banks, range-checked),
+  /// leaves its per-bank tally in the workspace count plane, and fills
+  /// the access profile: res.mapped_bank_load (the tally's max),
+  /// res.max_location_contention and res.distinct_locations.
+  std::span<const std::uint64_t> profile(std::span<const std::uint64_t> ids,
+                                         bool ids_are_banks, BulkResult& res);
+
   /// The original priority_queue event loop (pre-calendar hot path);
-  /// returns the makespan.
+  /// returns the makespan. It maps every event with its own bank_of
+  /// instead of reading profile()'s route, so it stays an independent
+  /// oracle for routing.
   std::uint64_t run_reference(std::span<const std::uint64_t> ids,
                               bool ids_are_banks, RequestTiming* timing,
                               BulkResult& res, FailTally& tally);
 
-  /// Batched-routing engine: one request step driven by the scheduled
-  /// loops (calendar wheel or binary heap, per `choice`) or by the dense
-  /// pop-order walk (kDense; kSoA on banks that are not batchable).
+  /// Batched-routing engine over profile()'s `route`: one request step
+  /// driven by the scheduled loops (calendar wheel or binary heap, per
+  /// `choice`) or by the dense pop-order walk (kDense; kSoA on banks
+  /// that are not batchable).
   std::uint64_t run_calendar(std::span<const std::uint64_t> ids,
+                             std::span<const std::uint64_t> route,
                              bool ids_are_banks, RequestTiming* timing,
                              BulkResult& res, FailTally& tally,
                              obs::EngineChoice choice);
 
   /// The fused and bucketed SoA kernels (docs/performance.md §soa);
   /// exact only under EngineFeatures::eligible_soa with batchable banks.
-  /// `route` is the per-element bank plane run_calendar computed.
+  /// `route` is the per-element bank plane profile() computed, with
+  /// its per-bank counts in the workspace count plane.
   std::uint64_t run_soa(std::span<const std::uint64_t> route,
                         BulkResult& res, std::uint64_t max_count);
 

@@ -9,7 +9,9 @@
 // ~0, and on a trace whose keys all land in one partition.
 // mem::analyze_banks maps through bank_of_batch in chunks; it is diffed
 // against a per-element bank_of tally for every mapping make_mapping
-// builds.
+// builds. The access profile a simulated op returns (Machine::run's one
+// mapping-and-count pass, read by core::predict(result, ...)) is diffed
+// against core::predict_scatter's own count on every engine pin.
 
 #include <sys/mman.h>
 
@@ -22,11 +24,17 @@
 
 #include <gtest/gtest.h>
 
+#include "core/predictor.hpp"
+#include "engine_pins.hpp"
+#include "fault/fault_plan.hpp"
 #include "mem/bank_mapping.hpp"
 #include "mem/contention.hpp"
+#include "prediction_print.hpp"
 #include "resilience/error.hpp"
+#include "sim/machine.hpp"
 #include "util/multiplicity.hpp"
 #include "util/rng.hpp"
+#include "workload/patterns.hpp"
 
 namespace {
 
@@ -229,6 +237,92 @@ TEST(BankCounterDiff, MatchesPerElementBankOfForEveryMapping) {
                                     [](std::uint64_t l) { return l != 0; })))
             << what;
       }
+    }
+  }
+}
+
+// The machine's profile must be the pre-service route: on every
+// scenario but the healthy one the served loads differ from it (failed
+// and combined requests, failover spares, cache hits and write-backs),
+// and the test checks that they do, so a machine that read its mapped
+// load off the banks would fail here.
+TEST(ProfileDiff, MachineProfileMatchesProfileAccess) {
+  struct Scenario {
+    std::string name;
+    sim::MachineConfig cfg;
+    fault::FaultConfig faults;
+    std::uint64_t served_differs = 0;  // runs with max_bank_load != mapped
+  };
+  auto base = sim::MachineConfig::test_machine();  // p=4, d=4, L=8, x=4
+  base.slackness = 1 << 20;  // window never binds: dense and SoA eligible
+  std::vector<Scenario> scenarios;
+  scenarios.push_back({"healthy", base, {}});
+  {
+    fault::FaultConfig fc;
+    fc.seed = 11;
+    fc.drop_rate = 0.2;
+    fc.retry.max_retries = 1;
+    scenarios.push_back({"drop/retry", base, fc});
+  }
+  {
+    fault::FaultConfig fc;
+    fc.seed = 5;
+    fc.dead_fraction = 0.25;
+    scenarios.push_back({"dead-bank failover", base, fc});
+  }
+  {
+    auto cfg = base;
+    cfg.bank_ports = 2;
+    cfg.combine_requests = true;
+    scenarios.push_back({"bank_ports=2 combining", cfg, {}});
+  }
+  {
+    auto cfg = base;
+    cfg.cache.capacity = 16;
+    cfg.cache.line_words = 4;
+    cfg.cache.write = cache::WritePolicy::kBack;
+    scenarios.push_back({"cache tier", cfg, {}});
+  }
+
+  // A hot location plus a small reused space: combining and cache hits
+  // both have something to merge.
+  const auto addrs = workload::k_hot(3000, 300, 1 << 12, 1995);
+  util::Xoshiro256 rng(1995);
+  for (const char* name :
+       {"interleaved", "bit-reversal", "linear", "quadratic", "cubic"}) {
+    const std::shared_ptr<const mem::BankMapping> mapping =
+        mem::make_mapping(name, base.banks(), rng);
+    for (Scenario& sc : scenarios) {
+      const core::Prediction want =
+          core::predict_scatter(addrs, sc.cfg, mapping.get());
+      ASSERT_NE(want.profile.h_bank_mapped, 0u) << name;
+      const auto machines = testing_pins::pinned_machines(
+          [&] { return std::make_unique<sim::Machine>(sc.cfg, mapping); });
+      for (std::size_t i = 0; i < machines.size(); ++i) {
+        sim::Machine& m = *machines[i];
+        const std::string what = std::string(name) + " " + sc.name + " " +
+                                 testing_pins::pin_name(testing_pins::kPins[i]);
+        if (sc.faults.any())
+          m.inject(std::make_shared<fault::FaultPlan>(sc.faults,
+                                                      sc.cfg.banks()));
+        const sim::BulkResult res = m.scatter_faulty(addrs).bulk;
+        EXPECT_EQ(core::predict(res, sc.cfg), want) << what;
+        EXPECT_EQ(core::predict(res, core::DxBspParams::from_config(sc.cfg)),
+                  want)
+            << what;
+        if (res.max_bank_load != res.mapped_bank_load) ++sc.served_differs;
+      }
+    }
+    sim::Machine bulk(base, mapping);
+    EXPECT_EQ(core::predict(bulk.scatter_bulk_delivery(addrs), base),
+              core::predict_scatter(addrs, base, mapping.get()))
+        << name << " scatter_bulk_delivery";
+  }
+  for (const Scenario& sc : scenarios) {
+    if (sc.name == "healthy") {
+      EXPECT_EQ(sc.served_differs, 0u) << sc.name;
+    } else {
+      EXPECT_GT(sc.served_differs, 0u) << sc.name;
     }
   }
 }

@@ -42,6 +42,10 @@ void expect_same_bulk(const sim::BulkResult& a, const sim::BulkResult& b) {
   EXPECT_EQ(a.failovers, b.failovers);
   EXPECT_EQ(a.degraded_cycles, b.degraded_cycles);
   EXPECT_EQ(a.max_location_contention, b.max_location_contention);
+  // The access profile is computed before dispatch, so no engine may
+  // disturb it.
+  EXPECT_EQ(a.distinct_locations, b.distinct_locations);
+  EXPECT_EQ(a.mapped_bank_load, b.mapped_bank_load);
   EXPECT_DOUBLE_EQ(a.bank_utilization, b.bank_utilization);
   // Attribution is part of the bit-identical contract: same critical
   // event, same decomposition, same bank-load distribution.

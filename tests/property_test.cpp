@@ -12,6 +12,7 @@
 #include "algos/vm.hpp"
 #include "core/predictor.hpp"
 #include "mem/contention.hpp"
+#include "prediction_print.hpp"
 #include "qrqw/emulation.hpp"
 #include "qrqw/program.hpp"
 #include "sim/machine.hpp"
@@ -66,6 +67,8 @@ TEST(SimulatorProperties, LowerBoundsAndConservationHoldForRandomRuns) {
     // Location contention forces a bank-load floor.
     const auto lc = mem::analyze_locations(addrs);
     ASSERT_GE(res.max_bank_load, lc.max_contention);
+    // The op's own k is the same count, taken independently.
+    ASSERT_EQ(res.max_location_contention, lc.max_contention);
     // Trivial upper bound: complete serialization through one bank.
     ASSERT_LE(res.cycles, 2 * cfg.latency + cfg.bank_delay * n +
                               cfg.gap * n + 2 * cfg.latency * n);
@@ -90,6 +93,9 @@ TEST(ModelProperties, DxBspBracketsSimulatorForRandomRuns) {
     const auto addrs = random_pattern(rng, n);
     const auto res = machine.scatter(addrs);
     const auto pred = core::predict_scatter(addrs, cfg, &machine.mapping());
+    // The profile the simulated op returned predicts the same, field for
+    // field, as mapping and counting the addresses again.
+    EXPECT_EQ(core::predict(res, cfg), pred) << "trial " << trial;
     // Only check when bandwidth terms dominate the latency terms (the
     // model's stated regime; with L dominating, both are trivially 2L).
     if (res.cycles < 8 * cfg.latency) continue;
