@@ -124,7 +124,7 @@ echo "== framed-file corruption fuzz under sanitizers =="
 echo "== snapshot resume and spill store under sanitizers =="
 run_filtered ./build-ci-san/tests/resilience_test 'Snapshot.*:Sweep.Resume*'
 run_filtered ./build-ci-san/tests/stream_test \
-  'SpillFuzz.*:SpillStore.*:PressureModel.*'
+  'SpillFuzz.*:SpillStore.*:SpillCodec.*:PressureModel.*'
 
 echo "== engine matrix under sanitizers =="
 # One machine per forced EngineChoice plus an unforced one, each run

@@ -21,20 +21,32 @@ std::string failed(const std::string& what, const std::string& path,
 
 std::uint32_t crc32(std::span<const unsigned char> data,
                     std::uint32_t seed) noexcept {
-  // Table-driven IEEE CRC-32; the table is built once, lazily.
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8 IEEE CRC-32: t[0] is the byte-at-a-time table and
+  // t[k][b] advances t[k-1][b] by one more zero byte, so one 64-bit
+  // word folds in with eight lookups. Built once, lazily.
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k)
         c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[0][i] = c;
     }
+    for (std::size_t k = 1; k < 8; ++k)
+      for (std::size_t i = 0; i < 256; ++i)
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFU];
     return t;
   }();
   std::uint32_t c = seed ^ 0xFFFFFFFFU;
-  for (const unsigned char byte : data)
-    c = table[(c ^ byte) & 0xFFU] ^ (c >> 8);
+  const unsigned char* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint64_t w = load_le<std::uint64_t>(p) ^ c;
+    c = t[7][w & 0xFFU] ^ t[6][(w >> 8) & 0xFFU] ^ t[5][(w >> 16) & 0xFFU] ^
+        t[4][(w >> 24) & 0xFFU] ^ t[3][(w >> 32) & 0xFFU] ^
+        t[2][(w >> 40) & 0xFFU] ^ t[1][(w >> 48) & 0xFFU] ^ t[0][w >> 56];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
   return c ^ 0xFFFFFFFFU;
 }
 

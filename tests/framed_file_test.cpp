@@ -1,6 +1,6 @@
 // Framed-file tests (docs/resilience.md §framed files): one corruption
 // harness over the four on-disk formats, a golden encoding per format,
-// and the shared publish helpers.
+// the CRC-32 against a reference, and the shared publish helpers.
 //
 // The harness runs every truncation and every single-bit flip of a valid
 // encoding through the format's own parse, in memory. DXSNAP01, DXSPL1
@@ -218,6 +218,69 @@ TEST(FramedGolden, Spill) { expect_golden(spill_format(), 76, 0x8f9a3322U); }
 TEST(FramedGolden, Wire) { expect_golden(wire_format(), 40, 0x1c6162f0U); }
 TEST(FramedGolden, Flight) {
   expect_golden(flight_format(), 512, 0x8e0fb174U);
+}
+
+// A 4 KiB spill payload: long enough that crc32's word loop and the
+// codec's payload copy carry most of the bytes (the Spill fixture above
+// is 76). Length and CRC were pinned from the element-at-a-time encoder
+// and its byte-at-a-time CRC; zlib's crc32 gives the same value.
+TEST(FramedGolden, SpillMultiKiB) {
+  std::vector<std::uint64_t> data(512);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = (0x9e3779b97f4a7c15ULL * (i + 1)) ^ (std::uint64_t{i} << 40);
+  const Bytes bytes = stream::SpillStore::encode(7, 3, 5, data);
+  EXPECT_EQ(bytes.size(), 4140u);
+  EXPECT_EQ(resilience::crc32(bytes), 0xfbe68cfaU);
+  const auto back = stream::SpillStore::parse(bytes, "golden");
+  ASSERT_TRUE(back.ok()) << back.error().what();
+  EXPECT_EQ(back.value().data, data);
+}
+
+// crc32 against the standard check value and against a byte-at-a-time
+// reference, so the golden constants above never rest on crc32 alone.
+std::uint32_t crc32_bytewise(std::span<const unsigned char> data,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFU;
+  for (const unsigned char byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+TEST(FramedCrc, KnownAnswer) {
+  EXPECT_EQ(resilience::crc32(resilience::byte_span("123456789")),
+            0xCBF43926U);
+  EXPECT_EQ(resilience::crc32({}), 0u);
+}
+
+// Every length 0..300 at every start offset 0..7, so each alignment of
+// the word loop and each tail length is covered, under three seeds.
+TEST(FramedCrc, MatchesBytewiseReference) {
+  Bytes buf(8 + 300);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<unsigned char>(i * 131 + (i >> 3) * 7 + 1);
+  for (const std::uint32_t seed : {0U, 1U, 0xFFFFFFFFU})
+    for (std::size_t off = 0; off < 8; ++off)
+      for (std::size_t len = 0; len <= 300; ++len) {
+        const std::span<const unsigned char> s(buf.data() + off, len);
+        ASSERT_EQ(resilience::crc32(s, seed), crc32_bytewise(s, seed))
+            << "seed " << seed << " offset " << off << " length " << len;
+      }
+}
+
+TEST(FramedCrc, ChainsAcrossSplits) {
+  Bytes buf(37 * 27);  // the cuts below land on both ends
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<unsigned char>((i * 2654435761U) >> 13);
+  const std::uint32_t whole = resilience::crc32(buf);
+  for (std::size_t cut = 0; cut <= buf.size(); cut += 37) {
+    const std::span<const unsigned char> all(buf);
+    EXPECT_EQ(resilience::crc32(all.subspan(cut),
+                                resilience::crc32(all.first(cut))),
+              whole)
+        << "split at " << cut;
+  }
 }
 
 // The golden flight case masks each record's CRC (it covers a
