@@ -11,6 +11,12 @@
 // the rest are distinct; the perfbench scatter_large pattern), on the
 // p=64, x=4, d=8 machine. Reported as items_per_second; ns/element is
 // its inverse.
+//
+// scatter_soa/BANKS times the SoA bank-service kernel across bank
+// counts: a Machine::scatter of 2^20 uniform addresses on p=64, d=8,
+// with x = BANKS/64 for BANKS in {2^8, 2^15, 2^16, 2^18, 2^20} and the
+// engine left on auto (which picks SoA). docs/performance.md §soa reads
+// it with --benchmark_filter=scatter_soa --benchmark_repetitions=15.
 
 #include <benchmark/benchmark.h>
 
@@ -93,7 +99,22 @@ void bm_scatter_then_predict(benchmark::State& state, bool k_hot) {
   set_items(state, addrs.size());
 }
 
+void bm_scatter_soa(benchmark::State& state) {
+  const auto banks = static_cast<std::uint64_t>(state.range(0));
+  const auto addrs = trace(1 << 20, /*k_hot=*/false);
+  sim::Machine m(sim::MachineConfig::parse(
+      "p=64,x=" + std::to_string(banks / 64) + ",d=8,g=1,L=8"));
+  for (auto _ : state) benchmark::DoNotOptimize(m.scatter(addrs));
+  set_items(state, addrs.size());
+}
+
 void register_all() {
+  benchmark::RegisterBenchmark("scatter_soa", bm_scatter_soa)
+      ->Arg(1 << 8)
+      ->Arg(1 << 15)
+      ->Arg(1 << 16)
+      ->Arg(1 << 18)
+      ->Arg(1 << 20);
   for (const bool k_hot : {false, true}) {
     const std::string dist = k_hot ? "/khot" : "/uniform";
     const auto sizes = [](benchmark::internal::Benchmark* b) {

@@ -9,7 +9,7 @@ Each input is either a metrics dump (``--metrics``: a top-level
 versioned run report (``--report``: ``metrics`` maps names straight to
 numbers, histograms to ``{total, bounds, counts}``). Output is one row
 per metric name, one column per file — the committed baselines read as
-a trajectory. ``tools/bench_trend.cpp`` is the C++ twin.
+a trajectory.
 
 After the metric table, any ``perf.<class>.speedup_x100`` metrics are
 folded into a per-class speedup trend section: one line per workload

@@ -78,7 +78,7 @@
 #     chaos-killed worker's flight ring surfaces as the post_mortem
 #     section (last protocol phase + trace tail), the stitched fleet
 #     timeline is valid Chrome JSON, sweep_top renders a live fleet,
-#     and the trend readers degrade gracefully when no BENCH_*.json
+#     and the trend reader degrades gracefully when no BENCH_*.json
 #     baselines match.
 #
 # Usage: scripts/ci.sh [jobs]
@@ -129,7 +129,7 @@ run_filtered ./build-ci-san/tests/stream_test \
 echo "== engine matrix under sanitizers =="
 # One machine per forced EngineChoice plus an unforced one, each run
 # traced and untraced against forced kReference: the observer-free and
-# ring-free scheduled loops, the dense path and the SoA kernels all run
+# ring-free scheduled loops, the dense path and the SoA kernel all run
 # with asan/ubsan watching.
 ./build-ci-san/tests/engine_equivalence_test > /dev/null
 ./build-ci-san/tests/attribution_test > /dev/null
@@ -532,13 +532,11 @@ grep -q "fleet:" "$SMOKE/sweep_top.txt"
 wait "$FLEET_PID"
 echo "sweep_top rendered the live fleet (and the fleet completed)"
 
-# Trend readers degrade gracefully when no baselines match: a clear
+# The trend reader degrades gracefully when no baselines match: a clear
 # note and exit 0, not a stack trace — a fresh repo has no trend yet.
-./build-ci/tools/bench_trend "$SMOKE/NO_SUCH_BENCH_*.json" \
-  | grep -q "no baselines to fold"
 python3 scripts/bench_history.py "$SMOKE/NO_SUCH_BENCH_*.json" \
   | grep -q "no baselines to fold"
-echo "bench_trend and bench_history degrade gracefully with no baselines"
+echo "bench_history degrades gracefully with no baselines"
 
 echo "== streaming smoke (out-of-core, docs/streaming.md) =="
 STREAM=./build-ci/bench/bench_stream_pressure

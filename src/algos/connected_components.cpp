@@ -11,6 +11,19 @@
 
 namespace dxbsp::algos {
 
+namespace {
+/// Hottest label across both endpoint gathers of one iteration; a stats
+/// field only, so callers compute it only when CcStats were asked for.
+std::uint64_t label_contention(const std::vector<std::uint64_t>& pu,
+                               const std::vector<std::uint64_t>& pv) {
+  std::vector<std::uint64_t> both;
+  both.reserve(pu.size() + pv.size());
+  both.insert(both.end(), pu.begin(), pu.end());
+  both.insert(both.end(), pv.begin(), pv.end());
+  return mem::analyze_locations(both).max_contention;
+}
+}  // namespace
+
 std::vector<std::uint32_t> connected_components(Vm& vm,
                                                 const workload::Graph& g,
                                                 CcStats* stats,
@@ -56,13 +69,7 @@ std::vector<std::uint32_t> connected_components(Vm& vm,
       trace.insert(trace.end(), ev.begin(), ev.end());
       stats->gather_traces.push_back(std::move(trace));
     }
-    {
-      std::vector<std::uint64_t> both;
-      both.reserve(pu.size() + pv.size());
-      both.insert(both.end(), pu.begin(), pu.end());
-      both.insert(both.end(), pv.begin(), pv.end());
-      it.gather_contention = mem::analyze_locations(both).max_contention;
-    }
+    if (stats != nullptr) it.gather_contention = label_contention(pu, pv);
 
     // (2) Hook: the larger label's root adopts the smaller label.
     // Arbitrary winner: later edges overwrite earlier ones.
@@ -95,7 +102,8 @@ std::vector<std::uint32_t> connected_components(Vm& vm,
       }
       vm.bulk(addrs, "cc-hook-scatter");
     }
-    it.hook_contention = mem::analyze_locations(hook_idx).max_contention;
+    if (stats != nullptr)
+      it.hook_contention = mem::analyze_locations(hook_idx).max_contention;
 
     // (3) Shortcut: pointer jumping until the forest is flat again, or
     // just one round in the single-shortcut variant.
@@ -198,13 +206,7 @@ std::vector<std::uint32_t> connected_components_random_mate(
     std::vector<std::uint64_t> pu, pv;
     vm.gather(pu, parent, eu, "rm-gather-labels");
     vm.gather(pv, parent, ev, "rm-gather-labels");
-    {
-      std::vector<std::uint64_t> both;
-      both.reserve(pu.size() + pv.size());
-      both.insert(both.end(), pu.begin(), pu.end());
-      both.insert(both.end(), pv.begin(), pv.end());
-      it.gather_contention = mem::analyze_locations(both).max_contention;
-    }
+    if (stats != nullptr) it.gather_contention = label_contention(pu, pv);
 
     // Hook tail roots under head roots (arbitrary winner).
     std::vector<std::uint64_t> hook_idx, hook_val;
@@ -228,7 +230,8 @@ std::vector<std::uint32_t> connected_components_random_mate(
     ev.swap(nv);
     if (!hook_idx.empty()) {
       vm.scatter(parent, hook_idx, hook_val, "rm-hook-scatter");
-      it.hook_contention = mem::analyze_locations(hook_idx).max_contention;
+      if (stats != nullptr)
+        it.hook_contention = mem::analyze_locations(hook_idx).max_contention;
 
       // Tails' children are now depth 2; one jump flattens the forest.
       std::vector<std::uint64_t> gp;

@@ -5,18 +5,6 @@
 
 namespace dxbsp::algos {
 
-std::uint64_t plus_scan(Vm& vm, VArray<std::uint64_t>& xs,
-                        const std::string& label) {
-  std::uint64_t acc = 0;
-  for (auto& x : xs.data) {
-    const std::uint64_t v = x;
-    x = acc;
-    acc += v;
-  }
-  vm.contiguous(xs.region, xs.size(), 2.0, label);
-  return acc;
-}
-
 std::vector<std::uint64_t> pack_indices(Vm& vm,
                                         const VArray<std::uint64_t>& flags,
                                         const std::string& label) {

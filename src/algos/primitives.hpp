@@ -1,5 +1,6 @@
 #pragma once
-// Data-parallel building blocks: scans, segmented sums, packing.
+// Data-parallel building blocks: packing, segmented sums, reduction
+// (scans live in algos/scan.hpp).
 //
 // These are the vectorizable primitives the paper's implementations are
 // made of ([BHZ93] segmented operations, [ZB91] counting sort plumbing).
@@ -15,12 +16,6 @@
 #include "algos/vm.hpp"
 
 namespace dxbsp::algos {
-
-/// Exclusive plus-scan of xs.data in place; returns the total.
-/// Charges 2 contiguous passes (read + write) plus O(p) negligible
-/// cross-processor combining.
-std::uint64_t plus_scan(Vm& vm, VArray<std::uint64_t>& xs,
-                        const std::string& label);
 
 /// Indices of nonzero flags, in order ("pack" / stream compaction).
 /// Charges a scan plus one contiguous write of the survivors.

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "algos/primitives.hpp"
 #include "algos/radix_sort.hpp"
+#include "algos/scan.hpp"
 #include "mem/contention.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -95,7 +95,7 @@ std::vector<std::uint64_t> random_permutation_qrqw(Vm& vm, std::uint64_t n,
                         ? 1
                         : 0;
   vm.contiguous(table.region, table_size, 1.0, "perm-pack-flag");
-  plus_scan(vm, flags, "perm-pack-scan");
+  exclusive_scan(vm, flags, OpAdd{}, std::uint64_t{0}, "perm-pack-scan");
 
   std::vector<std::uint64_t> perm(n);
   {

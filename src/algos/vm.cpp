@@ -15,6 +15,23 @@ std::shared_ptr<const mem::BankMapping> mapping_or_default(
   if (mapping) return mapping;
   return std::make_shared<mem::InterleavedMapping>(cfg.banks());
 }
+
+/// out[i] = src.data[idx[i]], bounds-checked; returns the gathered
+/// addresses for the caller to account.
+template <typename T>
+std::vector<std::uint64_t> gather_into(std::vector<T>& out,
+                                       const VArray<T>& src,
+                                       std::span<const std::uint64_t> idx,
+                                       const std::string& label) {
+  out.resize(idx.size());
+  std::vector<std::uint64_t> addrs(idx.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    if (idx[i] >= src.size()) throw std::out_of_range("Vm::gather: " + label);
+    out[i] = src.data[idx[i]];
+    addrs[i] = src.region.addr(idx[i]);
+  }
+  return addrs;
+}
 }  // namespace
 
 Vm::Vm(sim::MachineConfig config,
@@ -74,26 +91,12 @@ void Vm::account(std::span<const std::uint64_t> addrs,
 void Vm::gather(std::vector<std::uint64_t>& out,
                 const VArray<std::uint64_t>& src,
                 std::span<const std::uint64_t> idx, const std::string& label) {
-  out.resize(idx.size());
-  std::vector<std::uint64_t> addrs(idx.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    if (idx[i] >= src.size()) throw std::out_of_range("Vm::gather: " + label);
-    out[i] = src.data[idx[i]];
-    addrs[i] = src.region.addr(idx[i]);
-  }
-  account(addrs, label, -1.0);
+  account(gather_into(out, src, idx, label), label, -1.0);
 }
 
 void Vm::gather(std::vector<double>& out, const VArray<double>& src,
                 std::span<const std::uint64_t> idx, const std::string& label) {
-  out.resize(idx.size());
-  std::vector<std::uint64_t> addrs(idx.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    if (idx[i] >= src.size()) throw std::out_of_range("Vm::gather: " + label);
-    out[i] = src.data[idx[i]];
-    addrs[i] = src.region.addr(idx[i]);
-  }
-  account(addrs, label, -1.0);
+  account(gather_into(out, src, idx, label), label, -1.0);
 }
 
 void Vm::scatter(VArray<std::uint64_t>& dest,

@@ -1,9 +1,9 @@
 #pragma once
 // Minimal recursive-descent JSON reader, the inverse of obs/json.hpp.
 //
-// Scope: just enough to load the run reports and BENCH_*.json baselines
-// this repo's own JsonWriter emits (tools/bench_trend.cpp,
-// scripts/bench_history.py is the Python twin). It is a full parser for
+// Scope: just enough to load what this repo's own JsonWriter emits —
+// run reports, fleet stitch manifests and svc wire payloads. It is a
+// full parser for
 // standard JSON values, but deliberately small: no streaming, no SAX,
 // no comments/trailing-comma extensions.
 //

@@ -110,34 +110,6 @@ std::uint64_t BankArray::serve_addr(std::uint64_t bank, std::uint64_t arrival,
   return end;
 }
 
-std::uint64_t BankArray::serve_run(std::uint64_t bank,
-                                   const std::uint64_t* arrival,
-                                   std::uint64_t count) {
-  // The whole FIFO queue of one bank in one pass: start_k =
-  // max(arrival_k, free), free = start_k + d. The chain is a serial
-  // recurrence, but each iteration is two ALU ops on registers plus one
-  // sequential load — no event queue, no port scan, no per-request
-  // counter traffic, no per-request store.
-  const std::uint64_t d = delay_;
-  std::uint64_t free = free_at_[bank];
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const std::uint64_t start = std::max(arrival[k], free);
-    free = start + d;
-  }
-  free_at_[bank] = free;
-  last_start_ = free - d;
-  last_combined_ = false;
-  const std::uint64_t load = load_[bank] + count;
-  load_[bank] = load;
-  max_load_ = std::max(max_load_, load);
-  total_ += count;
-  if (cancel_ != nullptr) {
-    cancel_->heartbeat();
-    cancel_->raise_if_expired("BankArray::serve_run");
-  }
-  return free;
-}
-
 void BankArray::finish_chain(const std::uint64_t* counts, std::uint64_t total,
                              std::uint64_t final_start) {
   const std::uint64_t nb = num_banks();

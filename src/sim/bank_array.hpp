@@ -53,36 +53,23 @@ class BankArray {
   std::uint64_t serve_addr(std::uint64_t bank, std::uint64_t arrival,
                            std::uint64_t addr, std::uint64_t busy_scale = 1);
 
-  /// Whether serve_run() may replace a sequence of unscaled serve (or,
-  /// when `address_aware`, serve_addr) calls: single-port banks with —
-  /// for the address-aware path — neither combining nor a bank cache,
-  /// so service time is the unconditional FIFO free-chain recurrence.
+  /// Whether the SoA kernel's fused free-chain (open_chain() ..
+  /// finish_chain()) may replace a sequence of unscaled serve (or, when
+  /// `address_aware`, serve_addr) calls: single-port banks with — for
+  /// the address-aware path — neither combining nor a bank cache, so
+  /// service time is the unconditional FIFO recurrence
+  /// fin = max(arrival, free) + delay.
   [[nodiscard]] bool batchable(bool address_aware) const noexcept {
     return ports_ == 1 &&
            (!address_aware || (!combining_ && cache_.lines == 0));
   }
 
-  /// Batched FIFO service of one bank's pop-ordered arrival run (the
-  /// SoA kernel's contiguous per-bank bucket, docs/performance.md
-  /// §soa). Serves the `count` arrivals in `arrival[0..count)` in order
-  /// and returns the completion time of the LAST one — with delay >= 1
-  /// completions strictly increase along a run, so that is also the
-  /// run's maximum. Arrivals must be nondecreasing, and batchable(...)
-  /// must hold. Equivalent to `count` unscaled serve() calls: one
-  /// branch-free chained recurrence over a sequential stream, with
-  /// loads/totals updated once.
-  std::uint64_t serve_run(std::uint64_t bank, const std::uint64_t* arrival,
-                          std::uint64_t count);
-
-  /// Fused-chain variant of the batched kernels (docs/performance.md
-  /// §soa): exposes the raw per-bank free-time array so the SoA kernel
-  /// can run the FIFO recurrence fin = max(arrival, chain[b]) + delay()
-  /// inline in its pop-order loop — profitable while the array stays
-  /// cache-resident, where it beats bucketing by skipping the bucket
-  /// scatter entirely. batchable(...) must hold (single-port banks, and
-  /// no caching/combining on the address-aware path). The caller MUST
-  /// follow with exactly one finish_chain() to commit the counters the
-  /// chained serves bypassed.
+  /// Exposes the raw per-bank free-time array so the SoA kernel
+  /// (docs/performance.md §soa) can run the FIFO recurrence
+  /// fin = max(arrival, chain[b]) + delay() inline in its pop-order
+  /// loop. batchable(...) must hold. The caller MUST follow with exactly
+  /// one finish_chain() to commit the counters the chained serves
+  /// bypassed.
   [[nodiscard]] std::uint64_t* open_chain() noexcept { return free_at_.data(); }
 
   /// Commits a fused-chain pass: `counts[b]` requests were chained onto

@@ -159,23 +159,14 @@ struct EventHeap {
 // Scratch-arena slot names (uint64 buffers).
 constexpr std::size_t kRouteSlot = 0;  // addr → bank, one per element
 constexpr std::size_t kRingSlot = 1;   // flattened completion rings
-// SoA kernel planes (docs/performance.md §soa).
-constexpr std::size_t kBktSlot = 2;   // bank-bucketed arrivals, pop order
-constexpr std::size_t kCntSlot = 3;   // per-bank count / running offset
-constexpr std::size_t kLastSlot = 4;  // per-bank last {pop, elem, arrival}
-
-// SoA kernel split (docs/performance.md §soa): up to this many banks the
-// per-bank free-time array (8 B per bank, 256 KiB at the limit) stays
-// cache-resident and the fused pop-order chain wins; beyond it, bucket
-// per bank first so each chain runs on contiguous state.
-constexpr std::uint64_t kFusedChainBanks = 1ULL << 15;
+constexpr std::size_t kCntSlot = 2;    // per-bank request count
 
 /// Walks the n requests of a bulk op in scheduler pop order for the case
 /// where every issue departs exactly `gap` after the previous one (no
 /// fault plan, window never binds): processor P's j-th request departs
 /// at j·g, so the (depart, proc, attempt, elem) order is the nested
-/// (wave j, proc) order. Calls f(pop, elem, proc, j) with the request's
-/// pop index, element index, processor and wave. Block: processor P owns
+/// (wave j, proc) order. Calls f(elem, proc, j) with the request's
+/// element index, processor and wave. Block: processor P owns
 /// elements [P·per, P·per + per), and wave j visits each one's j-th.
 /// Cyclic: element k is processor k%p's (k/p)-th issue, so pop order IS
 /// element order, p consecutive elements per wave. Polls `cancel` every
@@ -186,27 +177,26 @@ inline void for_each_in_pop_order(bool block, std::uint64_t n,
                                   const resilience::CancelToken* cancel,
                                   F&& f) {
   std::uint64_t events = 0;
-  const auto visit = [&](std::uint64_t pop, std::uint64_t elem,
-                         std::uint64_t proc, std::uint64_t j) {
+  const auto visit = [&](std::uint64_t elem, std::uint64_t proc,
+                         std::uint64_t j) {
     if (cancel != nullptr && (++events & 0xFFFU) == 0) {
       cancel->heartbeat();
       cancel->raise_if_expired("Machine::run");
     }
-    f(pop, elem, proc, j);
+    f(elem, proc, j);
   };
   if (block) {
     const std::uint64_t per = util::ceil_div(n, p);
-    std::uint64_t pop = 0;
     for (std::uint64_t j = 0; j < per; ++j) {
       for (std::uint64_t proc = 0; proc < p; ++proc) {
         const std::uint64_t elem = proc * per + j;
-        if (elem < n) visit(pop++, elem, proc, j);
+        if (elem < n) visit(elem, proc, j);
       }
     }
   } else {
     for (std::uint64_t j = 0, base = 0; base < n; ++j, base += p) {
       const std::uint64_t end = std::min(base + p, n);
-      for (std::uint64_t i = base; i < end; ++i) visit(i, i, i - base, j);
+      for (std::uint64_t i = base; i < end; ++i) visit(i, i - base, j);
     }
   }
 }
@@ -923,8 +913,8 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
     // whatever ring is attached.
     const auto walk = [&](auto no_obs_c) {
       for_each_in_pop_order(block, n, p, cancel_,
-                            [&](std::uint64_t, std::uint64_t elem,
-                                std::uint64_t proc, std::uint64_t j) {
+                            [&](std::uint64_t elem, std::uint64_t proc,
+                                std::uint64_t j) {
         const Event ev{j * g, elem, static_cast<std::uint32_t>(proc), 0};
         makespan = std::max(makespan, step(no_obs_c, ev, elem, ev.depart));
       });
@@ -1034,106 +1024,46 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
 
 std::uint64_t Machine::run_soa(std::span<const std::uint64_t> route,
                                BulkResult& res, std::uint64_t max_count) {
-  // SoA batched kernel (docs/performance.md §soa). Eligibility, checked
-  // by run() and run_calendar(): no fault plan, window never binds, ideal
-  // network, no cache tier, no tracer, no per-request timing, batchable
-  // banks. Under those conditions processor P's j-th request departs at
-  // exactly j·g and arrives at j·g + L, so the whole op is a
-  // data-parallel pipeline over flat planes: counting-sort arrivals into
-  // contiguous per-bank buckets (stable, so each bank sees its arrivals
-  // in scheduler pop order), run the branch-free free-chain over each
-  // bucket, then latch the critical request from per-bank tail state.
+  // SoA fused free-chain kernel (docs/performance.md §soa). Eligibility,
+  // checked by run() and run_calendar(): no fault plan, window never
+  // binds, ideal network, no cache tier, no tracer, no per-request
+  // timing, batchable banks. Under those conditions processor P's j-th
+  // request departs at exactly j·g and arrives at j·g + L, and the FIFO
+  // recurrence fin = max(arrival, free[b]) + d is bank-local, so one
+  // pop-order pass over the route plane and the per-bank free-time array
+  // computes every completion. The strict-> latch keeps the FIRST
+  // pop-order max, the same request every event engine latches.
   // Bit-identical to the dense walk.
   const std::uint64_t n = route.size();
   const std::uint64_t p = config_.processors;
   const std::uint64_t g = config_.gap;
   const std::uint64_t latency = config_.latency;
-  const std::uint64_t nbanks = config_.banks();
+  const std::uint64_t d = banks_.delay();
   const bool block = config_.distribution == Distribution::kBlock;
-  util::ScratchArena& arena = state_->arena;
-
-  // Per-bank counts, left in the count plane by profile(); they feed
-  // BankArray's load counters on the fused path and the bucket offsets
-  // on the bucketed one.
-  std::uint64_t* cnt = util::soa_plane(arena, kCntSlot, nbanks);
 
   std::uint64_t best = 0;       // critical completion time
   std::uint64_t best_elem = 0;  // its element id
   std::uint64_t best_arr = 0;   // its bank arrival
-
-  if (nbanks <= kFusedChainBanks) {
-    // Fused free-chain kernel: the FIFO recurrence is bank-local, so
-    // one pop-order pass with a cache-resident per-bank free-time array
-    // computes exactly what bucketing would — minus the bucket scatter,
-    // which measures ~5x the cost of the whole fused pass at headline
-    // sizes. The strict-> latch keeps the FIRST pop-order max, the same
-    // request every event engine latches.
-    const std::uint64_t d = banks_.delay();
-    std::uint64_t* chain = banks_.open_chain();
-    std::uint64_t fin = 0;
-    for_each_in_pop_order(block, n, p, cancel_,
-                          [&](std::uint64_t, std::uint64_t elem, std::uint64_t,
-                              std::uint64_t j) {
-      const std::uint64_t arrival = j * g + latency;
-      const std::uint64_t b = route[elem];
-      const std::uint64_t f = chain[b];
-      fin = (arrival > f ? arrival : f) + d;
-      chain[b] = fin;
-      if (fin > best) {
-        best = fin;
-        best_elem = elem;
-        best_arr = arrival;
-      }
-    });
-    banks_.finish_chain(cnt, n, fin - d);
-  } else {
-    // Bucketed kernel for bank arrays too large to chain in cache:
-    // prefix the counts, scatter each pop-order arrival into its bank's
-    // contiguous bucket, then run the branch-free serve_run() chain per
-    // bank. With d >= 1 completions strictly increase along a bucket,
-    // so each bank's critical candidate is its LAST request — tracked
-    // in three per-bank arrays during the scatter; globally the critical
-    // request is the max completion, ties broken by earliest pop index.
-    std::uint64_t offset = 0;
-    for (std::uint64_t b = 0; b < nbanks; ++b) {
-      const std::uint64_t c = cnt[b];
-      cnt[b] = offset;
-      offset += c;
+  std::uint64_t* chain = banks_.open_chain();
+  std::uint64_t fin = 0;
+  for_each_in_pop_order(block, n, p, cancel_,
+                        [&](std::uint64_t elem, std::uint64_t,
+                            std::uint64_t j) {
+    const std::uint64_t arrival = j * g + latency;
+    const std::uint64_t b = route[elem];
+    const std::uint64_t f = chain[b];
+    fin = (arrival > f ? arrival : f) + d;
+    chain[b] = fin;
+    if (fin > best) {
+      best = fin;
+      best_elem = elem;
+      best_arr = arrival;
     }
-    std::uint64_t* bkt = util::soa_plane(arena, kBktSlot, n);
-    std::uint64_t* last = util::soa_plane(arena, kLastSlot, 3 * nbanks);
-    std::uint64_t* last_pop = last;               // pop index of last request
-    std::uint64_t* last_elem = last + nbanks;     // its element id
-    std::uint64_t* last_arr = last + 2 * nbanks;  // its bank arrival
-    for_each_in_pop_order(block, n, p, cancel_,
-                          [&](std::uint64_t pop, std::uint64_t elem,
-                              std::uint64_t, std::uint64_t j) {
-      const std::uint64_t arrival = j * g + latency;
-      const std::uint64_t b = route[elem];
-      bkt[cnt[b]++] = arrival;
-      last_pop[b] = pop;
-      last_elem[b] = elem;
-      last_arr[b] = arrival;
-    });
-    // cnt[b] now holds the END of bank b's bucket (== start of b+1's).
-    std::uint64_t best_bank = 0;
-    std::uint64_t start = 0;
-    for (std::uint64_t b = 0; b < nbanks; ++b) {
-      const std::uint64_t stop = cnt[b];
-      if (stop > start) {
-        const std::uint64_t fin =
-            banks_.serve_run(b, bkt + start, stop - start);
-        if (fin > best ||
-            (fin == best && last_pop[b] < last_pop[best_bank])) {
-          best = fin;
-          best_bank = b;
-        }
-      }
-      start = stop;
-    }
-    best_elem = last_elem[best_bank];
-    best_arr = last_arr[best_bank];
-  }
+  });
+  // Per-bank counts, left in the count plane by profile(), feed
+  // BankArray's load counters.
+  banks_.finish_chain(
+      util::soa_plane(state_->arena, kCntSlot, config_.banks()), n, fin - d);
 
   const std::uint64_t makespan = best + latency;
   attr_.observe_served(makespan, /*fresh=*/true, best_elem,

@@ -338,7 +338,7 @@ class Machine {
                              BulkResult& res, FailTally& tally,
                              obs::EngineChoice choice);
 
-  /// The fused and bucketed SoA kernels (docs/performance.md §soa);
+  /// The fused free-chain SoA kernel (docs/performance.md §soa);
   /// exact only under EngineFeatures::eligible_soa with batchable banks.
   /// `route` is the per-element bank plane profile() computed, with
   /// its per-bank counts in the workspace count plane.

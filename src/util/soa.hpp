@@ -1,13 +1,11 @@
 #pragma once
-// Structure-of-arrays request planes for the batched bank-service kernel
-// (docs/performance.md §soa). A bulk operation's per-request records are
-// split into parallel uint64 planes — route (addr→bank), pop order,
-// departure, completion, counting-sort permutation — each a ScratchArena
-// slot, so the hot loops stream contiguous memory instead of hopping
-// across AoS records and the compiler can vectorize the streaming
-// passes.
+// Flat uint64 planes for the bulk-op hot loops (docs/performance.md
+// §soa). The simulator keeps a bulk op's per-element route (addr→bank)
+// and its per-bank request counts as ScratchArena slots, so the hot
+// loops stream contiguous memory instead of hopping across AoS records.
 //
-// DXBSP_VEC_LOOP marks the loops the DXBSP_SIMD CMake toggle targets:
+// DXBSP_VEC_LOOP marks the loops the DXBSP_SIMD CMake toggle targets —
+// today the three bank_of_batch mapping loops in mem/bank_mapping.cpp:
 // with the toggle ON it expands to the compiler's vectorize/ivdep
 // pragma, with it OFF to nothing. The pragmas only *permit* the
 // transformation on loops whose semantics are iteration-independent, so

@@ -1,9 +1,9 @@
 // Tests for the execution layer (docs/performance.md §selector): the
 // EngineSelector's dispatch policy, the unforced SoA batched kernel's
 // bit-identity with the reference engine on the SoA-specific legs
-// (fused, bucketed, per-element), the forced-misprediction fallback,
-// and the determinism of the selector report section across thread
-// interleavings.
+// (fused free-chain at small and large bank counts, per-element), the
+// forced-misprediction fallback, and the determinism of the selector
+// report section across thread interleavings.
 
 #include <gtest/gtest.h>
 
@@ -101,18 +101,54 @@ TEST(EngineSelect, SoaPathUnevenTailRequestCount) {
   }
 }
 
+/// A k-hot trace (one word takes k = 64 requests, every other request a
+/// distinct word) laid out so that two banks tie for the makespan on
+/// base_config (p=4, g=1, L=8, d=4): processor 0's first 64 issues hit
+/// the hot word, whose bank drains at 8 + 4·64, and the last wave,
+/// w = 4·64 - 4, lands on idle banks and completes at w + 8 + 4, the
+/// same cycle. The critical request is the hot bank's last one, first
+/// in pop order; the tied candidates' cost terms differ, so a latch
+/// that picks any other shows up in the breakdown.
+std::vector<std::uint64_t> k_hot_with_tie(sim::Distribution dist) {
+  constexpr std::uint64_t kP = 4;
+  constexpr std::uint64_t kK = 64;
+  constexpr std::uint64_t kWaves = 4 * kK - 3;  // waves 0..w
+  std::vector<std::uint64_t> addrs(kP * kWaves);
+  std::uint64_t next = 1;  // word 0 is hot; the rest map to distinct banks
+  for (std::uint64_t j = 0; j < kWaves; ++j) {
+    for (std::uint64_t proc = 0; proc < kP; ++proc) {
+      const std::uint64_t elem = dist == sim::Distribution::kBlock
+                                     ? proc * kWaves + j
+                                     : j * kP + proc;
+      addrs[elem] = (proc == 0 && j < kK) ? 0 : next++;
+    }
+  }
+  return addrs;
+}
+
 TEST(EngineSelect, SoaBucketedKernelLargeBankArray) {
-  // More banks than the fused-chain cutoff (32Ki): the SoA kernel must
-  // switch to its bucketed counting-sort form (per-bank serve_run over
-  // contiguous arrival buckets) and still match the reference engine,
-  // including the critical-request latch's pop-order tie-break.
-  const auto addrs = workload::uniform_random(30011, 1 << 22, 13);
+  // Bank arrays past 2^15, where the SoA kernel once switched to a
+  // bucketed counting-sort form: the fused free-chain now runs at every
+  // bank count and must still match the reference engine there, up to
+  // 2^18 banks, including the critical-request latch's pop-order
+  // tie-break (k_hot_with_tie).
+  struct Case {
+    std::uint64_t expansion;  // 4 procs -> 4·expansion banks
+    std::vector<std::uint64_t> addrs;
+  };
   for (auto dist : {sim::Distribution::kBlock, sim::Distribution::kCyclic}) {
-    auto cfg = base_config(dist);
-    cfg.expansion = 16384;  // 4 procs -> 65536 banks
-    const auto row = check_auto_vs_reference(cfg, addrs);
-    EXPECT_TRUE(row.eligible_soa);
-    EXPECT_EQ(row.choice, obs::EngineChoice::kSoA);
+    const Case cases[] = {
+        {16384, workload::uniform_random(30011, 1 << 22, 13)},
+        {16384, k_hot_with_tie(dist)},
+        {65536, workload::uniform_random(30011, 1 << 22, 19)},
+    };
+    for (const Case& c : cases) {
+      auto cfg = base_config(dist);
+      cfg.expansion = c.expansion;
+      const auto row = check_auto_vs_reference(cfg, c.addrs);
+      EXPECT_TRUE(row.eligible_soa);
+      EXPECT_EQ(row.choice, obs::EngineChoice::kSoA);
+    }
   }
 }
 

@@ -486,8 +486,8 @@ TEST(JsonRead, MalformedInputIsStructuredParseError) {
 }
 
 TEST(JsonRead, RoundTripsOwnReportWriter) {
-  // The reader must load what our writer emits — the exact contract
-  // bench_trend relies on for BENCH_*.json baselines.
+  // The reader must load what our writer emits — the contract the svc
+  // payloads and fleet stitch manifests rely on.
   obs::MetricsRegistry reg;
   reg.counter("sim.cycles").add(321);
   const std::vector<std::uint64_t> bounds = {1, 10, 100};
