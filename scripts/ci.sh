@@ -25,9 +25,10 @@
 #    the structured Interrupted outcome (exit 75) and a loadable
 #    checkpoint.
 # 4. Observability smoke: a traced fig4 run must produce JSON that
-#    `python3 -m json.tool` accepts (Chrome trace + run report), and the
-#    report/trace must be byte-identical between --threads=1 and
-#    --threads=4 (docs/observability.md).
+#    `python3 -m json.tool` accepts (Chrome trace + run report), its CSV
+#    twin must hold one row per leaf of the JSON report with equal
+#    values, and the report, CSV and trace must be byte-identical
+#    between --threads=1 and --threads=4 (docs/observability.md).
 # 5. Attribution & drift smoke (docs/observability.md): the healthy
 #    fig4 report from step 4 and a seeded faulty r1 sweep must both
 #    carry schema-versioned "attribution"/"drift" sections whose cost
@@ -194,13 +195,51 @@ python3 -m json.tool "$SMOKE/report1.json" > /dev/null
 python3 -m json.tool "$SMOKE/metrics1.json" > /dev/null
 echo "trace, report and metrics dumps are valid JSON"
 
+# The CSV twin is the JSON report flattened: one section,key,value row
+# per scalar leaf, in document order, with the leaf's JSON text as the
+# value (strings unquoted, numbers exactly as written).
+python3 - "$SMOKE/report1.json" "$SMOKE/report1.csv" <<'EOF'
+import csv, json, sys
+
+def leaves(v, section, path, out):
+    if isinstance(v, dict):
+        for k, m in v.items():
+            leaves(m, section, f"{path}.{k}" if path else k, out)
+    elif isinstance(v, list):
+        for i, m in enumerate(v):
+            leaves(m, section, f"{path}.{i}" if path else str(i), out)
+    elif v is None:
+        out.append([section, path, "null"])
+    elif isinstance(v, bool):
+        out.append([section, path, "true" if v else "false"])
+    else:
+        out.append([section, path, v])
+
+doc = json.load(open(sys.argv[1]), parse_int=str, parse_float=str)
+want = []
+for key, v in doc.items():
+    if isinstance(v, (dict, list)):
+        leaves(v, key, "", want)
+    else:
+        leaves(v, "run", key, want)
+with open(sys.argv[2], newline="") as f:
+    rows = list(csv.reader(f))
+assert rows[0] == ["section", "key", "value"], rows[0]
+rows = rows[1:]
+assert len(rows) == len(want), (len(rows), len(want))
+for got, leaf in zip(rows, want):
+    assert got == leaf, (got, leaf)
+print(f"report CSV twin: {len(rows)} rows, one per JSON leaf, equal values")
+EOF
+
 # Determinism: reports and traces must not depend on --threads.
 "$OBS_BENCH" "${OBS_ARGS[@]}" --threads=4 \
   --trace="$SMOKE/t4.trace.json" --report="$SMOKE/report4.json" \
-  > /dev/null
+  --report-csv="$SMOKE/report4.csv" > /dev/null
 cmp "$SMOKE/report1.json" "$SMOKE/report4.json"
+cmp "$SMOKE/report1.csv" "$SMOKE/report4.csv"
 cmp "$SMOKE/t1.trace.json" "$SMOKE/t4.trace.json"
-echo "report and trace are byte-identical across --threads=1/4"
+echo "report, CSV twin and trace are byte-identical across --threads=1/4"
 
 # Reconciliation + registry stress under the sanitizers.
 run_filtered ./build-ci-san/tests/obs_test \

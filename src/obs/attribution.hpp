@@ -39,6 +39,14 @@
 
 namespace dxbsp::obs {
 
+class JsonDecoder;
+class JsonWriter;
+
+/// "attribution" section schema. Schema 2 added the cache_hit term to
+/// every breakdown ("terms", the drift section's "worst.breakdown") for
+/// the processor-cache tier.
+inline constexpr std::uint64_t kAttributionSchemaVersion = 2;
+
 /// Exact decomposition of one bulk operation's makespan (all cycles).
 struct CostBreakdown {
   std::uint64_t issue_gap = 0;      ///< j·g of the critical request
@@ -74,6 +82,10 @@ inline constexpr std::size_t kCostTerms = 7;
 [[nodiscard]] const char* cost_term_name(std::size_t i) noexcept;
 [[nodiscard]] std::uint64_t cost_term_value(const CostBreakdown& c,
                                             std::size_t i) noexcept;
+
+/// Members of a breakdown object: one per term, named by cost_term_name.
+void write_json(JsonWriter& w, const CostBreakdown& c);
+void read_json(JsonDecoder& d, CostBreakdown& c);
 
 /// Mergeable sketch of one (or many) bulk operations' per-bank load
 /// distribution: counts[v] = number of banks that served exactly v
@@ -314,5 +326,11 @@ class AttributionAggregate {
   mutable std::mutex mu_;
   Snapshot snap_;
 };
+
+/// Members of the "attribution" section, schema_version first: the one
+/// JSON shape of the aggregate, shared by the run report and the svc
+/// aggregates payload.
+void write_json(JsonWriter& w, const AttributionAggregate::Snapshot& a);
+void read_json(JsonDecoder& d, AttributionAggregate::Snapshot& a);
 
 }  // namespace dxbsp::obs

@@ -5,6 +5,8 @@
 #include "core/cost.hpp"
 #include "core/params.hpp"
 #include "fault/fault_plan.hpp"
+#include "obs/json.hpp"
+#include "obs/json_read.hpp"
 #include "resilience/error.hpp"
 #include "stats/degraded.hpp"
 
@@ -122,6 +124,67 @@ void DriftDetector::merge(const Snapshot& o) {
        (o.worst.track < w.track ||
         (o.worst.track == w.track && o.worst.step < w.step)));
   if (better) w = o.worst;
+}
+
+// The "worst" object, internal to this file like the sketch codec in
+// attribution.cpp; the reader sets `valid`.
+static void write_json(JsonWriter& w, const DriftWorst& x) {
+  w.member("track", x.track);
+  w.member("step", x.step);
+  w.member("measured_cycles", x.measured);
+  w.member("predicted_cycles", x.predicted);
+  w.member("rel_err", x.rel_err);
+  w.member("n", x.n);
+  w.member("h_proc", x.h_proc);
+  w.member("h_bank", x.h_bank);
+  w.member("location_contention", x.location_contention);
+  write_object(w, "breakdown", x.breakdown);
+  w.member("bank_load_p50", x.sketch_p50);
+  w.member("bank_load_p99", x.sketch_p99);
+  w.member("bank_load_max", x.sketch_max);
+  w.member("mapping", x.mapping);
+  w.member("fault_plan_fingerprint", x.plan_fingerprint);
+}
+
+static void read_json(JsonDecoder& d, DriftWorst& x) {
+  x.valid = true;
+  x.track = d.u64("track");
+  x.step = d.u64("step");
+  x.measured = d.u64("measured_cycles");
+  x.predicted = d.dbl("predicted_cycles");
+  x.rel_err = d.dbl("rel_err");
+  x.n = d.u64("n");
+  x.h_proc = d.u64("h_proc");
+  x.h_bank = d.u64("h_bank");
+  x.location_contention = d.u64("location_contention");
+  d.read("breakdown", x.breakdown);
+  x.sketch_p50 = d.u64("bank_load_p50");
+  x.sketch_p99 = d.u64("bank_load_p99");
+  x.sketch_max = d.u64("bank_load_max");
+  x.mapping = d.str("mapping");
+  x.plan_fingerprint = d.u64("fault_plan_fingerprint");
+}
+
+void write_json(JsonWriter& w, const DriftDetector::Snapshot& s) {
+  w.member("schema_version", kDriftSchemaVersion);
+  w.member("band", s.band);
+  w.member("supersteps", s.supersteps);
+  w.member("out_of_band", s.out_of_band);
+  w.member("max_abs_rel_err", s.max_abs_rel_err);
+  if (s.worst.valid) {
+    write_object(w, "worst", s.worst);
+  } else {
+    w.key("worst").null_value();
+  }
+}
+
+void read_json(JsonDecoder& d, DriftDetector::Snapshot& s) {
+  d.expect_version(kDriftSchemaVersion);
+  s.band = d.dbl("band");
+  s.supersteps = d.u64("supersteps");
+  s.out_of_band = d.u64("out_of_band");
+  s.max_abs_rel_err = d.dbl("max_abs_rel_err");
+  d.read_opt("worst", s.worst);
 }
 
 }  // namespace dxbsp::obs

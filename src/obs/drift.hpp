@@ -32,6 +32,10 @@ class FaultPlan;
 
 namespace dxbsp::obs {
 
+/// "drift" section schema. Schema 2 added the cache_hit term to the
+/// worst offender's breakdown (see kAttributionSchemaVersion).
+inline constexpr std::uint64_t kDriftSchemaVersion = 2;
+
 struct DriftConfig {
   /// Relative-error band: |measured/predicted - 1| above this flags the
   /// superstep. Default is the paper's validated ±25%.
@@ -119,6 +123,11 @@ class DriftDetector {
   mutable std::mutex mu_;
   Snapshot snap_;
 };
+
+/// Members of the "drift" section, shared by the run report and the svc
+/// aggregates payload; "worst" is null until a superstep is scored.
+void write_json(JsonWriter& w, const DriftDetector::Snapshot& s);
+void read_json(JsonDecoder& d, DriftDetector::Snapshot& s);
 
 /// Cache-tier activity of the superstep being scored, when the machine
 /// runs a processor-cache tier (sim::MachineConfig::cache). All zeros —

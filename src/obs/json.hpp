@@ -78,4 +78,14 @@ class JsonWriter {
   bool pending_key_ = false;
 };
 
+/// Writes `x` as the object member `key`, through the
+/// `write_json(JsonWriter&, const T&)` declared next to T (which emits
+/// the object's members).
+template <typename T>
+JsonWriter& write_object(JsonWriter& w, std::string_view key, const T& x) {
+  w.key(key).begin_object();
+  write_json(w, x);
+  return w.end_object();
+}
+
 }  // namespace dxbsp::obs

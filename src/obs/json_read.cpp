@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <utility>
 
 namespace dxbsp::obs {
 
@@ -312,6 +313,88 @@ class JsonParser {
 Expected<JsonValue> JsonValue::parse(std::string_view text,
                                      const std::string& origin) {
   return JsonParser(text, origin).run();
+}
+
+JsonDecoder::JsonDecoder(const JsonValue& v, std::string origin)
+    : v_(v), origin_(std::move(origin)) {
+  if (!v_.is_object()) fail("not an object");
+}
+
+void JsonDecoder::fail(const std::string& what) {
+  if (ok()) message_ = origin_ + ": " + what;
+}
+
+Error JsonDecoder::error() const {
+  return Error(ErrorCode::kCorruptInput, message_);
+}
+
+const JsonValue* JsonDecoder::req(std::string_view key) {
+  const JsonValue* m = v_.find(key);
+  if (m == nullptr) fail("missing member '" + std::string(key) + "'");
+  return m;
+}
+
+const JsonValue* JsonDecoder::opt(std::string_view key) const {
+  const JsonValue* m = v_.find(key);
+  return (m == nullptr || m->is_null()) ? nullptr : m;
+}
+
+const JsonValue* JsonDecoder::member(std::string_view key,
+                                     JsonValue::Kind kind, const char* what) {
+  const JsonValue* m = req(key);
+  if (m == nullptr || m->kind() == kind) return m;
+  fail(std::string(key) + " is not " + what);
+  return nullptr;
+}
+
+std::uint64_t JsonDecoder::u64(std::string_view key) {
+  const JsonValue* m = member(key, JsonValue::Kind::kNumber, "a number");
+  return m == nullptr ? 0 : m->as_u64();
+}
+
+double JsonDecoder::dbl(std::string_view key) {
+  const JsonValue* m = member(key, JsonValue::Kind::kNumber, "a number");
+  return m == nullptr ? 0.0 : m->as_double();
+}
+
+std::string JsonDecoder::str(std::string_view key) {
+  const JsonValue* m = member(key, JsonValue::Kind::kString, "a string");
+  return m == nullptr ? std::string() : m->as_string();
+}
+
+bool JsonDecoder::boolean(std::string_view key) {
+  const JsonValue* m = member(key, JsonValue::Kind::kBool, "a bool");
+  return m != nullptr && m->as_bool();
+}
+
+const JsonValue* JsonDecoder::array(std::string_view key) {
+  return member(key, JsonValue::Kind::kArray, "an array");
+}
+
+const JsonValue* JsonDecoder::object(std::string_view key) {
+  return member(key, JsonValue::Kind::kObject, "an object");
+}
+
+std::vector<std::uint64_t> JsonDecoder::u64_array(std::string_view key) {
+  std::vector<std::uint64_t> out;
+  const JsonValue* arr = array(key);
+  if (arr == nullptr) return out;
+  out.reserve(arr->items().size());
+  for (const JsonValue& item : arr->items()) {
+    if (!item.is_number()) {
+      fail(std::string(key) + " holds an item that is not a number");
+      return {};
+    }
+    out.push_back(item.as_u64());
+  }
+  return out;
+}
+
+void JsonDecoder::expect_version(std::uint64_t want) {
+  const std::uint64_t got = u64("schema_version");
+  if (ok() && got != want)
+    fail("schema_version " + std::to_string(got) + ", this build reads " +
+         std::to_string(want));
 }
 
 }  // namespace dxbsp::obs

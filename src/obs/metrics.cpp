@@ -1,11 +1,32 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 
 #include "obs/json.hpp"
+#include "obs/json_read.hpp"
 #include "resilience/error.hpp"
 
 namespace dxbsp::obs {
+
+namespace {
+
+const char* stability_name(Stability s) noexcept {
+  return s == Stability::kHost ? "host" : "deterministic";
+}
+
+void write_histogram(JsonWriter& w, const MetricsRegistry::Entry& e) {
+  w.member("total", e.value);
+  w.key("bounds").begin_array();
+  for (const std::uint64_t b : e.bounds) w.value(b);
+  w.end_array();
+  w.key("counts").begin_array();
+  for (const std::uint64_t c : e.bucket_counts) w.value(c);
+  w.end_array();
+}
+
+}  // namespace
 
 const char* metric_kind_name(MetricKind k) noexcept {
   switch (k) {
@@ -166,26 +187,7 @@ void MetricsRegistry::merge(const Entry& e) {
 void MetricsRegistry::write_json(std::ostream& os, bool include_host) const {
   JsonWriter w(os);
   w.begin_object();
-  w.key("metrics").begin_object();
-  for (const Entry& e : snapshot(include_host)) {
-    w.key(e.name).begin_object();
-    w.member("kind", metric_kind_name(e.kind));
-    w.member("stability", e.stability == Stability::kHost ? "host"
-                                                          : "deterministic");
-    if (e.kind == MetricKind::kHistogram) {
-      w.member("total", e.value);
-      w.key("bounds").begin_array();
-      for (const std::uint64_t b : e.bounds) w.value(b);
-      w.end_array();
-      w.key("counts").begin_array();
-      for (const std::uint64_t c : e.bucket_counts) w.value(c);
-      w.end_array();
-    } else {
-      w.member("value", e.value);
-    }
-    w.end_object();
-  }
-  w.end_object();
+  write_object(w, "metrics", snapshot(include_host));
   w.end_object();
   os << '\n';
 }
@@ -194,8 +196,7 @@ void MetricsRegistry::write_csv(std::ostream& os, bool include_host) const {
   os << "name,kind,stability,value\n";
   for (const Entry& e : snapshot(include_host)) {
     os << csv_escape(e.name) << ',' << metric_kind_name(e.kind) << ','
-       << (e.stability == Stability::kHost ? "host" : "deterministic") << ','
-       << e.value << '\n';
+       << stability_name(e.stability) << ',' << e.value << '\n';
   }
 }
 
@@ -216,6 +217,79 @@ std::size_t MetricsRegistry::size() const {
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry reg;
   return reg;
+}
+
+// One entry's object (the name is its key), internal to this file like
+// the sketch codec in attribution.cpp.
+static void write_json(JsonWriter& w, const MetricsRegistry::Entry& e) {
+  w.member("kind", metric_kind_name(e.kind));
+  w.member("stability", stability_name(e.stability));
+  if (e.kind == MetricKind::kHistogram) {
+    write_histogram(w, e);
+  } else {
+    w.member("value", e.value);
+  }
+}
+
+static void read_json(JsonDecoder& d, MetricsRegistry::Entry& e) {
+  const std::string kind = d.str("kind");
+  const std::string stability = d.str("stability");
+  if (!d.ok()) return;
+  const MetricKind kinds[] = {MetricKind::kCounter, MetricKind::kGauge,
+                              MetricKind::kHistogram};
+  const auto* k = std::find_if(std::begin(kinds), std::end(kinds),
+                               [&](MetricKind c) {
+                                 return kind == metric_kind_name(c);
+                               });
+  if (k == std::end(kinds)) {
+    d.fail("unknown kind '" + kind + "'");
+    return;
+  }
+  e.kind = *k;
+  if (stability == stability_name(Stability::kHost)) {
+    e.stability = Stability::kHost;
+  } else if (stability != stability_name(Stability::kDeterministic)) {
+    d.fail("unknown stability '" + stability + "'");
+    return;
+  }
+  if (e.kind != MetricKind::kHistogram) {
+    e.value = d.u64("value");
+    return;
+  }
+  e.value = d.u64("total");
+  e.bounds = d.u64_array("bounds");
+  e.bucket_counts = d.u64_array("counts");
+  if (!d.ok()) return;
+  if (!std::is_sorted(e.bounds.begin(), e.bounds.end()))
+    d.fail("bounds are not sorted");
+  else if (e.bucket_counts.size() != e.bounds.size() + 1)
+    d.fail("counts holds " + std::to_string(e.bucket_counts.size()) +
+           " buckets, bounds make " + std::to_string(e.bounds.size() + 1));
+}
+
+void write_json(JsonWriter& w, const std::vector<MetricsRegistry::Entry>& v) {
+  for (const MetricsRegistry::Entry& e : v) write_object(w, e.name, e);
+}
+
+void read_json(JsonDecoder& d, std::vector<MetricsRegistry::Entry>& v) {
+  for (const auto& [name, value] : d.value().members()) {
+    MetricsRegistry::Entry& e = v.emplace_back();
+    e.name = name;
+    d.read_at(value, name, e);
+  }
+}
+
+void write_json_values(JsonWriter& w,
+                       const std::vector<MetricsRegistry::Entry>& v) {
+  for (const MetricsRegistry::Entry& e : v) {
+    if (e.kind == MetricKind::kHistogram) {
+      w.key(e.name).begin_object();
+      write_histogram(w, e);
+      w.end_object();
+    } else {
+      w.member(e.name, e.value);
+    }
+  }
 }
 
 }  // namespace dxbsp::obs

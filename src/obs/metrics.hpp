@@ -31,6 +31,9 @@
 
 namespace dxbsp::obs {
 
+class JsonDecoder;
+class JsonWriter;
+
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 enum class Stability : std::uint8_t {
   kDeterministic,  ///< pure function of the workload; safe in reports
@@ -168,5 +171,21 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Slot>> slots_;
 };
+
+/// Snapshot entries in the --metrics dump's shape: one member per entry,
+/// named by the metric, holding {kind, stability, value} or, for a
+/// histogram, {kind, stability, total, bounds, counts}. The svc wire
+/// ships entries in this shape because a merge must know whether to add
+/// or max. The reader rejects an unknown kind or stability, a bound or
+/// count that is not a number, unsorted bounds and counts that are not
+/// bounds + 1 long, so none of them can make merge() throw later.
+void write_json(JsonWriter& w, const std::vector<MetricsRegistry::Entry>& v);
+void read_json(JsonDecoder& d, std::vector<MetricsRegistry::Entry>& v);
+
+/// The run report's "metrics" members: counters and gauges as bare
+/// numbers, histograms as {total, bounds, counts}; kind and stability
+/// are dropped.
+void write_json_values(JsonWriter& w,
+                       const std::vector<MetricsRegistry::Entry>& v);
 
 }  // namespace dxbsp::obs

@@ -26,26 +26,18 @@
 namespace dxbsp::obs {
 
 /// Version 2 added the "attribution" and "drift" sections (each carrying
-/// its own schema_version so consumers can evolve per-section). The
-/// "degraded" section (fleet-mode partial results) carries its own
-/// schema version too and only appears when a sweep actually degraded,
-/// so healthy merged reports stay byte-identical to serial ones.
-/// Attribution/drift schema 2 added the cache_hit term to every
-/// breakdown ("terms", "worst.breakdown") for the processor-cache tier.
+/// its own schema_version so consumers can evolve per-section; the
+/// constants live next to each section's type). The "degraded" section
+/// (fleet-mode partial results) carries its own schema version too and
+/// only appears when a sweep actually degraded, so healthy merged reports
+/// stay byte-identical to serial ones.
 /// Version 3 added the fleet-observability sections: "fleet" (coordinator
 /// lifecycle counters, host-stability) and "post_mortem" (flight-recorder
 /// tails harvested from dead worker attempts). Both appear only when the
 /// coordinator runs with observability on, and never in serial reports,
 /// so the deterministic sections keep their byte-identity contract.
 inline constexpr std::uint64_t kReportVersion = 3;
-inline constexpr std::uint64_t kAttributionSchemaVersion = 2;
-inline constexpr std::uint64_t kDriftSchemaVersion = 2;
 inline constexpr std::uint64_t kDegradedSchemaVersion = 1;
-/// "selector" section: one row per superstep from the execution layer
-/// (obs/selector.hpp). Carries its own schema version, like "degraded",
-/// so adding it did not bump kReportVersion. Schema 2 dropped the
-/// selector's own bank-load estimate and prediction columns.
-inline constexpr std::uint64_t kSelectorSchemaVersion = 2;
 /// "post_mortem" section: flight-recorder tails (obs/flight.hpp) from
 /// worker attempts that died or were revoked, harvested by the
 /// coordinator before the shard is re-queued.
@@ -67,6 +59,12 @@ struct RunInfo {
   /// --checkpoint, ...) must not appear here — see report determinism.
   std::vector<std::pair<std::string, std::string>> flags;
 };
+
+/// The report header's members: bench, description, machine, seed and
+/// the flags object. The svc result message carries the same members as
+/// its "info" object.
+void write_json(JsonWriter& w, const RunInfo& info);
+void read_json(JsonDecoder& d, RunInfo& info);
 
 /// Partial-result accounting for a sharded sweep that could not complete
 /// every shard (docs/resilience.md §fleet mode). Only passed to the
@@ -132,9 +130,14 @@ void write_report_json(std::ostream& os, const RunInfo& info,
                        const PostMortemInfo* post_mortem = nullptr,
                        const MetricsRegistry* fleet = nullptr);
 
-/// CSV twin: `section,key,value` rows with the same content and the same
-/// determinism contract. Fields are RFC 4180-escaped (csv_escape), so
-/// caller-chosen names with commas/quotes cannot shear a row.
+/// CSV twin: the JSON report flattened into `section,key,value` rows,
+/// one per scalar leaf, in document order. The section is the top-level
+/// key, or "run" for a top-level scalar; the key is the '.'-joined path
+/// below it, with array items named by index (`deaths.0.last_phase`);
+/// the value is the JSON text of a number, bool or null, or the string
+/// itself. Every field is RFC 4180-escaped (csv_escape), so caller-chosen
+/// names with commas or quotes cannot shear a row. An empty object or
+/// array has no leaf and so no row.
 void write_report_csv(std::ostream& os, const RunInfo& info,
                       const MetricsRegistry& metrics, const Tracer* tracer,
                       const AttributionAggregate* attribution = nullptr,

@@ -17,6 +17,14 @@
 
 namespace dxbsp::obs {
 
+class JsonDecoder;
+class JsonWriter;
+
+/// "selector" section schema. The section carries its own version, like
+/// "degraded", so adding it did not bump the report version. Schema 2
+/// dropped the selector's own bank-load estimate and prediction columns.
+inline constexpr std::uint64_t kSelectorSchemaVersion = 2;
+
 /// Execution strategy a bulk operation was dispatched to. Any of them
 /// can be pinned with sim::EngineSelector::force().
 enum class EngineChoice : std::uint8_t {
@@ -80,5 +88,10 @@ class SelectorLog {
   mutable std::mutex mu_;
   std::vector<SelectorRow> rows_;
 };
+
+/// Members of the "selector" section (schema_version, supersteps = row
+/// count, rows), shared by the run report and the svc aggregates payload.
+void write_json(JsonWriter& w, const SelectorLog::Snapshot& s);
+void read_json(JsonDecoder& d, SelectorLog::Snapshot& s);
 
 }  // namespace dxbsp::obs

@@ -1,9 +1,10 @@
 #pragma once
 // The one module that knows how a framed file is encoded, read and
-// published (docs/resilience.md §framed files). Four on-disk formats use
+// published (docs/resilience.md §framed files). Five on-disk formats use
 // it: DXSNAP01 snapshots (resilience/snapshot.hpp), DXSPL1 spill chunks
-// (stream/spill_store.hpp), DXSVCW1 wire messages (svc/wire.hpp) and
-// DXFDR1 flight rings (obs/flight.hpp). Each format owns its layout and
+// (stream/spill_store.hpp), DXSVCW1 wire messages (svc/wire.hpp),
+// dxbsptr2 address traces (workload/trace_io.hpp) and DXFDR1 flight
+// rings (obs/flight.hpp). Each format owns its layout and
 // validation; this module owns the CRC, the little-endian scalar codec,
 // the whole-file read and the crash-atomic tmp -> rename publish.
 
@@ -81,9 +82,9 @@ void append_le(std::vector<unsigned char>& out, T v) {
 
 /// Whether a publish fsyncs the tmp file before renaming it.
 ///
-/// kFsync (snapshots, spill chunks): the file is the run's durable
-/// record; after a machine crash the renamed name must hold the new
-/// bytes, never an empty or torn file.
+/// kFsync (snapshots, spill chunks, traces): the file is the run's
+/// durable record; after a machine crash the renamed name must hold the
+/// new bytes, never an empty or torn file.
 ///
 /// kRenameOnly (wire messages): rename alone already makes a publish
 /// atomic against process death, and a worker rewrites its heartbeat and

@@ -719,7 +719,7 @@ void Coordinator::write_merged_reports() {
           drift.emplace(obs::DriftConfig{a.drift.band});
         drift->merge(a.drift);
       }
-      selector.merge(obs::SelectorLog::Snapshot{a.selector});
+      selector.merge(a.selector);
     }
     if (!have_info && sp->result && sp->result->has_info) {
       info = sp->result->info;

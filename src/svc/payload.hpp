@@ -19,11 +19,15 @@
 //               the run identity (for the merged report header) and the
 //               attempt's final aggregates.
 //
-// Metric entries travel with their kind and stability because the run
-// report's JSON flattens counters and gauges to bare numbers: a merge
-// must know whether to add or max, so the protocol cannot reuse the
-// report schema. Decoders return Expected (never throw): a half-dead
-// worker writing garbage must read as a strike, not a coordinator crash.
+// The aggregates travel in the run report's own section shapes, written
+// and read by the obs/ codecs next to each type: "attribution", "drift"
+// and "selector" are byte for byte what write_report_json emits for the
+// same aggregates, and "info" holds the report header's members. Metric
+// entries use the --metrics dump's per-entry shape instead of the
+// report's bare numbers, because a merge must know each entry's kind
+// (add or max) and stability. Decoders return Expected (never throw): a
+// half-dead worker writing garbage must read as a strike, not a
+// coordinator crash.
 
 #include <cstdint>
 #include <string>
@@ -34,6 +38,7 @@
 #include "obs/json_read.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/selector.hpp"
 #include "resilience/error.hpp"
 
 namespace dxbsp::svc {
@@ -137,9 +142,8 @@ struct AggregatesMsg {
   bool has_drift = false;
   obs::DriftDetector::Snapshot drift;
   /// Engine-selection rows for the covered points (obs/selector.hpp);
-  /// empty when the attempt ran no supersteps. Decoded tolerantly: a
-  /// payload without the field (older worker) reads as empty.
-  std::vector<obs::SelectorRow> selector;
+  /// empty when the attempt ran no supersteps.
+  obs::SelectorLog::Snapshot selector;
 };
 
 struct ResultMsg {

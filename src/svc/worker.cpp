@@ -254,7 +254,7 @@ AggregatesMsg WorkerContext::aggregates_now(std::uint64_t covered) const {
     agg.has_drift = true;
     agg.drift = drift_->snapshot();
   }
-  if (selector_ != nullptr) agg.selector = selector_->snapshot().rows;
+  if (selector_ != nullptr) agg.selector = selector_->snapshot();
   return agg;
 }
 

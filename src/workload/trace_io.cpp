@@ -1,69 +1,87 @@
 #include "workload/trace_io.hpp"
 
-#include <array>
-#include <fstream>
+#include <algorithm>
+#include <cstring>
 #include <sstream>
+#include <string_view>
+
+#include "resilience/framed_file.hpp"
 
 namespace dxbsp::workload {
 
 namespace {
-constexpr std::array<char, 8> kMagic = {'d', 'x', 'b', 's',
-                                        'p', 't', 'r', '1'};
-}  // namespace
 
-void save_trace(const std::string& path,
-                const std::vector<std::uint64_t>& addrs) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) raise(ErrorCode::kIo, "save_trace: cannot open " + path);
-  os.write(kMagic.data(), kMagic.size());
-  const std::uint64_t count = addrs.size();
-  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  os.write(reinterpret_cast<const char*>(addrs.data()),
-           static_cast<std::streamsize>(count * sizeof(std::uint64_t)));
-  if (!os) raise(ErrorCode::kIo, "save_trace: write failed for " + path);
+using resilience::load_le;
+using resilience::store_le;
+
+constexpr std::string_view kMagic = "dxbsptr2";
+constexpr std::string_view kRetiredMagic = "dxbsptr1";
+constexpr std::size_t kCountAt = 8;
+constexpr std::size_t kCrcAt = 16;
+constexpr std::size_t kHeaderBytes = 20;
+
+Error corrupt(const std::string& origin, const std::string& what) {
+  return Error(ErrorCode::kCorruptInput, "load_trace: " + origin + ": " + what);
 }
 
-Expected<std::vector<std::uint64_t>> try_load_trace(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Error(ErrorCode::kIo, "load_trace: cannot open " + path);
-  std::array<char, 8> magic{};
-  is.read(magic.data(), magic.size());
-  if (!is || magic != kMagic)
-    return Error(ErrorCode::kCorruptInput,
-                 "load_trace: bad magic in " + path);
-  std::uint64_t count = 0;
-  is.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!is)
-    return Error(ErrorCode::kCorruptInput,
-                 "load_trace: truncated header in " + path);
+}  // namespace
+
+std::vector<unsigned char> encode_trace(std::span<const std::uint64_t> addrs) {
+  // The addresses' native bytes are their little-endian encoding on the
+  // hosts framed_file.hpp admits, so the payload is one copy.
+  std::vector<unsigned char> out(kHeaderBytes + addrs.size_bytes());
+  std::copy(kMagic.begin(), kMagic.end(), out.begin());
+  store_le(out.data() + kCountAt, std::uint64_t{addrs.size()});
+  if (!addrs.empty())
+    std::memcpy(out.data() + kHeaderBytes, addrs.data(), addrs.size_bytes());
+  resilience::seal_crc(out, kCrcAt);
+  return out;
+}
+
+Expected<std::vector<std::uint64_t>> parse_trace(
+    std::span<const unsigned char> bytes, const std::string& origin) {
+  const std::string_view head = resilience::text_view(
+      bytes.first(std::min(bytes.size(), kMagic.size())));
+  if (head == kRetiredMagic)
+    return corrupt(origin, "a dxbsptr1 trace: that version (no CRC) is "
+                           "retired; regenerate the trace with save_trace");
+  if (head != kMagic) return corrupt(origin, "bad magic (not a dxbsp trace)");
+  if (bytes.size() < kHeaderBytes)
+    return corrupt(origin, "truncated header (" +
+                               std::to_string(bytes.size()) + " bytes)");
 
   // The header count is untrusted input: validate it against the bytes
   // actually present before allocating, so a corrupt or truncated trace
   // fails cleanly instead of attempting a count*8-byte allocation.
-  const std::streampos data_begin = is.tellg();
-  is.seekg(0, std::ios::end);
-  const std::streampos file_end = is.tellg();
-  if (data_begin < 0 || file_end < 0)
-    return Error(ErrorCode::kIo, "load_trace: cannot size " + path);
-  const auto remaining =
-      static_cast<std::uint64_t>(file_end - data_begin);
-  if (count > remaining / sizeof(std::uint64_t) ||
-      remaining != count * sizeof(std::uint64_t)) {
-    std::ostringstream msg;
-    msg << "load_trace: header claims " << count << " words ("
-        << count << "*8 bytes) but " << path << " holds " << remaining
-        << " payload bytes (corrupt or truncated trace)";
-    return Error(ErrorCode::kCorruptInput, msg.str());
-  }
-  is.seekg(data_begin);
+  const auto count = load_le<std::uint64_t>(bytes.data() + kCountAt);
+  const std::uint64_t payload = bytes.size() - kHeaderBytes;
+  if (count > payload / sizeof(std::uint64_t) ||
+      payload != count * sizeof(std::uint64_t))
+    return corrupt(origin, "header claims " + std::to_string(count) +
+                               " words (" + std::to_string(count) +
+                               "*8 bytes) but the file holds " +
+                               std::to_string(payload) +
+                               " payload bytes (corrupt or truncated trace)");
+  if (const std::string bad = resilience::crc_mismatch(bytes, kCrcAt);
+      !bad.empty())
+    return corrupt(origin, bad);
 
   std::vector<std::uint64_t> addrs(count);
-  is.read(reinterpret_cast<char*>(addrs.data()),
-          static_cast<std::streamsize>(count * sizeof(std::uint64_t)));
-  if (!is && count > 0)
-    return Error(ErrorCode::kCorruptInput,
-                 "load_trace: truncated data in " + path);
+  if (count != 0)
+    std::memcpy(addrs.data(), bytes.data() + kHeaderBytes, payload);
   return addrs;
+}
+
+void save_trace(const std::string& path,
+                const std::vector<std::uint64_t>& addrs) {
+  resilience::publish(path, encode_trace(addrs),
+                      resilience::Durability::kFsync);
+}
+
+Expected<std::vector<std::uint64_t>> try_load_trace(const std::string& path) {
+  auto bytes = resilience::read_file(path);
+  if (!bytes.ok()) return bytes.error();
+  return parse_trace(bytes.value(), path);
 }
 
 std::vector<std::uint64_t> load_trace(const std::string& path) {

@@ -7,9 +7,20 @@
 // externally produced traces imported) without regenerating workloads:
 // a small binary format for bulk data and a one-address-per-line text
 // format for interchange.
+//
+// Binary layout (little-endian), a framed file (resilience/framed_file):
+//
+//   u8  magic[8]  "dxbsptr2" (the trailing digit is the version)
+//   u64 count     address count, checked against the file size
+//   u32 crc32     IEEE CRC-32 over every byte after this field
+//   u64 addrs[count]
+//
+// Version 1 ("dxbsptr1": magic and count, no CRC) is retired; loading a
+// v1 file fails with a message that says so.
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,8 +28,8 @@
 
 namespace dxbsp::workload {
 
-/// Writes the trace in the library's binary format (magic, version,
-/// count, raw little-endian words). Throws Error{kIo} on I/O failure.
+/// Publishes the trace in the binary format (fsync, then tmp -> rename,
+/// so `path` never holds a torn trace). Throws Error{kIo} on failure.
 void save_trace(const std::string& path,
                 const std::vector<std::uint64_t>& addrs);
 
@@ -31,6 +42,16 @@ void save_trace(const std::string& path,
 /// Throwing form of try_load_trace for call sites that treat a missing
 /// or corrupt trace as fatal.
 [[nodiscard]] std::vector<std::uint64_t> load_trace(const std::string& path);
+
+/// The binary format's bytes for `addrs`.
+[[nodiscard]] std::vector<unsigned char> encode_trace(
+    std::span<const std::uint64_t> addrs);
+
+/// Parses bytes in the binary format. The count is checked against the
+/// bytes present before anything is allocated from it; every failure is
+/// Error{kCorruptInput} naming `origin`.
+[[nodiscard]] Expected<std::vector<std::uint64_t>> parse_trace(
+    std::span<const unsigned char> bytes, const std::string& origin);
 
 /// Writes one decimal address per line (interchange/text form).
 void save_trace_text(std::ostream& os,

@@ -182,6 +182,20 @@ TEST(TraceIo, BinaryEmptyTraceRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(TraceIo, BinaryRefusesRetiredV1Format) {
+  // dxbsptr1: magic and count, then the words, with no CRC.
+  std::vector<unsigned char> v1 = {'d', 'x', 'b', 's', 'p', 't', 'r', '1',
+                                   1, 0, 0, 0, 0, 0, 0, 0};
+  v1.resize(v1.size() + 8, 0x2a);
+  const auto res = workload::parse_trace(v1, "old.bin");
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.error().code(), ErrorCode::kCorruptInput);
+  const std::string what = res.error().what();
+  EXPECT_NE(what.find("old.bin"), std::string::npos) << what;
+  EXPECT_NE(what.find("dxbsptr1"), std::string::npos) << what;
+  EXPECT_NE(what.find("retired"), std::string::npos) << what;
+}
+
 TEST(TraceIo, TextRoundTripWithComments) {
   const std::vector<std::uint64_t> addrs = {0, 7, 123456789012345ULL};
   std::stringstream ss;

@@ -402,7 +402,7 @@ TEST(ReportV3, FleetAndPostMortemSectionsRender) {
   obs::write_report_csv(csv, info, metrics, nullptr, nullptr, nullptr,
                         nullptr, nullptr, &pm, &fleet);
   EXPECT_NE(csv.str().find("fleet,svc.leases_granted,3"), std::string::npos);
-  EXPECT_NE(csv.str().find("post_mortem,shard_1/4.last_phase,point"),
+  EXPECT_NE(csv.str().find("post_mortem,deaths.0.last_phase,point"),
             std::string::npos);
 }
 

@@ -1,13 +1,13 @@
 // Framed-file tests (docs/resilience.md §framed files): one corruption
-// harness over the four on-disk formats, a golden encoding per format,
+// harness over the five on-disk formats, a golden encoding per format,
 // the CRC-32 against a reference, and the shared publish helpers.
 //
 // The harness runs every truncation and every single-bit flip of a valid
-// encoding through the format's own parse, in memory. DXSNAP01, DXSPL1
-// and DXSVCW1 must reject every mutant with their error code. A DXFDR1
-// ring tolerates torn slots by design, so a mutant may decode; it must
-// never throw, keep the ring's geometry, and hold only records that were
-// written, with identical fields.
+// encoding through the format's own parse, in memory. DXSNAP01, DXSPL1,
+// DXSVCW1 and dxbsptr2 traces must reject every mutant with their error
+// code. A DXFDR1 ring tolerates torn slots by design, so a mutant may
+// decode; it must never throw, keep the ring's geometry, and hold only
+// records that were written, with identical fields.
 
 #include <algorithm>
 #include <chrono>
@@ -28,6 +28,7 @@
 #include "stream/spill_store.hpp"
 #include "svc/wire.hpp"
 #include "test_tmp.hpp"
+#include "workload/trace_io.hpp"
 
 namespace {
 
@@ -121,6 +122,18 @@ Format wire_format() {
   return f;
 }
 
+Format trace_format() {
+  Format f;
+  f.bytes = workload::encode_trace(std::vector<std::uint64_t>{
+      7, 0x9e3779b97f4a7c15ULL, 0, 1ULL << 40});
+  f.pinned = f.bytes;
+  f.code = ErrorCode::kCorruptInput;
+  f.parse = [](std::span<const unsigned char> m, const std::string& label) {
+    return error_of(workload::parse_trace(m, label));
+  };
+  return f;
+}
+
 constexpr std::uint64_t kRingSlots = 7;  // odd: low slots-field bits set
 
 Format flight_format() {
@@ -202,6 +215,7 @@ TEST(FramedCorruption, Snapshot) { run_harness(snapshot_format()); }
 TEST(FramedCorruption, Spill) { run_harness(spill_format()); }
 TEST(FramedCorruption, Wire) { run_harness(wire_format()); }
 TEST(FramedCorruption, Flight) { run_harness(flight_format()); }
+TEST(FramedCorruption, Trace) { run_harness(trace_format()); }
 
 // Length and CRC-32 of each fixture's encoding, taken from the encoders
 // before they moved onto resilience/framed_file: any change to the bytes
@@ -219,6 +233,10 @@ TEST(FramedGolden, Wire) { expect_golden(wire_format(), 40, 0x1c6162f0U); }
 TEST(FramedGolden, Flight) {
   expect_golden(flight_format(), 512, 0x8e0fb174U);
 }
+// The dxbsptr2 trace format was born on framed_file, so its constants
+// come from an independent encoder instead: the same layout built with
+// Python's struct and zlib.crc32 gives these 52 bytes and this CRC.
+TEST(FramedGolden, Trace) { expect_golden(trace_format(), 52, 0x868153e3U); }
 
 // A 4 KiB spill payload: long enough that crc32's word loop and the
 // codec's payload copy carry most of the bytes (the Spill fixture above

@@ -375,19 +375,141 @@ TEST(Report, TimelineSummarizesTracks) {
   EXPECT_NE(json.find("\"superstep_cycles\": 321"), std::string::npos);
 }
 
+// RFC 4180 records of a CSV document (quoted fields may hold commas,
+// doubled quotes and line breaks).
+std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> row;
+  std::string field;
+  bool quoted = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted) {
+      if (c != '"') {
+        field += c;
+      } else if (i + 1 < text.size() && text[i + 1] == '"') {
+        field += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      row.push_back(std::move(field));
+      field.clear();
+    } else if (c == '\n') {
+      row.push_back(std::move(field));
+      field.clear();
+      rows.push_back(std::move(row));
+      row.clear();
+    } else {
+      field += c;
+    }
+  }
+  return rows;
+}
+
+// Every scalar leaf of `v` as {section, dotted path, JSON text}.
+void json_leaves(const obs::JsonValue& v, const std::string& section,
+                 const std::string& path,
+                 std::vector<std::vector<std::string>>& out) {
+  const auto child = [&](const std::string& k) {
+    return path.empty() ? k : path + "." + k;
+  };
+  if (v.is_object()) {
+    for (const auto& [k, m] : v.members())
+      json_leaves(m, section, child(k), out);
+  } else if (v.is_array()) {
+    for (std::size_t i = 0; i < v.items().size(); ++i)
+      json_leaves(v.items()[i], section, child(std::to_string(i)), out);
+  } else if (v.is_string()) {
+    out.push_back({section, path, v.as_string()});
+  } else if (v.is_number()) {
+    out.push_back({section, path, v.raw_number()});
+  } else if (v.is_null()) {
+    out.push_back({section, path, "null"});
+  } else {
+    out.push_back({section, path, v.as_bool() ? "true" : "false"});
+  }
+}
+
 TEST(Report, CsvTwinCarriesSameContent) {
   obs::MetricsRegistry reg;
   reg.counter("sim.cycles").add(77);
   reg.counter("pool.x", obs::Stability::kHost).add(1);
+  const std::vector<std::uint64_t> bounds = {1, 10};
+  reg.histogram("lat,ency", bounds).observe(5);
   obs::RunInfo info;
   info.bench = "csv bench";
+  info.description = "a \"quoted\", two-line\ndescription";
   info.seed = 3;
+  info.flags.emplace_back("n", "64");
   std::ostringstream os;
   obs::write_report_csv(os, info, reg, nullptr);
   const std::string csv = os.str();
-  EXPECT_NE(csv.find("metric,sim.cycles,77"), std::string::npos);
+  EXPECT_NE(csv.find("metrics,sim.cycles,77"), std::string::npos);
   EXPECT_EQ(csv.find("pool.x"), std::string::npos);
   EXPECT_NE(csv.find("run,bench,csv bench"), std::string::npos);
+
+  // One data row per JSON leaf, same values, in document order, with
+  // every section the writers know present.
+  obs::AttributionAggregate agg;
+  obs::BankLoadSketch sketch;
+  sketch.observe(3);
+  agg.record(obs::CostBreakdown{.issue_gap = 4, .bank_service = 6}, sketch, 2,
+             10);
+  obs::DriftDetector det(obs::DriftConfig{0.25});
+  const auto cfg = sim::MachineConfig::test_machine();
+  obs::DriftSample sample;
+  sample.cycles = 500;
+  sample.n = 100;
+  sample.h_proc = 25;
+  sample.h_bank = 7;
+  sample.mapping = "hashed, seed 7";
+  sample.config = &cfg;
+  det.observe(sample);
+  obs::SelectorLog selector;
+  selector.record(obs::SelectorRow{.n = 100, .measured = 500});
+  obs::DegradedInfo degraded;
+  degraded.poisoned_shards = 1;
+  degraded.shards.push_back({"2/4", 2, 0, 3, "killed", "bench --shard=2/4"});
+  obs::PostMortemInfo pm;
+  pm.harvests.push_back({"1/4", 0, "signal 9", "point", 1, 2, 0,
+                         {{"phase", "point", 1, 5, 1, 2, 3, 4}}});
+  obs::MetricsRegistry fleet;
+  fleet.counter("svc.retries", obs::Stability::kHost).add(1);
+  obs::Tracer tracer(8);
+  tracer.track(5).record({0, 321, 64, 0, obs::TraceKind::kSuperstep});
+
+  std::ostringstream json_os, csv_os;
+  obs::write_report_json(json_os, info, reg, &tracer, &agg, &det, &selector,
+                         &degraded, &pm, &fleet);
+  obs::write_report_csv(csv_os, info, reg, &tracer, &agg, &det, &selector,
+                        &degraded, &pm, &fleet);
+  const auto doc = obs::JsonValue::parse(json_os.str(), "report").value();
+  std::vector<std::vector<std::string>> leaves;
+  for (const auto& [key, v] : doc.members()) {
+    if (v.is_object() || v.is_array()) {
+      json_leaves(v, key, "", leaves);
+    } else {
+      json_leaves(v, "run", key, leaves);
+    }
+  }
+  auto rows = parse_csv(csv_os.str());
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.front(),
+            (std::vector<std::string>{"section", "key", "value"}));
+  rows.erase(rows.begin());
+  EXPECT_EQ(rows, leaves);
+  std::vector<std::string> sections;
+  for (const auto& row : rows)
+    if (sections.empty() || sections.back() != row[0])
+      sections.push_back(row[0]);
+  EXPECT_EQ(sections,
+            (std::vector<std::string>{"run", "flags", "fleet", "post_mortem",
+                                      "metrics", "attribution", "drift",
+                                      "selector", "degraded", "timeline"}));
 }
 
 TEST(CsvEscape, PassesPlainFieldsThrough) {
@@ -414,9 +536,9 @@ TEST(CsvEscape, ReportCsvRowsSurviveHostileNames) {
   std::ostringstream os;
   obs::write_report_csv(os, info, reg, nullptr);
   const std::string csv = os.str();
-  EXPECT_NE(csv.find("metric,\"evil,metric \"\"x\"\"\",5"),
+  EXPECT_NE(csv.find("metrics,\"evil,metric \"\"x\"\"\",5"),
             std::string::npos);
-  EXPECT_NE(csv.find("flag,\"with,comma\",\"v,1\""), std::string::npos);
+  EXPECT_NE(csv.find("flags,\"with,comma\",\"v,1\""), std::string::npos);
 
   // Round-trip: parse each line as RFC 4180 and count fields.
   std::istringstream lines(csv);

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,10 +15,13 @@
 
 #include "obs/attribution.hpp"
 #include "obs/drift.hpp"
+#include "obs/report.hpp"
+#include "obs/selector.hpp"
 #include "resilience/error.hpp"
 #include "resilience/shard.hpp"
 #include "resilience/snapshot.hpp"
 #include "resilience/sweep.hpp"
+#include "sim/machine_config.hpp"
 #include "svc/chaos.hpp"
 #include "svc/payload.hpp"
 #include "svc/wire.hpp"
@@ -346,6 +350,138 @@ TEST(Payload, AggregatesRoundTripIncludingHistogramsAndDrift) {
       svc::kMsgAggregates, svc::encode_aggregates(no_drift),
       svc::decode_aggregates);
   EXPECT_FALSE(r2.has_drift);
+}
+
+// The attribution, drift and selector objects of an aggregates message
+// are the run report's sections: same writer, same depth, same bytes.
+TEST(Payload, AggregatesSectionsAreTheRunReportSections) {
+  obs::AttributionAggregate attribution;
+  obs::CostBreakdown terms;
+  terms.issue_gap = 40;
+  terms.bank_service = 60;
+  obs::BankLoadSketch sketch;
+  for (const std::uint64_t load : {0, 3, 3, 70}) sketch.observe(load);
+  attribution.record(terms, sketch, 5, 100);
+
+  obs::DriftDetector drift(obs::DriftConfig{0.25});
+  const auto cfg = sim::MachineConfig::test_machine();
+  obs::DriftSample sample;
+  sample.track = 2;
+  sample.step = 1;
+  sample.cycles = 5000;
+  sample.n = 1000;
+  sample.h_proc = 250;
+  sample.h_bank = 70;
+  sample.location_contention = 3;
+  sample.breakdown = terms;
+  sample.mapping = "interleaved";
+  sample.config = &cfg;
+  drift.observe(sample);
+
+  obs::SelectorLog selector;
+  obs::SelectorRow row;
+  row.track = 2;
+  row.step = 1;
+  row.n = 1000;
+  row.eligible_soa = true;
+  row.choice = obs::EngineChoice::kSoA;
+  row.measured = 5000;
+  selector.record(row);
+  row.step = 0;
+  row.forced = true;
+  row.choice = obs::EngineChoice::kHeap;
+  selector.record(row);
+
+  std::ostringstream report;
+  obs::MetricsRegistry reg;
+  obs::write_report_json(report, obs::RunInfo{}, reg, nullptr, &attribution,
+                         &drift, &selector);
+  svc::AggregatesMsg m;
+  m.attribution = attribution.snapshot();
+  m.has_drift = true;
+  m.drift = drift.snapshot();
+  m.selector = selector.snapshot();
+  const std::string wire = svc::encode_aggregates(m);
+
+  // A top-level member's object runs from its key to the first closing
+  // brace back at the two-space indent.
+  const auto section = [](const std::string& doc, const std::string& key) {
+    const std::size_t begin = doc.find("\n  \"" + key + "\": {");
+    const std::size_t end = doc.find("\n  }", begin);
+    EXPECT_NE(begin, std::string::npos) << key;
+    EXPECT_NE(end, std::string::npos) << key;
+    return doc.substr(begin, end - begin);
+  };
+  for (const char* key : {"attribution", "drift", "selector"}) {
+    EXPECT_EQ(section(wire, key), section(report.str(), key)) << key;
+    EXPECT_GT(section(wire, key).size(), 100u) << key;
+  }
+}
+
+// Corrupting one member of an encoded aggregates message must fail the
+// decode with kCorruptInput, naming the member.
+void expect_rejected(const std::string& json, const std::string& from,
+                     const std::string& to, const std::string& why) {
+  std::string bad = json;
+  const std::size_t at = bad.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  bad.replace(at, from.size(), to);
+  const auto doc = obs::JsonValue::parse(bad, "test");
+  ASSERT_TRUE(doc.ok()) << doc.error().what();
+  const auto agg = svc::decode_aggregates(doc.value());
+  ASSERT_FALSE(agg.ok()) << "accepted " << to;
+  EXPECT_EQ(agg.error().code(), ErrorCode::kCorruptInput);
+  EXPECT_NE(std::string(agg.error().what()).find(why), std::string::npos)
+      << agg.error().what();
+}
+
+std::string encoded_sample_with_selector() {
+  svc::AggregatesMsg m = sample_aggregates();
+  obs::SelectorRow row;
+  row.choice = obs::EngineChoice::kDense;
+  m.selector.rows.push_back(row);
+  return svc::encode_aggregates(m);
+}
+
+TEST(Payload, RejectsArrayItemsThatAreNotNumbers) {
+  const std::string json = encoded_sample_with_selector();
+  // A bank-load count and a histogram bucket used to read as 0.
+  expect_rejected(json, "\"counts\": [\n        3,",
+                  "\"counts\": [\n        \"x\",", "counts");
+  expect_rejected(json, "\"counts\": [\n        10,",
+                  "\"counts\": [\n        \"x\",", "counts");
+  expect_rejected(json, "\"bounds\": [\n        1,",
+                  "\"bounds\": [\n        true,", "bounds");
+}
+
+TEST(Payload, RejectsHistogramCountsThatDoNotMatchBounds) {
+  const std::string json = encoded_sample_with_selector();
+  // One bucket short: Histogram::add_counts would throw kConfig only when
+  // the coordinator merged it, after every shard had finished.
+  expect_rejected(json, "\"counts\": [\n        10,\n", "\"counts\": [\n",
+                  "buckets");
+  expect_rejected(json, "\"bounds\": [\n        1,\n        2,",
+                  "\"bounds\": [\n        2,\n        1,", "sorted");
+}
+
+TEST(Payload, RejectsUnknownSelectorChoice) {
+  const std::string json = encoded_sample_with_selector();
+  expect_rejected(json, "\"choice\": \"dense\"", "\"choice\": \"warp\"",
+                  "unknown choice 'warp'");
+}
+
+TEST(Payload, RejectsForeignSectionSchemaVersions) {
+  const std::string json = encoded_sample_with_selector();
+  for (const char* section : {"attribution", "drift", "selector"}) {
+    const std::string key = std::string("\"") + section + "\": {";
+    const std::string current = "\n    \"schema_version\": 2,";
+    expect_rejected(json, key + current, key + "\n    \"schema_version\": 3,",
+                    std::string(section) + ": schema_version 3");
+  }
+  expect_rejected(json, "\"kind\": \"gauge\"", "\"kind\": \"meter\"",
+                  "unknown kind 'meter'");
+  expect_rejected(json, "\"stability\": \"deterministic\"",
+                  "\"stability\": \"fickle\"", "unknown stability");
 }
 
 TEST(Payload, ResultRoundTrips) {
