@@ -557,7 +557,9 @@ echo "flight ring decodes standalone; stitched timeline is valid JSON"
 
 # Live telemetry: sweep_top --once must render a running fleet and exit
 # 0. The fleet runs in the background; fleet.status appears on the
-# coordinator's first status publication.
+# coordinator's first status publication. The frame has the fleet line,
+# an ETA line and one table row per shard, all from fleet.status: the
+# fleet writes no other live-status file.
 "$COORD" --quiet --workers=2 --shards=4 --dir="$SMOKE/fleet-live" \
   -- "$OBS_BENCH" "${OBS_ARGS[@]}" > /dev/null &
 FLEET_PID=$!
@@ -568,7 +570,18 @@ done
 ./build-ci/tools/sweep_top --once --dir="$SMOKE/fleet-live" \
   > "$SMOKE/sweep_top.txt"
 grep -q "fleet:" "$SMOKE/sweep_top.txt"
+grep -q "^eta: " "$SMOKE/sweep_top.txt"
+ROWS=$(grep -cE '^ *[0-9]+/4 ' "$SMOKE/sweep_top.txt" || true)
+if [[ "$ROWS" -ne 4 ]]; then
+  echo "sweep_top printed $ROWS shard rows, expected 4"
+  cat "$SMOKE/sweep_top.txt"
+  exit 1
+fi
 wait "$FLEET_PID"
+if compgen -G "$SMOKE/fleet-live/*.telem" > /dev/null; then
+  echo "the fleet directory holds a *.telem file"
+  exit 1
+fi
 echo "sweep_top rendered the live fleet (and the fleet completed)"
 
 # The trend reader degrades gracefully when no baselines match: a clear

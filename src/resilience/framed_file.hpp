@@ -87,8 +87,8 @@ void append_le(std::vector<unsigned char>& out, T v) {
 /// new bytes, never an empty or torn file.
 ///
 /// kRenameOnly (wire messages): rename alone already makes a publish
-/// atomic against process death, and a worker rewrites its heartbeat and
-/// telemetry every 50 ms. A wire file is never the durable record: the
+/// atomic against process death, and a worker rewrites its heartbeat
+/// every 50 ms. A wire file is never the durable record: the
 /// worker's fsynced shard checkpoint is. A torn or missing result
 /// message fails the attempt and the shard is leased again
 /// (Coordinator::on_result), and torn partial aggregates are ignored

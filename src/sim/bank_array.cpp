@@ -30,13 +30,6 @@ BankArray::BankArray(std::uint64_t num_banks, std::uint64_t delay,
   }
 }
 
-void BankArray::poll_cancel() {
-  if (cancel_ != nullptr && (total_ & 0xFFFFU) == 0) {
-    cancel_->heartbeat();
-    cancel_->raise_if_expired("BankArray::serve");
-  }
-}
-
 std::uint64_t BankArray::occupy(std::uint64_t bank, std::uint64_t arrival,
                                 std::uint64_t busy) {
   // Serve on the earliest-free port of the bank. Single-port banks (the
@@ -63,7 +56,6 @@ std::uint64_t BankArray::occupy(std::uint64_t bank, std::uint64_t arrival,
 std::uint64_t BankArray::serve(std::uint64_t bank, std::uint64_t arrival,
                                std::uint64_t busy_scale) {
   ++total_;
-  poll_cancel();
   if (busy_scale > 1) degraded_cycles_ += delay_ * (busy_scale - 1);
   return occupy(bank, arrival, delay_ * busy_scale);
 }
@@ -72,7 +64,6 @@ std::uint64_t BankArray::serve_addr(std::uint64_t bank, std::uint64_t arrival,
                                     std::uint64_t addr,
                                     std::uint64_t busy_scale) {
   ++total_;
-  poll_cancel();
 
   if (combining_) {
     const std::uint64_t* pend = pending_.find(addr);
@@ -121,10 +112,6 @@ void BankArray::finish_chain(const std::uint64_t* counts, std::uint64_t total,
   total_ += total;
   last_start_ = final_start;
   last_combined_ = false;
-  if (cancel_ != nullptr) {
-    cancel_->heartbeat();
-    cancel_->raise_if_expired("BankArray::finish_chain");
-  }
 }
 
 void BankArray::publish(obs::MetricsRegistry& reg) const {

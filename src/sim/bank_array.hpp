@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "resilience/cancel.hpp"
 #include "util/flat_map.hpp"
 
 namespace dxbsp::obs {
@@ -131,17 +130,7 @@ class BankArray {
   /// capacity is kept across resets either way.
   void reset(std::size_t expected_requests = 0);
 
-  /// Attaches a cancellation token (non-owning; nullptr detaches). The
-  /// serve paths poll it every 64Ki requests and abort with
-  /// Error{kInterrupted} once it trips, so even a bank-level hot loop
-  /// driven outside Machine::run stops promptly.
-  void set_cancel(const resilience::CancelToken* token) noexcept {
-    cancel_ = token;
-  }
-
  private:
-  void poll_cancel();
-
   std::uint64_t occupy(std::uint64_t bank, std::uint64_t arrival,
                        std::uint64_t busy);
 
@@ -163,7 +152,6 @@ class BankArray {
   // pruned lazily (the `> arrival` check ignores them).
   util::FlatMap64 pending_;
 
-  const resilience::CancelToken* cancel_ = nullptr;
   std::uint64_t max_load_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t hits_ = 0;

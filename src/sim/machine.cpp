@@ -1092,7 +1092,12 @@ BulkResult Machine::scatter_bulk_delivery(
   std::uint64_t makespan = 0;
   const std::span<const std::uint64_t> route =
       profile(addrs, /*ids_are_banks=*/false, res);
+  std::uint64_t events = 0;
   for (const std::uint64_t bank : route) {
+    if (cancel_ != nullptr && (++events & 0xFFFU) == 0) {
+      cancel_->heartbeat();
+      cancel_->raise_if_expired("Machine::scatter_bulk_delivery");
+    }
     const std::uint64_t served = banks_.serve(bank, config_.latency);
     makespan = std::max(makespan, served + config_.latency);
   }

@@ -191,14 +191,13 @@ class Machine {
   [[nodiscard]] EngineSelector& selector() noexcept { return selector_; }
 
   /// Attaches a cancellation token (non-owning; may outlive bulk ops but
-  /// must outlive the Machine's use of it). The event loop polls it
-  /// every few thousand events and aborts the bulk operation with
+  /// must outlive the Machine's use of it). Every bulk operation's loop
+  /// polls it every 4096 requests and aborts the operation with
   /// Error{kInterrupted} once it trips — and heartbeats it at the same
   /// cadence so a stall watchdog can tell "long run" from "wedged run".
   /// Pass nullptr to detach.
   void set_cancel(const resilience::CancelToken* token) noexcept {
     cancel_ = token;
-    banks_.set_cancel(token);
   }
 
   /// Attaches a trace ring (non-owning; must outlive the Machine's use

@@ -43,6 +43,21 @@ std::string basename_of(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
+/// The fleet lifecycle counters, under the one set of names both the
+/// merged report's `fleet` section and the global registry (the
+/// `--metrics` dump) use. Host-stability by nature: how often leases
+/// bounced depends on the machine, never on the workload.
+void add_fleet_counters(obs::MetricsRegistry& reg, const FleetReport& f) {
+  const auto host = obs::Stability::kHost;
+  reg.counter("svc.leases_granted", host).add(f.leases_granted);
+  reg.counter("svc.retries", host).add(f.retries);
+  reg.counter("svc.revocations", host).add(f.revocations);
+  reg.counter("svc.worker_deaths", host).add(f.worker_deaths);
+  reg.counter("svc.stalls", host).add(f.stalls);
+  reg.counter("svc.strikes", host).add(f.strikes);
+  reg.counter("svc.quarantined", host).add(f.degraded.poisoned_shards);
+}
+
 }  // namespace
 
 int FleetReport::exit_code() const noexcept {
@@ -86,13 +101,14 @@ struct Coordinator::ShardState {
 
   // Observability bookkeeping (opt_.observability only). flight/trace
   // paths are per-attempt so a dead attempt's artifacts survive its
-  // retry; telemetry is one live file per shard (latest attempt wins).
-  std::string flight_path, trace_path, telem_path;
+  // retry.
+  std::string flight_path, trace_path;
   std::uint64_t grant_us = 0;   ///< coordinator clock at the grant
   std::uint64_t offset_us = 0;  ///< min(rx − mono_us) over new beats
   bool saw_offset = false;
   std::uint64_t last_completed = 0;  ///< last heartbeat's progress
   std::uint64_t last_events = 0;     ///< last heartbeat's sim.requests
+  std::uint64_t last_beat_us = 0;    ///< last heartbeat's worker mono_us
   std::uint64_t updated_us = 0;      ///< coordinator clock at last news
 };
 
@@ -150,11 +166,9 @@ void Coordinator::grant(ShardState& s) {
                               std::to_string(s.attempt);
     lease.flight_path = astem + ".flight";
     lease.trace_path = astem + ".trace.json";
-    lease.telemetry_path = s.telem_path;
     lease.flight_bytes = opt_.flight_bytes;
     s.flight_path = lease.flight_path;
     s.trace_path = lease.trace_path;
-    std::remove(s.telem_path.c_str());
   }
   wire_write_file(s.lease_path, kMsgLease, encode_lease(lease));
   s.resume_base = s.banked;
@@ -206,6 +220,7 @@ void Coordinator::grant(ShardState& s) {
   s.offset_us = s.grant_us;
   s.last_completed = s.banked;
   s.last_events = 0;
+  s.last_beat_us = 0;
   s.updated_us = s.grant_us;
   if (elog_ != nullptr)
     elog_->instant("grant shard " + s.spec.str(), s.grant_us,
@@ -386,6 +401,7 @@ void Coordinator::check_stalls() {
           }
           s.last_completed = hb.value().completed;
           s.last_events = hb.value().events;
+          s.last_beat_us = mono;
           s.updated_us = rx;
           if (elog_ != nullptr)
             elog_->counter("shard " + s.spec.str() + " completed", rx,
@@ -518,6 +534,8 @@ void Coordinator::publish_fleet_status(bool force) {
     row.total = s.total;
     row.events = s.last_events;
     row.updated_us = s.updated_us;
+    row.resumed = s.resume_base;
+    row.beat_us = s.last_beat_us;
     m.points_total += row.total;
     m.points_completed += row.completed;
     m.rows.push_back(std::move(row));
@@ -526,7 +544,7 @@ void Coordinator::publish_fleet_status(bool force) {
     wire_write_file(opt_.dir + "/fleet.status", kMsgFleetStatus,
                     encode_fleet_status(m));
   } catch (const Error&) {
-    // Live telemetry only — never worth failing the fleet over.
+    // Live status only — never worth failing the fleet over.
   }
 }
 
@@ -608,7 +626,6 @@ FleetReport Coordinator::run() {
     s->agg_path = stem + ".agg";
     s->res_path = stem + ".res";
     s->snap_path = stem + ".snap";
-    s->telem_path = stem + ".telem";
     states_.push_back(std::move(s));
   }
 
@@ -738,23 +755,13 @@ void Coordinator::write_merged_reports() {
       fleet_.degraded.poisoned_shards > 0 ? &fleet_.degraded : nullptr;
   const obs::DriftDetector* drift_ptr = drift ? &*drift : nullptr;
 
-  // Fleet lifecycle counters (ISSUE satellite: the coordinator's own
-  // MetricsRegistry section). Host-stability by nature — how often
-  // leases bounced depends on the machine, never on the workload.
+  // The coordinator's own lifecycle counters: the report's `fleet`
+  // section.
   obs::MetricsRegistry fleet_metrics;
   const obs::MetricsRegistry* fleet_ptr = nullptr;
   const obs::PostMortemInfo* post_mortem = nullptr;
   if (opt_.observability) {
-    auto& fm = fleet_metrics;
-    const auto host = obs::Stability::kHost;
-    fm.counter("svc.leases_granted", host).add(fleet_.leases_granted);
-    fm.counter("svc.retries", host).add(fleet_.retries);
-    fm.counter("svc.revocations", host).add(fleet_.revocations);
-    fm.counter("svc.worker_deaths", host).add(fleet_.worker_deaths);
-    fm.counter("svc.stalls", host).add(fleet_.stalls);
-    fm.counter("svc.strikes", host).add(fleet_.strikes);
-    fm.counter("svc.quarantined", host)
-        .add(fleet_.degraded.poisoned_shards);
+    add_fleet_counters(fleet_metrics, fleet_);
     fleet_ptr = &fleet_metrics;
     if (!fleet_.post_mortem.empty()) post_mortem = &fleet_.post_mortem;
   }
@@ -774,19 +781,7 @@ void Coordinator::write_merged_reports() {
 }
 
 void Coordinator::publish_host_metrics() const {
-  // Fleet-shape accounting is host/execution-dependent by nature.
-  auto& reg = obs::MetricsRegistry::global();
-  reg.counter("svc.leases_granted", obs::Stability::kHost)
-      .add(fleet_.leases_granted);
-  reg.counter("svc.retries", obs::Stability::kHost).add(fleet_.retries);
-  reg.counter("svc.worker_deaths", obs::Stability::kHost)
-      .add(fleet_.worker_deaths);
-  reg.counter("svc.stalls", obs::Stability::kHost).add(fleet_.stalls);
-  reg.counter("svc.revocations", obs::Stability::kHost)
-      .add(fleet_.revocations);
-  reg.counter("svc.strikes", obs::Stability::kHost).add(fleet_.strikes);
-  reg.counter("svc.poisoned_shards", obs::Stability::kHost)
-      .add(fleet_.degraded.poisoned_shards);
+  add_fleet_counters(obs::MetricsRegistry::global(), fleet_);
 }
 
 }  // namespace dxbsp::svc

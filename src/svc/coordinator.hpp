@@ -68,7 +68,7 @@ struct CoordinatorOptions {
   bool handle_signals = true;  ///< route SIGINT/SIGTERM to a clean stop
   std::ostream* log = nullptr;  ///< progress lines (null = quiet)
   /// Fleet observability (docs/observability.md §fleet): per-attempt
-  /// flight rings + host-time traces, live telemetry/status files, a
+  /// flight rings + host-time traces, the live fleet.status file, a
   /// stitch manifest, and the "fleet"/"post_mortem" report sections.
   /// Off by default at the library level so existing byte-identity
   /// baselines hold; the sweep_coordinator CLI turns it on.

@@ -14,8 +14,8 @@ using obs::JsonWriter;
 // One writer and one reader of each message's members. They live in
 // namespace svc (internal linkage) so that obs::write_object and
 // JsonDecoder::read find them the way they find the obs aggregates'
-// write_json/read_json, which the aggregates and telemetry messages
-// embed in the run report's shapes.
+// write_json/read_json, which the aggregates message embeds in the run
+// report's shapes.
 
 static void write_json(JsonWriter& w, const LeaseMsg& m) {
   w.member("shard", m.shard);
@@ -30,7 +30,6 @@ static void write_json(JsonWriter& w, const LeaseMsg& m) {
   w.member("chaos", m.chaos);
   w.member("flight_path", m.flight_path);
   w.member("trace_path", m.trace_path);
-  w.member("telemetry_path", m.telemetry_path);
   w.member("flight_bytes", m.flight_bytes);
 }
 
@@ -51,8 +50,6 @@ static void read_json(JsonDecoder& d, LeaseMsg& m) {
     m.flight_path = fp->is_string() ? fp->as_string() : "";
   if (const JsonValue* tp = d.opt("trace_path"))
     m.trace_path = tp->is_string() ? tp->as_string() : "";
-  if (const JsonValue* mp = d.opt("telemetry_path"))
-    m.telemetry_path = mp->is_string() ? mp->as_string() : "";
   if (const JsonValue* fb = d.opt("flight_bytes"))
     m.flight_bytes = fb->is_number() ? fb->as_u64() : 0;
 }
@@ -79,28 +76,6 @@ static void read_json(JsonDecoder& d, HeartbeatMsg& m) {
     m.events = ev->is_number() ? ev->as_u64() : 0;
 }
 
-static void write_json(JsonWriter& w, const TelemetryMsg& m) {
-  w.member("shard", m.shard);
-  w.member("attempt", m.attempt);
-  w.member("mono_us", m.mono_us);
-  w.member("completed", m.completed);
-  w.member("resumed", m.resumed);
-  w.member("total", m.total);
-  w.member("events", m.events);
-  obs::write_object(w, "metrics", m.metrics);
-}
-
-static void read_json(JsonDecoder& d, TelemetryMsg& m) {
-  m.shard = d.str("shard");
-  m.attempt = d.u64("attempt");
-  m.mono_us = d.u64("mono_us");
-  m.completed = d.u64("completed");
-  m.resumed = d.u64("resumed");
-  m.total = d.u64("total");
-  m.events = d.u64("events");
-  d.read("metrics", m.metrics);
-}
-
 static void write_json(JsonWriter& w, const FleetStatusMsg::Shard& s) {
   w.member("shard", s.shard);
   w.member("phase", s.phase);
@@ -109,6 +84,8 @@ static void write_json(JsonWriter& w, const FleetStatusMsg::Shard& s) {
   w.member("total", s.total);
   w.member("events", s.events);
   w.member("updated_us", s.updated_us);
+  w.member("resumed", s.resumed);
+  w.member("beat_us", s.beat_us);
 }
 
 static void read_json(JsonDecoder& d, FleetStatusMsg::Shard& s) {
@@ -119,6 +96,8 @@ static void read_json(JsonDecoder& d, FleetStatusMsg::Shard& s) {
   s.total = d.u64("total");
   s.events = d.u64("events");
   s.updated_us = d.u64("updated_us");
+  s.resumed = d.u64("resumed");
+  s.beat_us = d.u64("beat_us");
 }
 
 static void write_json(JsonWriter& w, const FleetStatusMsg& m) {
@@ -240,7 +219,6 @@ std::string encode_lease(const LeaseMsg& m) { return encode(m); }
 std::string encode_heartbeat(const HeartbeatMsg& m) { return encode(m); }
 std::string encode_aggregates(const AggregatesMsg& m) { return encode(m); }
 std::string encode_result(const ResultMsg& m) { return encode(m); }
-std::string encode_telemetry(const TelemetryMsg& m) { return encode(m); }
 std::string encode_fleet_status(const FleetStatusMsg& m) { return encode(m); }
 
 Expected<LeaseMsg> decode_lease(const JsonValue& v) {
@@ -254,9 +232,6 @@ Expected<AggregatesMsg> decode_aggregates(const JsonValue& v) {
 }
 Expected<ResultMsg> decode_result(const JsonValue& v) {
   return decode<ResultMsg>(v, kMsgResult);
-}
-Expected<TelemetryMsg> decode_telemetry(const JsonValue& v) {
-  return decode<TelemetryMsg>(v, kMsgTelemetry);
 }
 Expected<FleetStatusMsg> decode_fleet_status(const JsonValue& v) {
   return decode<FleetStatusMsg>(v, kMsgFleetStatus);

@@ -1,5 +1,5 @@
 #pragma once
-// Typed payloads for the four sweep-coordinator protocol messages, with
+// Typed payloads for the five sweep-coordinator protocol messages, with
 // JSON codecs over the framed wire format (svc/wire.hpp):
 //
 //   lease       coordinator -> worker: your shard, attempt number, how
@@ -18,6 +18,9 @@
 //   result      worker -> coordinator: final outcome — the SweepReport,
 //               the run identity (for the merged report header) and the
 //               attempt's final aggregates.
+//   fleet_status
+//               coordinator -> sweep_top: the live view of every shard,
+//               built from the heartbeats the coordinator already reads.
 //
 // The aggregates travel in the run report's own section shapes, written
 // and read by the obs/ codecs next to each type: "attribution", "drift"
@@ -47,10 +50,8 @@ inline constexpr const char* kMsgLease = "lease";
 inline constexpr const char* kMsgHeartbeat = "heartbeat";
 inline constexpr const char* kMsgAggregates = "aggregates";
 inline constexpr const char* kMsgResult = "result";
-/// Fleet observability (docs/observability.md §fleet): `telemetry` is
-/// the worker's periodic metrics/progress snapshot for tools/sweep_top;
-/// `fleet_status` is the coordinator's merged live view of every shard.
-inline constexpr const char* kMsgTelemetry = "telemetry";
+/// Fleet observability (docs/observability.md §fleet): the coordinator's
+/// live view of every shard, the one file tools/sweep_top reads.
 inline constexpr const char* kMsgFleetStatus = "fleet_status";
 
 struct LeaseMsg {
@@ -69,9 +70,8 @@ struct LeaseMsg {
   std::string chaos;               ///< forwarded ChaosPlan spec ("" = none)
   // Observability outputs, all optional ("" / 0 = feature off). Decoded
   // tolerantly so a newer coordinator can lease to an older worker.
-  std::string flight_path;     ///< crash-safe flight ring (obs/flight.hpp)
-  std::string trace_path;      ///< host-time Chrome trace (obs/event_log.hpp)
-  std::string telemetry_path;  ///< periodic telemetry snapshot target
+  std::string flight_path;  ///< crash-safe flight ring (obs/flight.hpp)
+  std::string trace_path;   ///< host-time Chrome trace (obs/event_log.hpp)
   std::uint64_t flight_bytes = 0;  ///< ring size (0 = default)
 };
 
@@ -86,23 +86,8 @@ struct HeartbeatMsg {
   /// (obs/stitch.hpp). Tolerant: 0 from older workers.
   std::uint64_t mono_us = 0;
   /// Cumulative simulated events (sim.requests) this attempt — the
-  /// events/sec numerator for live telemetry. Tolerant: 0 when absent.
+  /// events/sec numerator for sweep_top. Tolerant: 0 when absent.
   std::uint64_t events = 0;
-};
-
-/// Worker -> sweep_top: periodic progress + metrics snapshot, published
-/// atomically alongside the heartbeat. Unlike aggregates it carries
-/// host-stability metrics too: live telemetry is allowed to see
-/// wall-clock truth that the deterministic report must not.
-struct TelemetryMsg {
-  std::string shard;
-  std::uint64_t attempt = 0;
-  std::uint64_t mono_us = 0;    ///< worker clock at the snapshot
-  std::uint64_t completed = 0;  ///< points done (resumed + computed)
-  std::uint64_t resumed = 0;    ///< of which resumed from prior attempts
-  std::uint64_t total = 0;
-  std::uint64_t events = 0;     ///< cumulative sim.requests this attempt
-  std::vector<obs::MetricsRegistry::Entry> metrics;
 };
 
 /// Coordinator -> sweep_top: the merged live view, republished on a
@@ -124,8 +109,12 @@ struct FleetStatusMsg {
     std::uint64_t attempt = 0;
     std::uint64_t completed = 0;
     std::uint64_t total = 0;
-    std::uint64_t events = 0;      ///< last telemetry events count
+    std::uint64_t events = 0;      ///< last heartbeat's sim.requests
     std::uint64_t updated_us = 0;  ///< coordinator clock at last news
+    std::uint64_t resumed = 0;     ///< banked points at the current grant
+    /// Worker clock (mono_us) of the last heartbeat accepted from the
+    /// current attempt: its wall time so far. 0 until the first beat.
+    std::uint64_t beat_us = 0;
   };
   std::vector<Shard> rows;  ///< by shard index
 };
@@ -164,7 +153,6 @@ struct ResultMsg {
 [[nodiscard]] std::string encode_heartbeat(const HeartbeatMsg& m);
 [[nodiscard]] std::string encode_aggregates(const AggregatesMsg& m);
 [[nodiscard]] std::string encode_result(const ResultMsg& m);
-[[nodiscard]] std::string encode_telemetry(const TelemetryMsg& m);
 [[nodiscard]] std::string encode_fleet_status(const FleetStatusMsg& m);
 
 [[nodiscard]] Expected<LeaseMsg> decode_lease(const obs::JsonValue& v);
@@ -172,7 +160,6 @@ struct ResultMsg {
 [[nodiscard]] Expected<AggregatesMsg> decode_aggregates(
     const obs::JsonValue& v);
 [[nodiscard]] Expected<ResultMsg> decode_result(const obs::JsonValue& v);
-[[nodiscard]] Expected<TelemetryMsg> decode_telemetry(const obs::JsonValue& v);
 [[nodiscard]] Expected<FleetStatusMsg> decode_fleet_status(
     const obs::JsonValue& v);
 

@@ -208,24 +208,6 @@ void WorkerContext::heartbeat_loop() {
       // A failed heartbeat write must not kill the worker; if it keeps
       // failing the coordinator sees a stall and revokes the lease.
     }
-    if (!lease_.telemetry_path.empty()) {
-      TelemetryMsg tm;
-      tm.shard = hb.shard;
-      tm.attempt = hb.attempt;
-      tm.mono_us = hb.mono_us;
-      tm.completed = hb.completed;
-      tm.resumed = lease_.resume_points;
-      tm.total = hb.total;
-      tm.events = hb.events;
-      tm.metrics =
-          obs::MetricsRegistry::global().snapshot(/*include_host=*/true);
-      try {
-        wire_write_file(lease_.telemetry_path, kMsgTelemetry,
-                        encode_telemetry(tm));
-      } catch (const Error&) {
-        // Telemetry is for live dashboards only — same policy as above.
-      }
-    }
     lock.lock();
     if (hb_cv_.wait_for(lock, period, [this] { return hb_stop_; })) return;
   }

@@ -169,6 +169,30 @@ TEST(Cancel, MachineRunStopsOnTrippedToken) {
   }
 }
 
+// The BSP-delivery ablation serves its whole route in one loop outside
+// the event engines; it polls the token at the same cadence.
+TEST(Cancel, ScatterBulkDeliveryStopsOnTrippedToken) {
+  sim::MachineConfig cfg;
+  cfg.name = "cancel";
+  cfg.processors = 4;
+  cfg.gap = 1;
+  cfg.latency = 8;
+  cfg.bank_delay = 4;
+  cfg.expansion = 2;
+  sim::Machine machine(cfg);
+  CancelToken token;
+  machine.set_cancel(&token);
+  const auto addrs = workload::uniform_random(1 << 14, 1ULL << 20, 3);
+  EXPECT_EQ(machine.scatter_bulk_delivery(addrs).n, addrs.size());
+  token.cancel();
+  try {
+    (void)machine.scatter_bulk_delivery(addrs);
+    FAIL() << "expected interruption";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInterrupted);
+  }
+}
+
 TEST(Cancel, ParallelForStopsAndReportsInterrupted) {
   util::ThreadPool pool(2);
   CancelToken token;

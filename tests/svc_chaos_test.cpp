@@ -22,6 +22,8 @@
 
 #include "obs/trace.hpp"
 #include "svc/coordinator.hpp"
+#include "svc/payload.hpp"
+#include "svc/wire.hpp"
 #include "test_tmp.hpp"
 
 namespace {
@@ -259,6 +261,18 @@ TEST(SvcChaos, ObservabilityKillHarvestsFlightTailIntoPostMortem) {
   EXPECT_TRUE(file_exists(dir + "/stitch.json"));
   EXPECT_TRUE(file_exists(dir + "/coordinator.trace.json"));
   EXPECT_TRUE(file_exists(dir + "/shard-1.attempt-0.flight"));
+
+  // sweep_top's one input: the retried shard's row carries the point the
+  // dead attempt banked as the current attempt's resume base.
+  const auto msg = svc::wire_read_file(dir + "/fleet.status",
+                                       svc::kMsgFleetStatus);
+  ASSERT_TRUE(msg.ok());
+  const auto status = svc::decode_fleet_status(msg.value());
+  ASSERT_TRUE(status.ok());
+  ASSERT_EQ(status.value().rows.size(), 4u);
+  EXPECT_EQ(status.value().rows[0].resumed, 0u);
+  EXPECT_EQ(status.value().rows[1].attempt, 1u);
+  EXPECT_EQ(status.value().rows[1].resumed, 1u);
 
   // Chaos or not, the deterministic sections still match the baseline.
   EXPECT_EQ(strip_host_sections(report),

@@ -530,8 +530,6 @@ TEST(Payload, DecodersReturnErrorsInsteadOfThrowing) {
   EXPECT_FALSE(agg.ok());
   const auto res = svc::decode_result(msg.value());
   EXPECT_FALSE(res.ok());
-  const auto tel = svc::decode_telemetry(msg.value());
-  EXPECT_FALSE(tel.ok());
   const auto fs = svc::decode_fleet_status(msg.value());
   EXPECT_FALSE(fs.ok());
 }
@@ -545,17 +543,15 @@ TEST(Payload, LeaseCarriesObservabilityPathsAndTolerateTheirAbsence) {
   m.result_path = "d/s.res";
   m.flight_path = "d/s.flight";
   m.trace_path = "d/s.trace.json";
-  m.telemetry_path = "d/s.telem";
   m.flight_bytes = 4096;
   const auto r = reencode<svc::LeaseMsg>(svc::kMsgLease, svc::encode_lease(m),
                                          svc::decode_lease);
   EXPECT_EQ(r.flight_path, "d/s.flight");
   EXPECT_EQ(r.trace_path, "d/s.trace.json");
-  EXPECT_EQ(r.telemetry_path, "d/s.telem");
   EXPECT_EQ(r.flight_bytes, 4096u);
 
-  // A pre-observability lease (no flight/trace/telemetry members) must
-  // still decode, with the features reading as off.
+  // A pre-observability lease (no flight/trace members) must still
+  // decode, with the features reading as off.
   const auto old = reencode<svc::LeaseMsg>(
       svc::kMsgLease,
       "{\"shard\":\"1/2\",\"attempt\":0,\"resume_points\":0,"
@@ -564,7 +560,6 @@ TEST(Payload, LeaseCarriesObservabilityPathsAndTolerateTheirAbsence) {
       "\"deadline_seconds\":0,\"hb_interval_seconds\":0.05,\"chaos\":\"\"}",
       svc::decode_lease);
   EXPECT_EQ(old.flight_path, "");
-  EXPECT_EQ(old.telemetry_path, "");
   EXPECT_EQ(old.flight_bytes, 0u);
 
   const auto old_hb = reencode<svc::HeartbeatMsg>(
@@ -576,35 +571,32 @@ TEST(Payload, LeaseCarriesObservabilityPathsAndTolerateTheirAbsence) {
   EXPECT_EQ(old_hb.events, 0u);
 }
 
+// The live per-shard telemetry sweep_top reads travels in fleet.status
+// rows: the attempt's resume base and its last heartbeat's worker clock
+// beside the progress and event counts.
 TEST(Payload, TelemetryRoundTrips) {
-  svc::TelemetryMsg m;
-  m.shard = "2/4";
-  m.attempt = 1;
-  m.mono_us = 123456;
-  m.completed = 5;
-  m.resumed = 2;
-  m.total = 9;
-  m.events = 70000;
-  obs::MetricsRegistry::Entry e;
-  e.name = "sim.requests";
-  e.kind = obs::MetricKind::kCounter;
-  e.stability = obs::Stability::kDeterministic;
-  e.value = 70000;
-  m.metrics.push_back(e);
-  e.name = "svc.worker.heartbeats";
-  e.stability = obs::Stability::kHost;
-  e.value = 12;
-  m.metrics.push_back(e);
-  const auto r = reencode<svc::TelemetryMsg>(
-      svc::kMsgTelemetry, svc::encode_telemetry(m), svc::decode_telemetry);
-  EXPECT_EQ(r.shard, "2/4");
-  EXPECT_EQ(r.mono_us, 123456u);
-  EXPECT_EQ(r.completed, 5u);
-  EXPECT_EQ(r.resumed, 2u);
-  EXPECT_EQ(r.events, 70000u);
-  ASSERT_EQ(r.metrics.size(), 2u);
-  EXPECT_EQ(r.metrics[0].name, "sim.requests");
-  EXPECT_EQ(r.metrics[1].stability, obs::Stability::kHost);
+  svc::FleetStatusMsg m;
+  m.shards = 4;
+  svc::FleetStatusMsg::Shard row;
+  row.shard = "2/4";
+  row.phase = "running";
+  row.attempt = 1;
+  row.completed = 5;
+  row.total = 9;
+  row.events = 70000;
+  row.updated_us = 4200;
+  row.resumed = 2;
+  row.beat_us = 123456;
+  m.rows.push_back(row);
+  const auto r = reencode<svc::FleetStatusMsg>(svc::kMsgFleetStatus,
+                                               svc::encode_fleet_status(m),
+                                               svc::decode_fleet_status);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0].shard, "2/4");
+  EXPECT_EQ(r.rows[0].completed, 5u);
+  EXPECT_EQ(r.rows[0].events, 70000u);
+  EXPECT_EQ(r.rows[0].resumed, 2u);
+  EXPECT_EQ(r.rows[0].beat_us, 123456u);
 }
 
 TEST(Payload, FleetStatusRoundTrips) {
@@ -619,8 +611,8 @@ TEST(Payload, FleetStatusRoundTrips) {
   m.revocations = 1;
   m.points_total = 64;
   m.points_completed = 20;
-  m.rows.push_back({"0/4", "done", 0, 16, 16, 9000, 4000});
-  m.rows.push_back({"1/4", "running", 1, 4, 16, 2200, 4900});
+  m.rows.push_back({"0/4", "done", 0, 16, 16, 9000, 4000, 0, 81000});
+  m.rows.push_back({"1/4", "running", 1, 4, 16, 2200, 4900, 3, 7000});
   const auto r = reencode<svc::FleetStatusMsg>(svc::kMsgFleetStatus,
                                                svc::encode_fleet_status(m),
                                                svc::decode_fleet_status);
@@ -632,6 +624,10 @@ TEST(Payload, FleetStatusRoundTrips) {
   EXPECT_EQ(r.rows[1].shard, "1/4");
   EXPECT_EQ(r.rows[1].events, 2200u);
   EXPECT_EQ(r.rows[1].updated_us, 4900u);
+  EXPECT_EQ(r.rows[0].resumed, 0u);
+  EXPECT_EQ(r.rows[0].beat_us, 81000u);
+  EXPECT_EQ(r.rows[1].resumed, 3u);
+  EXPECT_EQ(r.rows[1].beat_us, 7000u);
 }
 
 // Satellite: decoder fuzz. Every truncation and every single-bit flip
@@ -680,7 +676,6 @@ TEST(Payload, FuzzEveryTruncationAndBitFlipIsAnExpectedError) {
   lease.aggregates_path = "d/s.agg";
   lease.result_path = "d/s.res";
   lease.flight_path = "d/s.flight";
-  lease.telemetry_path = "d/s.telem";
   lease.chaos = "shard=1,phase=point:2,action=kill";
   fuzz_decoder(svc::kMsgLease, svc::encode_lease(lease), svc::decode_lease);
 
@@ -708,23 +703,10 @@ TEST(Payload, FuzzEveryTruncationAndBitFlipIsAnExpectedError) {
   res.aggregates = agg;
   fuzz_decoder(svc::kMsgResult, svc::encode_result(res), svc::decode_result);
 
-  svc::TelemetryMsg tel;
-  tel.shard = "1/4";
-  tel.mono_us = 999;
-  tel.completed = 2;
-  tel.total = 9;
-  tel.events = 512;
-  obs::MetricsRegistry::Entry entry;
-  entry.name = "sim.requests";
-  entry.value = 512;
-  tel.metrics.push_back(entry);
-  fuzz_decoder(svc::kMsgTelemetry, svc::encode_telemetry(tel),
-               svc::decode_telemetry);
-
   svc::FleetStatusMsg fs;
   fs.shards = 2;
   fs.points_total = 8;
-  fs.rows.push_back({"0/2", "running", 0, 1, 4, 100, 50});
+  fs.rows.push_back({"0/2", "running", 0, 1, 4, 100, 50, 1, 9000});
   fuzz_decoder(svc::kMsgFleetStatus, svc::encode_fleet_status(fs),
                svc::decode_fleet_status);
 }

@@ -26,7 +26,7 @@
 //   --report-csv=PATH     merged CSV run report
 //   --quiet               suppress per-lease progress lines
 //   --no-obs              disable fleet observability (on by default:
-//                         flight rings, traces, telemetry, stitch
+//                         flight rings, traces, fleet.status, stitch
 //                         manifest and the fleet/post_mortem report
 //                         sections — docs/observability.md §fleet).
 //                         Use it when merged reports must be

@@ -3,21 +3,21 @@
 //
 //   ./sweep_top --dir=DIR [--once] [--interval=SEC]
 //
-// Reads the coordinator's throttled `fleet.status` message and every
-// shard's latest `shard-I.telem` telemetry snapshot from the protocol
-// directory — the same atomically-renamed wire files the protocol
-// itself uses, so a reader never races a writer — and renders one frame
-// per interval: fleet counters, a per-shard progress table with
-// simulated events/sec, and a finish estimate.
+// Reads the coordinator's throttled `fleet.status` message from the
+// protocol directory — an atomically-renamed wire file, so a reader
+// never races the writer — and renders one frame per interval: fleet
+// counters, a per-shard progress table with simulated events/sec, and a
+// finish estimate. The coordinator builds each shard's row from the
+// heartbeats it already reads, so this is the only file sweep_top opens.
 //
 // The ETA comes from the BSF master-worker cost model the scaling bench
 // gates on (Sokolinsky, arXiv:1704.05816): T(K) = S·o + ceil(S/K)·w for
 // S remaining points, K running workers and per-point work time w.
-// sweep_top fits w from the running attempts' own telemetry (attempt
-// wall clock / points computed this attempt, which folds the per-lease
-// overhead o into the measurement) and reports ceil(S/K)·w. A fleet
-// with no running shard yet has no fit and reports no ETA — an honest
-// "warming up", not a guess.
+// sweep_top fits w from the running attempts' last heartbeats (attempt
+// wall clock `beat_us` / points computed this attempt, completed −
+// resumed, which folds the per-lease overhead o into the measurement)
+// and reports ceil(S/K)·w. A fleet with no running shard yet has no fit
+// and reports no ETA — an honest "warming up", not a guess.
 //
 // --once renders a single frame and exits 0 (the CI smoke path);
 // otherwise frames repeat every --interval seconds (default 1) until
@@ -30,9 +30,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "svc/payload.hpp"
 #include "svc/wire.hpp"
@@ -55,37 +55,18 @@ std::string fmt_rate(double per_sec) {
   return fmt1(per_sec);
 }
 
-struct Frame {
-  svc::FleetStatusMsg status;
-  std::vector<svc::TelemetryMsg> telem;  ///< by shard index; empty shard = none
-  bool has_status = false;
-};
-
-/// One snapshot of the protocol directory. Only a missing/unreadable
-/// fleet.status is reported (has_status = false); per-shard telemetry is
-/// best-effort — a shard between attempts simply has no row detail.
-Frame sample(const std::string& dir) {
-  Frame f;
+/// The fleet's live status, or nothing when DIR has no readable
+/// fleet.status.
+std::optional<svc::FleetStatusMsg> sample(const std::string& dir) {
   auto status =
       svc::wire_read_file(dir + "/fleet.status", svc::kMsgFleetStatus);
-  if (!status.ok()) return f;
+  if (!status.ok()) return std::nullopt;
   auto decoded = svc::decode_fleet_status(status.value());
-  if (!decoded.ok()) return f;
-  f.status = std::move(decoded).value();
-  f.has_status = true;
-  f.telem.resize(f.status.rows.size());
-  for (std::size_t i = 0; i < f.status.rows.size(); ++i) {
-    auto msg = svc::wire_read_file(
-        dir + "/shard-" + std::to_string(i) + ".telem", svc::kMsgTelemetry);
-    if (!msg.ok()) continue;
-    auto t = svc::decode_telemetry(msg.value());
-    if (t.ok()) f.telem[i] = std::move(t).value();
-  }
-  return f;
+  if (!decoded.ok()) return std::nullopt;
+  return std::move(decoded).value();
 }
 
-void render(const Frame& f) {
-  const auto& st = f.status;
+void render(const svc::FleetStatusMsg& st) {
   std::cout << "fleet: " << st.completed_shards << "/" << st.shards
             << " shards, " << st.points_completed << "/" << st.points_total
             << " points | leases=" << st.leases_granted
@@ -93,18 +74,16 @@ void render(const Frame& f) {
             << " stalls=" << st.stalls << " revocations=" << st.revocations
             << "\n";
 
-  // BSF model fit: w from running attempts' telemetry, K = their count.
+  // BSF model fit: w from running attempts' heartbeats, K = their count.
   double w_sum = 0;
   std::uint64_t w_points = 0, running = 0;
-  for (std::size_t i = 0; i < st.rows.size(); ++i) {
-    if (st.rows[i].phase != "running") continue;
+  for (const auto& r : st.rows) {
+    if (r.phase != "running") continue;
     ++running;
-    if (i >= f.telem.size()) continue;
-    const auto& t = f.telem[i];
     const std::uint64_t computed =
-        t.completed > t.resumed ? t.completed - t.resumed : 0;
-    if (computed == 0 || t.mono_us == 0) continue;
-    w_sum += static_cast<double>(t.mono_us) / 1e6;
+        r.completed > r.resumed ? r.completed - r.resumed : 0;
+    if (computed == 0 || r.beat_us == 0) continue;
+    w_sum += static_cast<double>(r.beat_us) / 1e6;
     w_points += computed;
   }
   const std::uint64_t remaining =
@@ -131,15 +110,14 @@ void render(const Frame& f) {
 
   util::Table table(
       {"shard", "phase", "attempt", "done", "%", "events", "ev/s", "age"});
-  for (std::size_t i = 0; i < st.rows.size(); ++i) {
-    const auto& r = st.rows[i];
+  for (const auto& r : st.rows) {
     const double pct = r.total == 0 ? 0.0
                                     : 100.0 * static_cast<double>(r.completed) /
                                           static_cast<double>(r.total);
     std::string rate = "-";
-    if (i < f.telem.size() && f.telem[i].mono_us > 0 && r.phase == "running")
-      rate = fmt_rate(static_cast<double>(f.telem[i].events) /
-                      (static_cast<double>(f.telem[i].mono_us) / 1e6));
+    if (r.beat_us > 0 && r.phase == "running")
+      rate = fmt_rate(static_cast<double>(r.events) /
+                      (static_cast<double>(r.beat_us) / 1e6));
     const std::uint64_t age_us =
         st.mono_us > r.updated_us ? st.mono_us - r.updated_us : 0;
     table.add_row_strings(
@@ -163,8 +141,8 @@ int main(int argc, char** argv) {
     const double interval = cli.get_double("interval", 1.0);
 
     for (;;) {
-      const Frame f = sample(dir);
-      if (!f.has_status) {
+      const std::optional<svc::FleetStatusMsg> st = sample(dir);
+      if (!st) {
         if (once)
           raise(ErrorCode::kIo,
                 "no readable fleet.status in '" + dir +
@@ -173,9 +151,8 @@ int main(int argc, char** argv) {
         std::cout << "waiting for " << dir << "/fleet.status ...\n";
       } else {
         if (!once) std::cout << "\x1b[H\x1b[2J";  // home + clear
-        render(f);
-        if (f.status.shards > 0 &&
-            f.status.completed_shards == f.status.shards) {
+        render(*st);
+        if (st->shards > 0 && st->completed_shards == st->shards) {
           std::cout << "fleet complete\n";
           return 0;
         }
