@@ -8,8 +8,8 @@
 //   --checkpoint=PATH   crash-atomic snapshot of completed grid points
 //   --resume=PATH       skip points already in PATH (sweep_id-checked)
 //   --deadline=SECONDS  stop cleanly when the wall-clock budget expires
-//   --stall-timeout=S   watchdog: abort if the event loop stops advancing
-//   --checkpoint-every=K  flush cadence in completed points (default 1)
+//   --stall-timeout=S   stop if the event loop makes no progress for S
+//                       seconds (checked whenever the token is polled)
 //   --threads=T         fan grid points over a thread pool
 // An interrupted sweep prints a structured outcome and exits 75
 // (EX_TEMPFAIL) so scripts can tell "resume me" from "I failed".
@@ -46,10 +46,9 @@ inline bool is_execution_flag(const std::string& name) {
   // standalone shard run computes a different grid, which must show in
   // its report identity.
   return name == "checkpoint" || name == "resume" || name == "deadline" ||
-         name == "stall-timeout" || name == "checkpoint-every" ||
-         name == "threads" || name == "trace" || name == "trace-capacity" ||
-         name == "report" || name == "report-csv" || name == "metrics" ||
-         name == "svc-lease";
+         name == "stall-timeout" || name == "threads" || name == "trace" ||
+         name == "trace-capacity" || name == "report" ||
+         name == "report-csv" || name == "metrics" || name == "svc-lease";
 }
 
 /// Parses --engine=auto|calendar|reference (docs/performance.md
@@ -209,7 +208,6 @@ inline resilience::SweepOptions sweep_options_from_cli(const util::Cli& cli) {
   opt.resume_path = cli.get("resume", "");
   opt.deadline_seconds = cli.get_double("deadline", 0.0);
   opt.stall_seconds = cli.get_double("stall-timeout", 0.0);
-  opt.checkpoint_every = cli.get_uint("checkpoint-every", 1);
   opt.threads = cli.get_uint("threads", 0);
   return opt;
 }

@@ -18,7 +18,7 @@
 // Robustness flags: --faults (disk=... grammar injects spill-device
 // misbehaviour; memory-system keys also degrade the machine), --chaos
 // (phase=spill:K / point:K crash or hang scripts), --checkpoint /
-// --resume (partition bank), --deadline, --stall-timeout (watchdog).
+// --resume (partition bank), --deadline, --stall-timeout (stall window).
 // A persistently failing spill tier ends the run with a structured
 // "STREAM DEGRADED" line and exit 69; a revoked hang exits 75.
 //
@@ -30,7 +30,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 
 #include "bench_common.hpp"
@@ -120,11 +119,7 @@ int main(int argc, char** argv) {
     resilience::ScopedSignalCancel on_signal(token);
     const double deadline = cli.get_double("deadline", 0.0);
     if (deadline > 0.0) token.set_deadline(resilience::Deadline(deadline));
-    std::optional<resilience::Watchdog> watchdog;
-    const double stall = cli.get_double("stall-timeout", 0.0);
-    if (stall > 0.0)
-      watchdog.emplace(token, std::chrono::milliseconds(
-                                  static_cast<std::int64_t>(stall * 1000.0)));
+    token.set_stall(cli.get_double("stall-timeout", 0.0));
 
     sim::Machine machine(cfg);
     obs.attach(machine, 0);
@@ -136,8 +131,6 @@ int main(int argc, char** argv) {
     hooks.trace = machine.tracer();
     hooks.faults = plan.get();
     hooks.chaos = chaos.empty() ? nullptr : &chaos;
-    hooks.chaos_shard = cli.get_uint("chaos-shard", 0);
-    hooks.chaos_attempt = cli.get_uint("chaos-attempt", 0);
 
     const auto run_one = [&](const stream::StreamConfig& c) {
       return stream::StreamExecutor(c, machine, hooks).run();

@@ -48,7 +48,7 @@
 #    bench's budget sweep must stay byte-equivalent to its in-RAM
 #    baseline; the same workload must complete under `ulimit -v` at
 #    probed-peak + 25%; injected ENOSPC must exit 69 (degraded) and a
-#    hung spill write must exit 75 (revoked by the stall watchdog), not
+#    hung spill write must exit 75 (revoked by the stall window), not
 #    crash or wedge; SIGKILL at the worst spill instant must leave an
 #    fsck-clean spill directory and resume byte-identically; the spill
 #    store's on-disk damage and pressure-model tests rerun under the
@@ -123,7 +123,10 @@ echo "== framed-file corruption fuzz under sanitizers =="
 ./build-ci-san/tests/framed_file_test
 
 echo "== snapshot resume and spill store under sanitizers =="
-run_filtered ./build-ci-san/tests/resilience_test 'Snapshot.*:Sweep.Resume*'
+# Cancel.* and Sweep.Stall*: pool threads beat and poll the token's
+# stall clock concurrently.
+run_filtered ./build-ci-san/tests/resilience_test \
+  'Snapshot.*:Sweep.Resume*:Cancel.*:Sweep.Stall*'
 run_filtered ./build-ci-san/tests/stream_test \
   'SpillFuzz.*:SpillStore.*:SpillCodec.*:PressureModel.*'
 
@@ -452,6 +455,17 @@ grep -q "deaths=1" "$SMOKE/fleet-kill.txt"
 cmp "$SMOKE/serial.json" "$SMOKE/fleet-kill.json"
 echo "fleet survives a mid-shard SIGKILL with byte-identical output"
 
+# Wedge recovery: one worker hangs mid-shard and stops heartbeating; the
+# coordinator must revoke it once its heartbeat age reaches --hb-timeout
+# and requeue the rest of the shard — same bytes again.
+"$COORD" --quiet --no-obs --workers=4 --shards=4 --dir="$SMOKE/fleet-hang" \
+  --report="$SMOKE/fleet-hang.json" --backoff=0.05 --hb-timeout=0.5 \
+  --chaos='shard=1,attempt=0,phase=point:1,action=hang' \
+  -- "$OBS_BENCH" "${OBS_ARGS[@]}" > "$SMOKE/fleet-hang.txt"
+grep -q "stalls=1" "$SMOKE/fleet-hang.txt"
+cmp "$SMOKE/serial.json" "$SMOKE/fleet-hang.json"
+echo "fleet revokes a wedged worker with byte-identical output"
+
 # Degraded path: a shard that dies at every lease grant must be
 # quarantined (exit 69, poisoned range in the report), never hung.
 RC=0
@@ -630,8 +644,8 @@ fi
 grep -q "STREAM DEGRADED" "$SMOKE/stream-enospc.txt"
 echo "injected ENOSPC degrades structurally (exit 69)"
 
-# A spill write that hangs forever must be revoked by the stall
-# watchdog: structured exit 75 with cause=stalled, not a wedged process.
+# A spill write that hangs forever must be revoked by the token's stall
+# window: structured exit 75 with cause=stalled, not a wedged process.
 RC=0
 "$STREAM" "${STREAM_ARGS[@]}" --mem-budget=65536 \
   --spill-dir="$SMOKE/stream-hang" --stall-timeout=0.25 \
@@ -642,7 +656,7 @@ if [[ "$RC" != 75 ]]; then
   exit 1
 fi
 grep -q "STREAM INTERRUPTED cause=stalled" "$SMOKE/stream-hang.txt"
-echo "hung spill write is revoked by the watchdog (exit 75)"
+echo "hung spill write is revoked by the stall window (exit 75)"
 
 # SIGKILL at the worst instant (spill tmp fsynced, rename pending),
 # then resume from the partition bank: output must be byte-identical to

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <csignal>
-#include <cstdio>
 #include <limits>
 
 namespace dxbsp::resilience {
@@ -61,50 +60,6 @@ ScopedSignalCancel::~ScopedSignalCancel() {
   std::signal(SIGINT, prev_int_ == SIG_ERR ? SIG_DFL : prev_int_);
   std::signal(SIGTERM, prev_term_ == SIG_ERR ? SIG_DFL : prev_term_);
   g_signal_token.store(nullptr, std::memory_order_release);
-}
-
-Watchdog::Watchdog(CancelToken& token, std::chrono::milliseconds stall_after)
-    : token_(token) {
-  if (stall_after.count() <= 0)
-    raise(ErrorCode::kConfig, "Watchdog: stall window must be positive");
-  thread_ = std::thread([this, stall_after] { loop(stall_after); });
-}
-
-Watchdog::~Watchdog() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-}
-
-void Watchdog::loop(std::chrono::milliseconds stall_after) {
-  const auto poll = std::max(std::chrono::milliseconds(10), stall_after / 4);
-  std::uint64_t last = token_.heartbeats();
-  auto last_change = std::chrono::steady_clock::now();
-  for (;;) {
-    {
-      // Interruptible sleep: the destructor must not have to wait out a
-      // poll interval (a fleet coordinator tears one down per lease).
-      std::unique_lock<std::mutex> lock(mu_);
-      if (cv_.wait_for(lock, poll, [this] { return stop_; })) return;
-    }
-    if (token_.expired()) return;  // someone else already stopped the run
-    const std::uint64_t now_beats = token_.heartbeats();
-    const auto now = std::chrono::steady_clock::now();
-    if (now_beats != last) {
-      last = now_beats;
-      last_change = now;
-    } else if (now - last_change >= stall_after) {
-      std::fprintf(stderr,
-                   "[watchdog] no event-loop progress for %lld ms; "
-                   "cancelling run\n",
-                   static_cast<long long>(stall_after.count()));
-      token_.cancel(CancelCause::kStalled);
-      return;
-    }
-  }
 }
 
 }  // namespace dxbsp::resilience

@@ -4,23 +4,23 @@
 // A CancelToken is a tiny shared flag that hot loops (Machine's event
 // loop, BankArray service, ThreadPool::parallel_for, SweepRunner) poll
 // at safe stopping points. It can trip three ways:
-//   * cancel()            — explicit, or from a SIGINT/SIGTERM handler
-//                           (ScopedSignalCancel); cause kSignal/kCancelled;
-//   * an attached Deadline — wall-clock budget (--deadline=SECONDS)
-//                           expires; cause kDeadline;
-//   * a Watchdog           — the heartbeat counter stops advancing for a
-//                           configured stall window (a wedged event loop);
-//                           cause kStalled.
-// Whichever fires first wins; the cause is latched so the structured
-// Interrupted outcome can say why. All operations are lock-free atomics;
-// cancel() is async-signal-safe.
+//   * cancel()         — explicit, or from a SIGINT/SIGTERM handler
+//                        (ScopedSignalCancel); cause kSignal/kCancelled;
+//   * set_deadline()   — wall-clock budget (--deadline=SECONDS) expires;
+//                        cause kDeadline;
+//   * set_stall()      — the gap between two progress beacons
+//                        (heartbeat()) exceeds the stall window (a wedged
+//                        event loop, --stall-timeout=S); cause kStalled.
+// Deadline and stall window are both checked when the token is polled
+// (expired()), and the stall window also when it is beaten, so no
+// thread watches the clock on the token's behalf. Whichever fires first
+// wins; the cause is latched so the structured Interrupted outcome can
+// say why. All operations are lock-free atomics; cancel() is
+// async-signal-safe.
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 
 #include "resilience/error.hpp"
 
@@ -32,7 +32,7 @@ enum class CancelCause : int {
   kCancelled,  ///< explicit cancel() call
   kSignal,     ///< SIGINT/SIGTERM via ScopedSignalCancel
   kDeadline,   ///< wall-clock deadline expired
-  kStalled,    ///< watchdog saw no heartbeat progress
+  kStalled,    ///< no heartbeat within the stall window
 };
 
 [[nodiscard]] const char* cancel_cause_name(CancelCause cause) noexcept;
@@ -62,25 +62,39 @@ class CancelToken {
 
   /// Trips the token (first cause wins). Async-signal-safe.
   void cancel(CancelCause cause = CancelCause::kCancelled) noexcept {
-    int expected = static_cast<int>(CancelCause::kNone);
-    state_.compare_exchange_strong(expected, static_cast<int>(cause),
-                                   std::memory_order_acq_rel);
+    trip(cause);
   }
 
   /// Attaches a wall-clock deadline; replaces any previous one.
   void set_deadline(const Deadline& deadline) noexcept { deadline_ = deadline; }
   [[nodiscard]] const Deadline& deadline() const noexcept { return deadline_; }
 
-  /// True iff cancelled or past the deadline. The deadline check reads
-  /// the clock, so hot loops should poll every ~2^k iterations, not
-  /// every iteration.
+  /// Arms the stall window: from now on, a gap longer than `seconds`
+  /// between two heartbeat() calls — or between the last one and a poll
+  /// — trips the token with kStalled. A non-positive window disarms it,
+  /// as a non-positive budget does for the deadline. Like set_deadline,
+  /// call it before the loops that beat and poll the token start.
+  void set_stall(double seconds) noexcept {
+    stall_ns_ = seconds > 0.0 ? static_cast<std::int64_t>(seconds * 1e9) : 0;
+    last_beat_ns_.store(now_ns(), std::memory_order_relaxed);
+  }
+
+  /// True iff cancelled, past the deadline, or stalled. The deadline
+  /// and stall checks read the clock, so hot loops should poll every
+  /// ~2^k iterations, not every iteration.
   [[nodiscard]] bool expired() const noexcept {
     if (state_.load(std::memory_order_acquire) !=
         static_cast<int>(CancelCause::kNone))
       return true;
+    // Latch so cause() reports the clock that ran out even if cancel()
+    // races later.
     if (deadline_.expired()) {
-      // Latch so cause() reports kDeadline even if cancel() races later.
-      const_cast<CancelToken*>(this)->cancel(CancelCause::kDeadline);
+      trip(CancelCause::kDeadline);
+      return true;
+    }
+    if (stall_ns_ > 0 &&
+        now_ns() - last_beat_ns_.load(std::memory_order_relaxed) > stall_ns_) {
+      trip(CancelCause::kStalled);
       return true;
     }
     return false;
@@ -91,16 +105,18 @@ class CancelToken {
   }
 
   /// Re-arms a tripped token: clears the latched cause, the heartbeat
-  /// counter and any attached deadline, returning the token to its
-  /// freshly-constructed state. For reuse across *sequential* runs (a
-  /// worker loop calling SweepRunner::run repeatedly); must not be
-  /// called while any loop, Watchdog or signal handler can still observe
-  /// the token — those would race the un-latch and see a phantom reset.
+  /// counter, any attached deadline and the stall window, returning the
+  /// token to its freshly-constructed state. For reuse across
+  /// *sequential* runs (a worker loop calling SweepRunner::run
+  /// repeatedly); must not be called while any loop or signal handler
+  /// can still observe the token — those would race the un-latch and see
+  /// a phantom reset.
   void reset() noexcept {
     state_.store(static_cast<int>(CancelCause::kNone),
                  std::memory_order_release);
     progress_.store(0, std::memory_order_relaxed);
     deadline_ = Deadline{};
+    stall_ns_ = 0;
   }
 
   /// Throws Error{kInterrupted} when expired; `where` names the loop.
@@ -111,19 +127,41 @@ class CancelToken {
                 cancel_cause_name(cause()) + ")");
   }
 
-  /// Progress beacon for the Watchdog: hot loops call this at the same
-  /// cadence they poll expired().
+  /// Progress beacon: hot loops call this at the same cadence they poll
+  /// expired(). With a stall window armed it also restarts the window,
+  /// tripping the token when the gap since the previous beat already
+  /// exceeded it; without one it is a single relaxed increment.
   void heartbeat() const noexcept {
     progress_.fetch_add(1, std::memory_order_relaxed);
+    if (stall_ns_ > 0) {
+      const std::int64_t now = now_ns();
+      if (now - last_beat_ns_.exchange(now, std::memory_order_relaxed) >
+          stall_ns_)
+        trip(CancelCause::kStalled);
+    }
   }
   [[nodiscard]] std::uint64_t heartbeats() const noexcept {
     return progress_.load(std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<int> state_{static_cast<int>(CancelCause::kNone)};
+  [[nodiscard]] static std::int64_t now_ns() noexcept {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+
+  void trip(CancelCause cause) const noexcept {
+    int expected = static_cast<int>(CancelCause::kNone);
+    state_.compare_exchange_strong(expected, static_cast<int>(cause),
+                                   std::memory_order_acq_rel);
+  }
+
+  mutable std::atomic<int> state_{static_cast<int>(CancelCause::kNone)};
   mutable std::atomic<std::uint64_t> progress_{0};
+  mutable std::atomic<std::int64_t> last_beat_ns_{0};
   Deadline deadline_{};
+  std::int64_t stall_ns_ = 0;  ///< 0 = no stall window
 };
 
 /// Routes SIGINT/SIGTERM to token.cancel(kSignal) for its lifetime; the
@@ -140,27 +178,6 @@ class ScopedSignalCancel {
  private:
   void (*prev_int_)(int) = nullptr;
   void (*prev_term_)(int) = nullptr;
-};
-
-/// Background thread that trips `token` with kStalled when the token's
-/// heartbeat counter makes no progress for `stall_after`. Poll interval
-/// defaults to stall_after/4 (min 10ms) so tests can use short windows.
-class Watchdog {
- public:
-  Watchdog(CancelToken& token, std::chrono::milliseconds stall_after);
-  ~Watchdog();
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
- private:
-  void loop(std::chrono::milliseconds stall_after);
-
-  CancelToken& token_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
 };
 
 }  // namespace dxbsp::resilience

@@ -28,7 +28,7 @@ enum class ErrorCode {
   kCorruptInput,     ///< binary input failed validation (traces, matrices)
   kCorruptSnapshot,  ///< checkpoint/snapshot failed validation
   kIo,               ///< filesystem-level failure (open/write/rename)
-  kInterrupted,      ///< stopped by signal, deadline, or stall watchdog
+  kInterrupted,      ///< stopped by signal, deadline, or stall window
   kDegraded,         ///< simulated operation could not fully complete
   kInternal,         ///< internal invariant violated (library bug)
 };

@@ -46,7 +46,6 @@ SweepRunner::SweepRunner(std::uint64_t id, SweepOptions options)
   // file, so a twice-interrupted sweep still loses no work.
   if (options_.checkpoint_path.empty() && !options_.resume_path.empty())
     options_.checkpoint_path = options_.resume_path;
-  if (options_.checkpoint_every == 0) options_.checkpoint_every = 1;
 }
 
 bool SweepRunner::has_record(std::uint64_t key) const noexcept {
@@ -86,10 +85,10 @@ void SweepRunner::flush_completed() {
 SweepReport SweepRunner::run(
     std::span<const std::uint64_t> keys,
     const std::function<SnapshotRecord(std::uint64_t)>& fn) {
-  // Re-arm the token: a previous run's trip (deadline, watchdog stall,
-  // signal) must not leak into this one, or a worker loop could never
-  // run a second sweep after its first was interrupted. Nothing else
-  // observes the token between runs — the per-run Deadline, Watchdog and
+  // Re-arm the token: a previous run's trip (deadline, stall, signal)
+  // must not leak into this one, or a worker loop could never run a
+  // second sweep after its first was interrupted. Nothing else observes
+  // the token between runs — the per-run deadline, stall window and
   // signal routing below are all scoped to run().
   token_.reset();
   keys_.assign(keys.begin(), keys.end());
@@ -142,19 +141,16 @@ SweepReport SweepRunner::run(
   token_.set_deadline(Deadline(options_.deadline_seconds));
   std::optional<ScopedSignalCancel> signals;
   if (options_.handle_signals) signals.emplace(token_);
-  std::optional<Watchdog> watchdog;
-  if (options_.stall_seconds > 0)
-    watchdog.emplace(token_, std::chrono::milliseconds(static_cast<long>(
-                                 options_.stall_seconds * 1000.0)));
+  token_.set_stall(options_.stall_seconds);
 
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < keys_.size(); ++i)
     if (!done_[i]->load(std::memory_order_acquire)) pending.push_back(i);
 
-  // One point: compute, publish, heartbeat. Point functions are pure in
-  // their key, so a point abandoned mid-simulation (token tripped inside
-  // Machine::run) is simply recomputed — identically — on resume.
-  std::atomic<std::uint64_t> since_flush{0};
+  // One point: compute, publish, heartbeat, checkpoint. Point functions
+  // are pure in their key, so a point abandoned mid-simulation (token
+  // tripped inside Machine::run) is simply recomputed — identically — on
+  // resume.
   std::atomic<std::uint64_t> done_count{report.resumed};
   auto run_point = [&](std::size_t pi) {
     const std::size_t i = pending[pi];
@@ -162,12 +158,7 @@ SweepReport SweepRunner::run(
     records_[i].key = keys_[i];
     done_[i]->store(true, std::memory_order_release);
     token_.heartbeat();
-    if (writer_ &&
-        since_flush.fetch_add(1, std::memory_order_acq_rel) + 1 >=
-            options_.checkpoint_every) {
-      since_flush.store(0, std::memory_order_release);
-      flush_completed();
-    }
+    flush_completed();
     // After the flush, so a progress observer that persists state sees
     // the checkpoint at least as far along as itself.
     if (options_.on_progress)

@@ -6,12 +6,14 @@
 // return a SnapshotRecord). The runner
 //   * skips points already present in a --resume snapshot (after
 //     verifying the snapshot's sweep_id matches this grid + seed);
-//   * checkpoints crash-atomically after every `checkpoint_every`
-//     completed points (and always once at the end, completed or not);
-//   * installs SIGINT/SIGTERM handlers, an optional wall-clock deadline,
-//     and an optional stall watchdog on its CancelToken, and stops
-//     cleanly at the next point boundary (or mid-point, via the token
-//     threaded into Machine/BankArray/ThreadPool) when any of them trip;
+//   * checkpoints crash-atomically after every completed point (and
+//     always once at the end, completed or not);
+//   * installs SIGINT/SIGTERM handlers, an optional wall-clock deadline
+//     and an optional stall window on its CancelToken — both checked
+//     whenever the token is polled, the stall window also whenever it is
+//     beaten — and stops cleanly at the next point boundary (or
+//     mid-point, via the token threaded into Machine/BankArray/
+//     ThreadPool) when any of them trip;
 //   * optionally fans points out over a ThreadPool — results are stored
 //     per-key, so emitted output is identical for every pool size.
 //
@@ -48,8 +50,7 @@ struct SweepOptions {
   std::string checkpoint_path;  ///< empty = no checkpointing
   std::string resume_path;      ///< empty = fresh run
   double deadline_seconds = 0;  ///< <= 0 = no deadline
-  double stall_seconds = 0;     ///< <= 0 = no watchdog
-  std::uint64_t checkpoint_every = 1;  ///< flush cadence (completed points)
+  double stall_seconds = 0;     ///< <= 0 = no stall window
   std::uint64_t threads = 0;    ///< 0/1 = serial; else pool of this size
   bool handle_signals = true;   ///< route SIGINT/SIGTERM to the token
   /// Called after every completed point (and after its checkpoint flush,
@@ -93,7 +94,7 @@ class SweepRunner {
   /// invoked concurrently when threads > 1. Returns the report; after a
   /// kCompleted report every key has a record(). The runner's token is
   /// re-armed (reset) at entry, so a runner whose previous run tripped
-  /// (deadline, watchdog, cancel) can simply be run again — cancellation
+  /// (deadline, stall, cancel) can simply be run again — cancellation
   /// sources only count from the moment run() starts.
   SweepReport run(std::span<const std::uint64_t> keys,
                   const std::function<SnapshotRecord(std::uint64_t)>& fn);

@@ -543,8 +543,8 @@ std::uint64_t Machine::run_reference(std::span<const std::uint64_t> ids,
   std::uint64_t events = 0;
   while (!heap.empty()) {
     // Cancellation point: poll the token every 4096 events (the deadline
-    // check reads a clock, so not every iteration) and heartbeat it so a
-    // stall watchdog sees the loop moving. Abandoning mid-operation is
+    // check reads a clock, so not every iteration) and heartbeat it so
+    // its stall window sees the loop moving. Abandoning mid-operation is
     // safe: bulk ops are pure, so a resume recomputes this one exactly.
     if (cancel_ != nullptr && (++events & 0xFFFU) == 0) {
       cancel_->heartbeat();

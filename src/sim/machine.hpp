@@ -194,7 +194,8 @@ class Machine {
   /// must outlive the Machine's use of it). Every bulk operation's loop
   /// polls it every 4096 requests and aborts the operation with
   /// Error{kInterrupted} once it trips — and heartbeats it at the same
-  /// cadence so a stall watchdog can tell "long run" from "wedged run".
+  /// cadence so the token's stall window can tell "long run" from
+  /// "wedged run".
   /// Pass nullptr to detach.
   void set_cancel(const resilience::CancelToken* token) noexcept {
     cancel_ = token;

@@ -160,8 +160,6 @@ StreamResult StreamExecutor::run() {
     opt.write_retries = config_.disk_retries;
     opt.faults = hooks_.faults;
     opt.chaos = hooks_.chaos;
-    opt.chaos_shard = hooks_.chaos_shard;
-    opt.chaos_attempt = hooks_.chaos_attempt;
     opt.cancel = hooks_.cancel;
     store.emplace(std::move(opt));
   }
@@ -306,8 +304,7 @@ StreamResult StreamExecutor::run() {
       // do" instant the sweep workers use it for.
       if (hooks_.chaos != nullptr) {
         const svc::ChaosEvent* ev =
-            hooks_.chaos->match(hooks_.chaos_shard, hooks_.chaos_attempt,
-                                svc::ChaosPhase::kPoint, fresh_done);
+            hooks_.chaos->match(0, 0, svc::ChaosPhase::kPoint, fresh_done);
         if (ev != nullptr) svc::chaos_execute(*ev);
       }
     }

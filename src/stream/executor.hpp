@@ -36,8 +36,8 @@
 // Failure mapping: the spill tier failing persistently (injected or real
 // ENOSPC, unreadable or corrupt chunk) degrades the run —
 // Error{kDegraded}, exit 69 — with the typed cause in the message;
-// cancellation (signal, deadline, stall watchdog catching a hung spill)
-// stays Error{kInterrupted}, exit 75. Config and flag errors stay
+// cancellation (signal, deadline, the token's stall window catching a
+// hung spill) stays Error{kInterrupted}, exit 75. Config and flag errors stay
 // kConfig/kParse. A budget too small for the workload with no
 // --spill-dir is kConfig, not a crash.
 
@@ -124,9 +124,9 @@ struct StreamHooks {
   const resilience::CancelToken* cancel = nullptr;
   obs::TraceRing* trace = nullptr;           ///< kSpill / kBackPressure spans
   const fault::FaultPlan* faults = nullptr;  ///< disk grammar consumed here
-  const svc::ChaosPlan* chaos = nullptr;     ///< spill:K and point:K phases
-  std::uint64_t chaos_shard = 0;
-  std::uint64_t chaos_attempt = 0;
+  /// spill:K and point:K phases. A stream run is never a leased shard,
+  /// so it matches events for shard 0, attempt 0.
+  const svc::ChaosPlan* chaos = nullptr;
 };
 
 class StreamExecutor {

@@ -138,7 +138,7 @@ void SpillStore::write(std::uint64_t partition, std::uint64_t chunk,
       (opt_.faults != nullptr) ? opt_.faults->disk_param() : 0;
 
   // disk=slow:N — the device answers, just late. Sleep in small steps
-  // polling the cancel token so an attached Deadline/Watchdog can revoke
+  // polling the cancel token so its deadline or stall window can revoke
   // a pathologically slow spill instead of waiting it out.
   if (fault == fault::DiskFault::kSlow) {
     const auto until = std::chrono::steady_clock::now() +
@@ -197,13 +197,13 @@ void SpillStore::write(std::uint64_t partition, std::uint64_t chunk,
     // pending. phase=spill:K chaos fires here so crash tests land on
     // exactly this state every run.
     if (opt_.chaos != nullptr) {
-      const svc::ChaosEvent* ev = opt_.chaos->match(
-          opt_.chaos_shard, opt_.chaos_attempt, svc::ChaosPhase::kSpill,
-          ordinal);
+      const svc::ChaosEvent* ev =
+          opt_.chaos->match(0, 0, svc::ChaosPhase::kSpill, ordinal);
       if (ev != nullptr) {
         if (ev->action == svc::ChaosAction::kHang && opt_.cancel != nullptr) {
-          // In-process hang: stop heartbeating and wait for the stall
-          // watchdog to revoke us (kStalled -> Error{kInterrupted}).
+          // In-process hang: stop heartbeating and poll until the
+          // token's stall window runs out (kStalled ->
+          // Error{kInterrupted}).
           while (true) {
             opt_.cancel->raise_if_expired("spill write (chaos hang)");
             std::this_thread::sleep_for(std::chrono::milliseconds(1));

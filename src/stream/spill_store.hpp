@@ -26,8 +26,10 @@
 // device misbehaviour at the write() layer, and a ChaosPlan
 // phase=spill:K event fires at the worst crash point (tmp fsynced,
 // rename pending). Injected or real transient failures surface as
-// bounded retries and then Error{kIo}; a hang surfaces to the stall
-// watchdog instead of wedging (docs/streaming.md §failure modes).
+// bounded retries and then Error{kIo}; a hang stops beating the cancel
+// token but keeps polling it, so the token's stall window turns it into
+// Error{kInterrupted} instead of a wedge (docs/streaming.md §failure
+// modes).
 
 #include <cstdint>
 #include <span>
@@ -60,12 +62,12 @@ struct SpillOptions {
   std::uint64_t write_retries = 3;
   /// Disk fault injection (nullptr / DiskFault::kNone = healthy device).
   const fault::FaultPlan* faults = nullptr;
-  /// Chaos events (phase=spill:K) executed mid-write; nullptr = none.
+  /// Chaos events (phase=spill:K, matched as shard 0, attempt 0)
+  /// executed mid-write; nullptr = none.
   const svc::ChaosPlan* chaos = nullptr;
-  std::uint64_t chaos_shard = 0;
-  std::uint64_t chaos_attempt = 0;
-  /// Polled during injected hangs/slow waits so a stall watchdog can
-  /// revoke a wedged spill instead of waiting forever.
+  /// Polled during injected hangs/slow waits, which do not beat it, so
+  /// its deadline or stall window revokes a wedged spill instead of
+  /// waiting forever.
   const resilience::CancelToken* cancel = nullptr;
 };
 
@@ -78,7 +80,7 @@ class SpillStore {
 
   /// Writes one chunk crash-atomically with bounded retries; throws
   /// Error{kIo} when the device stays unusable (e.g. ENOSPC) and
-  /// Error{kInterrupted} when a hang is revoked by the watchdog.
+  /// Error{kInterrupted} when a hang is revoked by the stall window.
   void write(std::uint64_t partition, std::uint64_t chunk,
              std::span<const std::uint64_t> data);
 

@@ -29,6 +29,10 @@ namespace dxbsp::svc {
 
 namespace {
 
+/// Event-loop cadence: how often the coordinator reaps, reads heartbeats
+/// and grants. It bounds how late a stall is noticed.
+constexpr auto kPoll = std::chrono::milliseconds(20);
+
 std::string join_argv(const std::vector<std::string>& argv) {
   std::string out;
   for (const std::string& a : argv) {
@@ -87,8 +91,6 @@ struct Coordinator::ShardState {
 
   // Live lease (kRunning only).
   pid_t pid = -1;
-  std::unique_ptr<resilience::CancelToken> token;
-  std::unique_ptr<resilience::Watchdog> watchdog;
   std::uint64_t last_beat = 0;
   bool saw_beat = false;
 
@@ -119,6 +121,8 @@ Coordinator::Coordinator(CoordinatorOptions opt) : opt_(std::move(opt)) {
     raise(ErrorCode::kConfig, "coordinator: need at least one worker");
   if (opt_.dir.empty())
     raise(ErrorCode::kConfig, "coordinator: working directory required");
+  if (opt_.heartbeat_timeout_seconds <= 0)
+    raise(ErrorCode::kConfig, "coordinator: stall window must be positive");
   if (opt_.shards == 0) opt_.shards = 2 * opt_.workers;
   if (opt_.max_strikes == 0) opt_.max_strikes = 1;
 }
@@ -199,16 +203,8 @@ void Coordinator::grant(ShardState& s) {
 
   s.pid = pid;
   s.phase = ShardState::Phase::kRunning;
-  s.token = std::make_unique<resilience::CancelToken>();
   s.saw_beat = false;
   s.last_beat = 0;
-  // The same stall detector the simulator uses, fed by heartbeat-file
-  // progress instead of event-loop progress. It also covers a worker
-  // that dies before its first heartbeat in a way waitpid cannot see
-  // (e.g. wedged before exec) — no beats, window expires, revoke.
-  s.watchdog = std::make_unique<resilience::Watchdog>(
-      *s.token, std::chrono::milliseconds(static_cast<long>(
-                    opt_.heartbeat_timeout_seconds * 1000.0)));
   ++fleet_.leases_granted;
   ++s.grants;
   // The grant timestamp doubles as the stitch offset fallback for
@@ -221,6 +217,9 @@ void Coordinator::grant(ShardState& s) {
   s.last_completed = s.banked;
   s.last_events = 0;
   s.last_beat_us = 0;
+  // The stall clock starts at the grant, so a worker that wedges before
+  // its first heartbeat in a way waitpid cannot see (e.g. before exec)
+  // is revoked like one that stops beating later.
   s.updated_us = s.grant_us;
   if (elog_ != nullptr)
     elog_->instant("grant shard " + s.spec.str(), s.grant_us,
@@ -249,8 +248,6 @@ void Coordinator::bank_partial(ShardState& s) {
 }
 
 void Coordinator::fail_attempt(ShardState& s, const std::string& why) {
-  s.watchdog.reset();
-  s.token.reset();
   s.pid = -1;
   s.last_error = why;
   // Harvest BEFORE the retry machinery runs: the next grant uses fresh
@@ -322,8 +319,6 @@ void Coordinator::on_result(ShardState& s) {
     return;
   }
 
-  s.watchdog.reset();
-  s.token.reset();
   s.pid = -1;
   end_lease_obs(s, "completed");
   s.total = res.total;
@@ -373,6 +368,8 @@ void Coordinator::reap() {
 }
 
 void Coordinator::check_stalls() {
+  const auto stall_us =
+      static_cast<std::uint64_t>(opt_.heartbeat_timeout_seconds * 1e6);
   for (auto& sp : states_) {
     ShardState& s = *sp;
     if (s.phase != ShardState::Phase::kRunning) continue;
@@ -385,7 +382,6 @@ void Coordinator::check_stalls() {
         if (!s.saw_beat || hb.value().beat != s.last_beat) {
           s.saw_beat = true;
           s.last_beat = hb.value().beat;
-          s.token->heartbeat();  // feed the stall watchdog
           // Clock-offset estimate for trace stitching: (receive −
           // worker mono) is the true epoch offset plus message latency,
           // so the minimum over new beats tightens toward — and never
@@ -409,7 +405,9 @@ void Coordinator::check_stalls() {
         }
       }
     }
-    if (s.token->cause() == resilience::CancelCause::kStalled) {
+    // Stalled: no new heartbeat for the whole window since the last one
+    // (or since the grant) — the same `age` sweep_top shows.
+    if (now_us() - s.updated_us >= stall_us) {
       ++fleet_.stalls;
       revoke(s, "heartbeat stalled for " +
                     std::to_string(opt_.heartbeat_timeout_seconds) + "s",
@@ -596,8 +594,6 @@ void Coordinator::kill_all() {
       int status = 0;
       ::waitpid(s.pid, &status, 0);
     }
-    s.watchdog.reset();
-    s.token.reset();
     s.pid = -1;
     s.phase = ShardState::Phase::kQueued;
   }
@@ -633,8 +629,6 @@ FleetReport Coordinator::run() {
   if (opt_.handle_signals) signals.emplace(stop_);
   stop_.set_deadline(resilience::Deadline(opt_.deadline_seconds));
 
-  const auto poll = std::chrono::duration<double>(
-      opt_.poll_seconds > 0 ? opt_.poll_seconds : 0.02);
   for (;;) {
     if (stop_.expired()) {
       kill_all();
@@ -675,7 +669,7 @@ FleetReport Coordinator::run() {
       ++running;
     }
 
-    std::this_thread::sleep_for(poll);
+    std::this_thread::sleep_for(kPoll);
   }
 
   fleet_.elapsed_seconds = now();

@@ -7,9 +7,9 @@
 // started with --svc-lease=FILE (svc/worker.hpp). Every shard is
 // governed by a *lease*: the coordinator grants it, watches the
 // worker's heartbeat file, and revokes it — SIGKILL plus requeue — when
-// the worker dies, wedges (no heartbeat progress inside the stall
-// window, detected by the same resilience::Watchdog the simulator uses)
-// or blows its per-attempt deadline.
+// the worker dies, wedges (no new heartbeat for the stall window,
+// measured on the coordinator's own poll clock: the `age` sweep_top
+// shows) or blows its per-attempt deadline.
 //
 // Partial results survive revocation: workers republish cumulative
 // aggregates after every completed point (checkpoint first, aggregates
@@ -56,7 +56,6 @@ struct CoordinatorOptions {
   std::uint64_t shards = 0;   ///< grid partitions (0 = 2 * workers)
   double heartbeat_interval_seconds = 0.05;  ///< worker publication cadence
   double heartbeat_timeout_seconds = 5.0;    ///< stall window per lease
-  double poll_seconds = 0.02;        ///< coordinator event-loop cadence
   double attempt_deadline_seconds = 0;  ///< per-attempt budget (0 = none)
   double deadline_seconds = 0;       ///< whole-fleet budget (0 = none)
   std::uint64_t max_strikes = 3;     ///< no-progress failures before poison

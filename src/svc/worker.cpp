@@ -112,7 +112,6 @@ std::uint64_t WorkerContext::prepare(std::uint64_t base_id,
   // key-ordered prefix of the slice — the shape the banked-prefix
   // accounting below depends on.
   opt.threads = 0;
-  opt.checkpoint_every = 1;
   opt.checkpoint_path = lease_.checkpoint_path;
   opt.deadline_seconds = lease_.deadline_seconds;
 

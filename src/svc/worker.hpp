@@ -11,8 +11,9 @@
 //   * keys are sliced to the shard (resilience::ShardSpec), the sweep id
 //     is shard-scoped (shard_sweep_id) so a foreign shard's checkpoint
 //     can never be resumed by mistake;
-//   * execution is forced serial with checkpoint_every=1, so the
-//     checkpoint on disk is always a key-ordered prefix of the slice;
+//   * execution is forced serial (and SweepRunner flushes after every
+//     point), so the checkpoint on disk is always a key-ordered prefix
+//     of the slice;
 //   * the checkpoint is truncated to exactly the banked prefix before
 //     resuming: a point whose aggregates the coordinator never captured
 //     is recomputed (deterministically, so its record is identical) and

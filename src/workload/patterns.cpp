@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 namespace dxbsp::workload {
@@ -12,9 +12,10 @@ namespace dxbsp::workload {
 namespace {
 
 /// Appends `count` distinct random addresses from [0, space) to `out`,
-/// avoiding everything already in `used`.
-void append_distinct(std::vector<std::uint64_t>& out,
-                     std::unordered_set<std::uint64_t>& used,
+/// avoiding everything already in `used` (a set: bump() == 1 means the
+/// draw was new). Callers reserve `used` for every address it will hold,
+/// so the draw loop never rehashes.
+void append_distinct(std::vector<std::uint64_t>& out, util::FlatMap64& used,
                      std::uint64_t count, std::uint64_t space,
                      util::Xoshiro256& rng) {
   if (used.size() + count > space)
@@ -23,7 +24,7 @@ void append_distinct(std::vector<std::uint64_t>& out,
     std::uint64_t a;
     do {
       a = rng.below(space);
-    } while (!used.insert(a).second);
+    } while (used.bump(a) != 1);
     out.push_back(a);
   }
 }
@@ -48,8 +49,8 @@ std::vector<std::uint64_t> distinct_random(std::uint64_t n, std::uint64_t space,
     }
     return out;
   }
-  std::unordered_set<std::uint64_t> used;
-  used.reserve(static_cast<std::size_t>(n) * 2);
+  util::FlatMap64 used;
+  used.reserve(static_cast<std::size_t>(n));
   append_distinct(out, used, n, space, rng);
   return out;
 }
@@ -82,7 +83,8 @@ std::vector<std::uint64_t> multi_hot(std::uint64_t n,
   util::Xoshiro256 rng(util::substream(seed, 3));
   std::vector<std::uint64_t> out;
   out.reserve(n);
-  std::unordered_set<std::uint64_t> used;
+  util::FlatMap64 used;
+  used.reserve(static_cast<std::size_t>(n));
   // Draw the hot addresses first, then emit k copies of each.
   std::vector<std::uint64_t> hot;
   append_distinct(hot, used, hot_locations, space, rng);

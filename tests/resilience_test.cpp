@@ -1,5 +1,5 @@
 // Tests for the resilience subsystem: the error taxonomy, cooperative
-// cancellation (tokens, deadlines, signals, watchdog), snapshot
+// cancellation (tokens, deadlines, signals, stall window), snapshot
 // integrity (roundtrip plus fuzz-style corruption sweeps), and
 // SweepRunner's core promise — a sweep interrupted at any point and
 // resumed is byte-identical to an uninterrupted run, at any pool size.
@@ -233,8 +233,9 @@ TEST(Cancel, ParallelForPrefersRealErrorsOverInterruption) {
 
 TEST(Cancel, WatchdogTripsOnStall) {
   CancelToken token;
-  resilience::Watchdog dog(token, std::chrono::milliseconds(50));
-  // No heartbeats: the token must trip within a generous window.
+  token.set_stall(0.05);
+  // No heartbeats: polling alone must trip the token once the window
+  // has passed (within a generous bound).
   const auto start = std::chrono::steady_clock::now();
   while (!token.expired() &&
          std::chrono::steady_clock::now() - start < std::chrono::seconds(5))
@@ -245,12 +246,25 @@ TEST(Cancel, WatchdogTripsOnStall) {
 
 TEST(Cancel, WatchdogStaysQuietWhileProgressing) {
   CancelToken token;
-  resilience::Watchdog dog(token, std::chrono::milliseconds(200));
+  token.set_stall(0.2);
   for (int i = 0; i < 20; ++i) {
     token.heartbeat();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_FALSE(token.expired());
   }
-  EXPECT_FALSE(token.expired());
+  EXPECT_EQ(token.cause(), CancelCause::kNone);
+}
+
+TEST(Cancel, StallBetweenHeartbeatsTripsAtTheNextBeat) {
+  // A loop that beats but never polls in between still trips: the beat
+  // that ends an over-long gap latches kStalled itself.
+  CancelToken token;
+  token.set_stall(0.05);
+  token.heartbeat();
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  token.heartbeat();
+  EXPECT_EQ(token.cause(), CancelCause::kStalled);
+  EXPECT_TRUE(token.expired());
 }
 
 // ------------------------------------------------------------- snapshots
@@ -732,6 +746,7 @@ TEST(Sweep, ResumePathAloneStillCheckpoints) {
 
 TEST(Cancel, ResetRearmsATrippedToken) {
   CancelToken token;
+  token.set_stall(0.01);
   token.heartbeat();
   token.cancel(CancelCause::kDeadline);
   ASSERT_TRUE(token.expired());
@@ -739,10 +754,62 @@ TEST(Cancel, ResetRearmsATrippedToken) {
   EXPECT_FALSE(token.expired());
   EXPECT_EQ(token.cause(), CancelCause::kNone);
   EXPECT_EQ(token.heartbeats(), 0u) << "progress counter must restart too";
+  // The stall window is cleared too: a quiet spell far past it neither
+  // trips a poll nor the next beat.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(token.expired());
+  token.heartbeat();
+  EXPECT_EQ(token.cause(), CancelCause::kNone);
+}
+
+TEST(Sweep, StallWindowInterruptsAWedgedPoint) {
+  // --stall-timeout: a point that keeps polling the token but stops
+  // making progress (no heartbeats) ends the run interrupted with cause
+  // "stalled"; the points finished before it stay checkpointed. With a
+  // pool, the other thread keeps beating the token until its points run
+  // out, and only then does the wedged thread's poll trip it.
+  const auto keys = sweep_keys();
+  const std::uint64_t wedged = keys[3];
+  for (const std::uint64_t threads : {0u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string path = tmp_path("stall.snap");
+    std::remove(path.c_str());
+    auto opt = quiet_options();
+    opt.checkpoint_path = path;
+    opt.stall_seconds = 0.5;
+    opt.threads = threads;
+    SweepRunner runner(resilience::sweep_id("t", {10}), opt);
+    const auto report = runner.run(keys, [&](std::uint64_t k) {
+      if (k == wedged) {
+        // Bounded so a broken stall check fails the test instead of
+        // hanging it.
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (std::chrono::steady_clock::now() < give_up) {
+          runner.token().raise_if_expired("wedged point");
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      return simulate_point(k, &runner.token());
+    });
+    EXPECT_EQ(report.status, SweepStatus::kInterrupted);
+    EXPECT_EQ(report.cause, CancelCause::kStalled);
+    EXPECT_FALSE(runner.has_record(wedged));
+    EXPECT_EQ(report.checkpoint, path);
+    const auto snap = Snapshot::load(path);
+    ASSERT_TRUE(snap.ok()) << snap.error().what();
+    ASSERT_EQ(snap.value().records.size(), report.completed);
+    if (threads == 0) {
+      ASSERT_EQ(report.completed, 3u);
+      for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(snap.value().records[i].key, keys[i]);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Sweep, RunnerIsReusableAfterItsTokenTripped) {
-  // A watchdog (or revoked lease) trips the token mid-sweep; the SAME
+  // A stall (or revoked lease) trips the token mid-sweep; the SAME
   // runner must be runnable again — run() re-arms the token instead of
   // inheriting the previous invocation's cancelled state.
   const std::string path = tmp_path("reuse.snap");

@@ -15,7 +15,7 @@
 //   * strict CLI parsing for the memory flags, spill-dir creation and
 //     orphan cleanup;
 //   * checkpoint/resume of partitions, including a crafted partial bank;
-//   * chaos phase=spill hang trips the stall watchdog and is revoked
+//   * chaos phase=spill hang trips the token's stall window and is revoked
 //     cleanly (Error{kInterrupted}, cause kStalled), and a subprocess
 //     SIGKILL mid-spill recovers byte-identically via the bench binary.
 
@@ -362,7 +362,7 @@ TEST(SpillCodec, SubSpanPayloadRoundTrips) {
 }
 
 // ---------------------------------------------------------------------
-// Executor: equivalence, faults, resume, watchdog
+// Executor: equivalence, faults, resume, stall window
 // ---------------------------------------------------------------------
 
 stream::StreamResult run_stream(const stream::StreamConfig& cfg,
@@ -509,15 +509,16 @@ TEST(StreamExecutor, ForeignCheckpointIsRejected) {
   }
 }
 
-// Satellite: chaos phase=spill,action=hang must trip the stall watchdog
-// and be revoked cleanly — Error{kInterrupted}, cause kStalled, no wedge.
+// Chaos phase=spill,action=hang must trip the token's stall window and be
+// revoked cleanly — Error{kInterrupted}, cause kStalled, no wedge. The
+// hang stops beating the token but keeps polling it.
 TEST(StreamExecutor, SpillHangTripsStallWatchdog) {
   stream::StreamConfig cfg = small_stream(tmp_dir("hang"));
   cfg.mem_budget = cfg.n * 8 / 4;
   const svc::ChaosPlan chaos =
       svc::ChaosPlan::parse("shard=0,attempt=0,phase=spill:1,action=hang");
   resilience::CancelToken token;
-  resilience::Watchdog watchdog(token, std::chrono::milliseconds(250));
+  token.set_stall(0.25);
   stream::StreamHooks hooks;
   hooks.cancel = &token;
   hooks.chaos = &chaos;

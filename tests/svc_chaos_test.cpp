@@ -139,11 +139,16 @@ TEST(SvcChaos, WedgedWorkerIsStalledRevokedAndRecovered) {
   auto opt = fleet_options("hang");
   opt.heartbeat_interval_seconds = 0.02;
   opt.heartbeat_timeout_seconds = 0.4;
-  opt.chaos = "shard=2,attempt=0,phase=point:1,action=hang";
+  // Shard 2 wedges mid-shard, after beating; shard 0 wedges at the lease,
+  // before its first heartbeat — the stall clock starting at the grant
+  // must revoke it all the same.
+  opt.chaos =
+      "shard=2,attempt=0,phase=point:1,action=hang;"
+      "shard=0,attempt=0,phase=lease,action=hang";
   const auto fleet = run_fleet(std::move(opt));
   EXPECT_EQ(fleet.status, svc::FleetReport::Status::kCompleted);
-  EXPECT_GE(fleet.stalls, 1u);
-  EXPECT_GE(fleet.retries, 1u);
+  EXPECT_GE(fleet.stalls, 2u);
+  EXPECT_GE(fleet.retries, 2u);
   expect_identical_to_baseline("hang");
 }
 

@@ -798,7 +798,6 @@ TEST(Worker, TruncatesCheckpointToTheBankedPrefix) {
   EXPECT_EQ(id, shard_id);
   EXPECT_EQ(keys, slice) << "prepare must slice the grid to the shard";
   EXPECT_EQ(opt.threads, 0u);
-  EXPECT_EQ(opt.checkpoint_every, 1u);
   EXPECT_EQ(opt.resume_path, lease.checkpoint_path);
 
   const auto snap = resilience::Snapshot::load(lease.checkpoint_path);

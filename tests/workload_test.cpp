@@ -72,6 +72,35 @@ TEST(Patterns, MultiHot) {
                std::invalid_argument);
 }
 
+/// FNV-1a over the little-endian bytes of every address, in order.
+std::uint64_t fnv1a(const std::vector<std::uint64_t>& xs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t x : xs)
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  return h;
+}
+
+TEST(Patterns, GeneratorsMatchPinnedDigests) {
+  // The generators feed every paper figure and the benchmark digests:
+  // their exact output sequence is pinned, not just their contention
+  // shape. The tight-space cases force many rejected draws, so the
+  // accept/reject sequence of the distinct-address sampler is pinned
+  // as well.
+  EXPECT_EQ(fnv1a(workload::k_hot(1 << 16, 512, 1 << 24, 1995)),
+            0x3cd66b8a9454169aULL);
+  EXPECT_EQ(fnv1a(workload::multi_hot(1 << 16, 64, 64, 1 << 24, 7)),
+            0x712532ee5d054fbaULL);
+  EXPECT_EQ(fnv1a(workload::multi_hot(4096, 8, 16, 4200, 5)),
+            0x196d2970071877f6ULL);
+  EXPECT_EQ(fnv1a(workload::distinct_random(1 << 15, 1 << 24, 11)),
+            0xe77edc0eb7383b8eULL);
+  EXPECT_EQ(fnv1a(workload::distinct_random(3000, 7000, 3)),
+            0x942328fce4045f41ULL);
+}
+
 TEST(Patterns, StridedAndCyclic) {
   const auto s = workload::strided(5, 3, 10);
   EXPECT_EQ(s, (std::vector<std::uint64_t>{10, 13, 16, 19, 22}));

@@ -14,8 +14,10 @@
 //   --workers=W           concurrent worker processes (default 2)
 //   --shards=S            grid partitions (default 2*W)
 //   --hb-interval=SEC     worker heartbeat cadence (default 0.05)
-//   --hb-timeout=SEC      stall window before a lease is revoked (default 5)
-//   --poll=SEC            coordinator loop cadence (default 0.02)
+//   --hb-timeout=SEC      stall window: a lease whose worker sends no new
+//                         heartbeat for SEC is revoked (default 5); the
+//                         coordinator measures it on its own clock, as the
+//                         `age` column sweep_top shows
 //   --attempt-deadline=S  per-attempt wall-clock budget (default none)
 //   --deadline=SEC        whole-fleet budget (default none)
 //   --max-strikes=N       no-progress failures before poisoning (default 3)
@@ -68,7 +70,6 @@ int main(int argc, char** argv) {
     opt.shards = cli.get_uint("shards", 0);
     opt.heartbeat_interval_seconds = cli.get_double("hb-interval", 0.05);
     opt.heartbeat_timeout_seconds = cli.get_double("hb-timeout", 5.0);
-    opt.poll_seconds = cli.get_double("poll", 0.02);
     opt.attempt_deadline_seconds = cli.get_double("attempt-deadline", 0.0);
     opt.deadline_seconds = cli.get_double("deadline", 0.0);
     opt.max_strikes = cli.get_uint("max-strikes", 3);
