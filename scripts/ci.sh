@@ -74,13 +74,15 @@
 #     full tier-1 ctest (the few assertions that count trace events are
 #     guarded by obs::kTraceCompiledIn) and produce a fig4 run report
 #     byte-identical to the plain build's.
-# 11. Fleet-observability smoke (docs/observability.md §fleet): an
-#     obs-on merged report strips back to the serial run's bytes, a
-#     chaos-killed worker's flight ring surfaces as the post_mortem
-#     section (last protocol phase + trace tail), the stitched fleet
-#     timeline is valid Chrome JSON, sweep_top renders a live fleet,
-#     and the trend reader degrades gracefully when no BENCH_*.json
-#     baselines match.
+# 11. Fleet-observability smoke (docs/observability.md §fleet): every
+#     fleet runs with observability on and its healthy, kill and hang
+#     reports cmp equal to the serial run's; the final fleet.status
+#     holds the lifecycle counters, a chaos-killed worker's flight ring
+#     surfaces as the fleet directory's post_mortem.json (last protocol
+#     phase + trace tail), the stitched fleet timeline is valid Chrome
+#     JSON, sweep_top renders a live fleet and refuses an empty dir or
+#     an unknown flag, and the trend reader degrades gracefully when no
+#     BENCH_*.json baselines match.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -435,19 +437,41 @@ COORD=./build-ci/tools/sweep_coordinator
 "$OBS_BENCH" "${OBS_ARGS[@]}" --report="$SMOKE/serial.json" > /dev/null
 
 # Healthy fleet: a 4-worker sharded fig4 sweep's merged report must be
-# byte-identical to the serial run's. --no-obs keeps the strict cmp
-# valid (observability adds the host-time fleet section by default; the
-# fleet-observability smoke below covers the obs-on path).
-"$COORD" --quiet --no-obs --workers=4 --shards=4 --dir="$SMOKE/fleet" \
+# byte-identical to the serial run's. Fleet observability is always on;
+# its host-time outputs go to the fleet directory, never the report.
+"$COORD" --quiet --workers=4 --shards=4 --dir="$SMOKE/fleet" \
   --report="$SMOKE/fleet.json" \
   -- "$OBS_BENCH" "${OBS_ARGS[@]}" > "$SMOKE/fleet.txt"
 grep -q "FLEET completed" "$SMOKE/fleet.txt"
 cmp "$SMOKE/serial.json" "$SMOKE/fleet.json"
+# The lifecycle counters live in the final fleet.status (a framed wire
+# message: header line, then a CRC-32-guarded JSON payload). A healthy
+# fleet harvests no flight ring, so it writes no post_mortem.json.
+python3 - "$SMOKE/fleet/fleet.status" <<'EOF'
+import json, sys, zlib
+
+raw = open(sys.argv[1], "rb").read()
+header, payload = raw.split(b"\n", 1)
+magic, kind, size, crc = header.decode().split(" ")
+assert (magic, kind) == ("DXSVCW1", "fleet_status"), header
+assert int(size) == len(payload), (size, len(payload))
+assert int(crc, 16) == zlib.crc32(payload), "fleet.status CRC mismatch"
+st = json.loads(payload)
+assert st["leases_granted"] >= 4, st
+assert st["strikes"] == 0, st
+done = [r for r in st["rows"] if r["phase"] == "done"]
+assert len(done) == 4, st["rows"]
+print(f"final fleet.status: {st['leases_granted']} leases, 4 done rows")
+EOF
+if [[ -e "$SMOKE/fleet/post_mortem.json" ]]; then
+  echo "healthy fleet wrote a post_mortem.json" >&2
+  exit 1
+fi
 echo "healthy 4-worker fleet report is byte-identical to the serial run"
 
 # Crash recovery: SIGKILL one worker mid-shard (deterministically, via
 # the chaos hook) and require the same bytes again.
-"$COORD" --quiet --no-obs --workers=4 --shards=4 --dir="$SMOKE/fleet-kill" \
+"$COORD" --quiet --workers=4 --shards=4 --dir="$SMOKE/fleet-kill" \
   --report="$SMOKE/fleet-kill.json" --backoff=0.05 \
   --chaos='shard=1,attempt=0,phase=point:1,action=kill' \
   -- "$OBS_BENCH" "${OBS_ARGS[@]}" > "$SMOKE/fleet-kill.txt"
@@ -458,7 +482,7 @@ echo "fleet survives a mid-shard SIGKILL with byte-identical output"
 # Wedge recovery: one worker hangs mid-shard and stops heartbeating; the
 # coordinator must revoke it once its heartbeat age reaches --hb-timeout
 # and requeue the rest of the shard — same bytes again.
-"$COORD" --quiet --no-obs --workers=4 --shards=4 --dir="$SMOKE/fleet-hang" \
+"$COORD" --quiet --workers=4 --shards=4 --dir="$SMOKE/fleet-hang" \
   --report="$SMOKE/fleet-hang.json" --backoff=0.05 --hb-timeout=0.5 \
   --chaos='shard=1,attempt=0,phase=point:1,action=hang' \
   -- "$OBS_BENCH" "${OBS_ARGS[@]}" > "$SMOKE/fleet-hang.txt"
@@ -495,56 +519,13 @@ echo "coordinator scaling stays within the master-worker model band"
 echo "chaos harness is sanitizer-clean"
 
 echo "== fleet observability smoke (docs/observability.md §fleet) =="
-# Healthy obs-on fleet: the merged report gains the host-time "fleet"
-# section, but stripping the fleet/post_mortem blocks line-wise must
-# leave bytes identical to the serial report — observability may add,
-# never perturb. A healthy fleet must carry no post_mortem at all.
-"$COORD" --quiet --workers=4 --shards=4 --dir="$SMOKE/fleet-obs" \
-  --report="$SMOKE/fleet-obs.json" \
-  -- "$OBS_BENCH" "${OBS_ARGS[@]}" > "$SMOKE/fleet-obs.txt"
-python3 -m json.tool "$SMOKE/fleet-obs.json" > /dev/null
-python3 - "$SMOKE/fleet-obs.json" "$SMOKE/serial.json" <<'EOF'
+# The chaos-kill fleet above harvested the dead attempt's flight ring
+# into post_mortem.json in its directory: it must name the dying shard's
+# last protocol phase and carry trace-event tails.
+python3 - "$SMOKE/fleet-kill/post_mortem.json" <<'EOF'
 import json, sys
 
-def strip_host_sections(path):
-    out, skip, depth = [], False, 0
-    for line in open(path):
-        if not skip and (line.startswith('  "fleet": {')
-                         or line.startswith('  "post_mortem": {')):
-            skip = True
-            depth = line.count("{") - line.count("}")
-            continue
-        if skip:
-            depth += line.count("{") - line.count("}")
-            if depth <= 0:
-                skip = False
-            continue
-        out.append(line)
-    return "".join(out)
-
-obs_report, serial = sys.argv[1], sys.argv[2]
-doc = json.load(open(obs_report))
-assert "fleet" in doc, "obs-on merged report lacks the fleet section"
-assert doc["fleet"]["svc.leases_granted"] >= 4, doc["fleet"]
-assert "post_mortem" not in doc, "healthy fleet grew a post_mortem"
-assert strip_host_sections(obs_report) == strip_host_sections(serial), \
-    "deterministic sections changed under observability"
-print("fleet section present; stripped report is byte-identical to serial")
-EOF
-
-# Chaos kill with observability on: the coordinator must harvest the
-# dead attempt's flight ring and embed it as post_mortem — naming the
-# dying shard's last protocol phase and carrying trace-event tails.
-"$COORD" --quiet --workers=4 --shards=4 --dir="$SMOKE/fleet-obskill" \
-  --report="$SMOKE/fleet-obskill.json" --backoff=0.05 \
-  --chaos='shard=1,attempt=0,phase=point:1,action=kill' \
-  -- "$OBS_BENCH" "${OBS_ARGS[@]}" > "$SMOKE/fleet-obskill.txt"
-grep -q "deaths=1" "$SMOKE/fleet-obskill.txt"
-python3 - "$SMOKE/fleet-obskill.json" <<'EOF'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-pm = doc["post_mortem"]
+pm = json.load(open(sys.argv[1]))
 assert pm["schema_version"] == 1, pm
 deaths = [d for d in pm["deaths"] if d["shard"] == "1/4"]
 assert deaths, f"no harvest for the killed shard: {pm}"
@@ -560,13 +541,13 @@ EOF
 # The standalone flight reader must decode the harvested ring, and the
 # stitch manifest must merge coordinator + worker traces (the killed
 # attempt rendered from its flight ring) into valid Chrome JSON.
-./build-ci/tools/flight_reader "$SMOKE/fleet-obskill/shard-1.attempt-0.flight" \
+./build-ci/tools/flight_reader "$SMOKE/fleet-kill/shard-1.attempt-0.flight" \
   > "$SMOKE/flight.txt"
 grep -q "phase point" "$SMOKE/flight.txt"
-./build-ci/tools/trace_stitch "$SMOKE/fleet-obskill/stitch.json" \
+./build-ci/tools/trace_stitch "$SMOKE/fleet-kill/stitch.json" \
   --out="$SMOKE/stitched.json"
 python3 -m json.tool "$SMOKE/stitched.json" > /dev/null
-python3 -m json.tool "$SMOKE/fleet-obskill/coordinator.trace.json" > /dev/null
+python3 -m json.tool "$SMOKE/fleet-kill/coordinator.trace.json" > /dev/null
 echo "flight ring decodes standalone; stitched timeline is valid JSON"
 
 # Live telemetry: sweep_top --once must render a running fleet and exit
@@ -597,6 +578,24 @@ if compgen -G "$SMOKE/fleet-live/*.telem" > /dev/null; then
   exit 1
 fi
 echo "sweep_top rendered the live fleet (and the fleet completed)"
+
+# Every running fleet publishes fleet.status before its first grant, so
+# live mode has nothing to wait for: a directory without one is exit 74
+# (EX_IOERR) at once, and an unknown flag is exit 64 (EX_USAGE).
+mkdir -p "$SMOKE/empty"
+RC=0
+timeout 5 ./build-ci/tools/sweep_top --dir="$SMOKE/empty" 2> /dev/null || RC=$?
+if [[ "$RC" != 74 ]]; then
+  echo "sweep_top on an empty dir: expected exit 74, got $RC" >&2
+  exit 1
+fi
+RC=0
+./build-ci/tools/sweep_top --bogus 2> /dev/null || RC=$?
+if [[ "$RC" != 64 ]]; then
+  echo "sweep_top --bogus: expected exit 64, got $RC" >&2
+  exit 1
+fi
+echo "sweep_top refuses an empty dir (74) and an unknown flag (64)"
 
 # The trend reader degrades gracefully when no baselines match: a clear
 # note and exit 0, not a stack trace — a fresh repo has no trend yet.

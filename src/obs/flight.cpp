@@ -10,6 +10,7 @@
 #include <span>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "obs/selector.hpp"
 #include "obs/trace.hpp"
 #include "resilience/framed_file.hpp"
@@ -242,6 +243,38 @@ std::string flight_describe(const FlightRecord& r) {
       break;
   }
   return std::move(os).str();
+}
+
+void write_json(JsonWriter& w, const PostMortemInfo& pm) {
+  w.member("schema_version", kPostMortemSchemaVersion);
+  w.member("harvests", static_cast<std::uint64_t>(pm.harvests.size()));
+  w.key("deaths").begin_array();
+  for (const PostMortemInfo::Harvest& h : pm.harvests) {
+    w.begin_object();
+    w.member("shard", h.shard);
+    w.member("attempt", h.attempt);
+    w.member("why", h.why);
+    w.member("last_phase", h.last_phase);
+    w.member("last_point", h.last_point);
+    w.member("records", h.records);
+    w.member("torn", h.torn);
+    w.key("events").begin_array();
+    for (const PostMortemInfo::Event& ev : h.events) {
+      w.begin_object();
+      w.member("kind", ev.kind);
+      w.member("name", ev.name);
+      w.member("seq", ev.seq);
+      w.member("t_us", ev.t_us);
+      w.member("a", ev.a);
+      w.member("b", ev.b);
+      w.member("c", ev.c);
+      w.member("d", ev.d);
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+  }
+  w.end_array();
 }
 
 }  // namespace dxbsp::obs

@@ -30,8 +30,9 @@
 //
 // The reader (flight_read = read_file + flight_parse) is the harvesting
 // side: the coordinator runs it after any revocation/SIGKILL/poison and
-// embeds the decoded tail as the run report's "post_mortem" section;
-// tools/flight_reader is the standalone CLI over the same decoder.
+// summarises the decoded tails as PostMortemInfo, which it writes to the
+// fleet directory as post_mortem.json; tools/flight_reader is the
+// standalone CLI over the same decoder.
 
 #include <chrono>
 #include <cstdint>
@@ -42,6 +43,8 @@
 #include "resilience/error.hpp"
 
 namespace dxbsp::obs {
+
+class JsonWriter;
 
 inline constexpr std::uint32_t kFlightVersion = 1;
 inline constexpr std::size_t kFlightHeaderBytes = 64;
@@ -143,5 +146,39 @@ struct FlightTail {
 /// The record's display name: the phase name for kPhase records, the
 /// trace-kind name for kTrace, the engine name for kSelector.
 [[nodiscard]] std::string flight_record_name(const FlightRecord& r);
+
+/// post_mortem.json: schema of the PostMortemInfo document.
+inline constexpr std::uint64_t kPostMortemSchemaVersion = 1;
+
+/// Flight-recorder tails harvested from dead or revoked worker attempts
+/// (docs/observability.md §fleet). Everything here is host-dependent —
+/// timestamps, record counts, which attempt died — so it lives in the
+/// fleet directory as post_mortem.json, never in the run report.
+struct PostMortemInfo {
+  struct Event {
+    std::string kind;   ///< flight_kind_name: phase/trace/selector/note
+    std::string name;   ///< flight_record_name: e.g. "point", "arrive"
+    std::uint64_t seq = 0;
+    std::uint64_t t_us = 0;  ///< µs since the worker's epoch
+    std::uint64_t a = 0, b = 0, c = 0, d = 0;
+  };
+  struct Harvest {
+    std::string shard;       ///< "index/count"
+    std::uint64_t attempt = 0;
+    std::string why;         ///< what killed the attempt (reap/stall text)
+    std::string last_phase;  ///< last protocol phase entered (not chaos)
+    std::uint64_t last_point = 0;  ///< points covered at the last point phase
+    std::uint64_t records = 0;     ///< valid flight records in the ring
+    std::uint64_t torn = 0;        ///< CRC-failed slots (death mid-append)
+    std::vector<Event> events;     ///< tail of the ring, oldest first
+  };
+  std::vector<Harvest> harvests;  ///< in death order
+
+  [[nodiscard]] bool empty() const noexcept { return harvests.empty(); }
+};
+
+/// The post_mortem.json object's members: schema_version, harvests (the
+/// count) and deaths[], one object per harvest.
+void write_json(JsonWriter& w, const PostMortemInfo& pm);
 
 }  // namespace dxbsp::obs

@@ -113,61 +113,13 @@ void write_report_json(std::ostream& os, const RunInfo& info,
                        const MetricsRegistry& metrics, const Tracer* tracer,
                        const AttributionAggregate* attribution,
                        const DriftDetector* drift, const SelectorLog* selector,
-                       const DegradedInfo* degraded,
-                       const PostMortemInfo* post_mortem,
-                       const MetricsRegistry* fleet) {
+                       const DegradedInfo* degraded) {
   JsonWriter w(os);
   w.begin_object();
   w.member("report_version", kReportVersion);
   w.member("generator", "dxbsp");
   w.member("git", build_git_describe());
   write_json(w, info);
-
-  // Host-dependent fleet sections come BEFORE the deterministic ones so
-  // stripping them line-wise leaves the byte-identical remainder intact
-  // (ci compares an observability-enabled fleet report to a serial one).
-  if (fleet != nullptr) {
-    w.key("fleet").begin_object();
-    w.member("schema_version", kFleetSchemaVersion);
-    for (const auto& e : fleet->snapshot(/*include_host=*/true))
-      w.member(e.name, e.value);
-    w.end_object();
-  }
-
-  if (post_mortem != nullptr && !post_mortem->empty()) {
-    w.key("post_mortem").begin_object();
-    w.member("schema_version", kPostMortemSchemaVersion);
-    w.member("harvests",
-             static_cast<std::uint64_t>(post_mortem->harvests.size()));
-    w.key("deaths").begin_array();
-    for (const PostMortemInfo::Harvest& h : post_mortem->harvests) {
-      w.begin_object();
-      w.member("shard", h.shard);
-      w.member("attempt", h.attempt);
-      w.member("why", h.why);
-      w.member("last_phase", h.last_phase);
-      w.member("last_point", h.last_point);
-      w.member("records", h.records);
-      w.member("torn", h.torn);
-      w.key("events").begin_array();
-      for (const PostMortemInfo::Event& ev : h.events) {
-        w.begin_object();
-        w.member("kind", ev.kind);
-        w.member("name", ev.name);
-        w.member("seq", ev.seq);
-        w.member("t_us", ev.t_us);
-        w.member("a", ev.a);
-        w.member("b", ev.b);
-        w.member("c", ev.c);
-        w.member("d", ev.d);
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
 
   w.key("metrics").begin_object();
   write_json_values(w, metrics.snapshot(/*include_host=*/false));
@@ -226,12 +178,10 @@ void write_report_csv(std::ostream& os, const RunInfo& info,
                       const MetricsRegistry& metrics, const Tracer* tracer,
                       const AttributionAggregate* attribution,
                       const DriftDetector* drift, const SelectorLog* selector,
-                      const DegradedInfo* degraded,
-                      const PostMortemInfo* post_mortem,
-                      const MetricsRegistry* fleet) {
+                      const DegradedInfo* degraded) {
   std::ostringstream json;
   write_report_json(json, info, metrics, tracer, attribution, drift, selector,
-                    degraded, post_mortem, fleet);
+                    degraded);
   const JsonValue doc = JsonValue::parse(json.str(), "report").value();
   os << "section,key,value\n";
   for (const auto& [key, v] : doc.members()) {

@@ -31,20 +31,14 @@ namespace dxbsp::obs {
 /// (fleet-mode partial results) carries its own schema version too and
 /// only appears when a sweep actually degraded, so healthy merged reports
 /// stay byte-identical to serial ones.
-/// Version 3 added the fleet-observability sections: "fleet" (coordinator
-/// lifecycle counters, host-stability) and "post_mortem" (flight-recorder
-/// tails harvested from dead worker attempts). Both appear only when the
-/// coordinator runs with observability on, and never in serial reports,
-/// so the deterministic sections keep their byte-identity contract.
+/// Version 3 added the fleet-observability sections "fleet" and
+/// "post_mortem". Both have since moved out of the report into the fleet
+/// directory, beside the fleet's other host-time files: the lifecycle
+/// counters into the final fleet.status (svc/payload.hpp), the harvested
+/// flight tails into post_mortem.json (obs/flight.hpp). Serial reports
+/// never carried them, so the version number stays.
 inline constexpr std::uint64_t kReportVersion = 3;
 inline constexpr std::uint64_t kDegradedSchemaVersion = 1;
-/// "post_mortem" section: flight-recorder tails (obs/flight.hpp) from
-/// worker attempts that died or were revoked, harvested by the
-/// coordinator before the shard is re-queued.
-inline constexpr std::uint64_t kPostMortemSchemaVersion = 1;
-/// "fleet" section: coordinator lifecycle counters rendered from a
-/// host-stability MetricsRegistry (leases, retries, revocations, ...).
-inline constexpr std::uint64_t kFleetSchemaVersion = 1;
 
 /// Build identifier baked in at configure time ("unknown" outside git).
 [[nodiscard]] const char* build_git_describe() noexcept;
@@ -86,54 +80,21 @@ struct DegradedInfo {
   std::vector<Shard> shards;  ///< the quarantined shards, by index
 };
 
-/// Flight-recorder tails harvested from dead or revoked worker attempts
-/// (docs/observability.md §fleet). Everything here is host-dependent —
-/// timestamps, record counts, which attempt died — so the section is
-/// only written by observability-enabled fleet runs.
-struct PostMortemInfo {
-  struct Event {
-    std::string kind;   ///< flight_kind_name: phase/trace/selector/note
-    std::string name;   ///< flight_record_name: e.g. "point", "arrive"
-    std::uint64_t seq = 0;
-    std::uint64_t t_us = 0;  ///< µs since the worker's epoch
-    std::uint64_t a = 0, b = 0, c = 0, d = 0;
-  };
-  struct Harvest {
-    std::string shard;       ///< "index/count"
-    std::uint64_t attempt = 0;
-    std::string why;         ///< what killed the attempt (reap/stall text)
-    std::string last_phase;  ///< last protocol phase entered (not chaos)
-    std::uint64_t last_point = 0;  ///< points covered at the last point phase
-    std::uint64_t records = 0;     ///< valid flight records in the ring
-    std::uint64_t torn = 0;        ///< CRC-failed slots (death mid-append)
-    std::vector<Event> events;     ///< tail of the ring, oldest first
-  };
-  std::vector<Harvest> harvests;  ///< in death order
-
-  [[nodiscard]] bool empty() const noexcept { return harvests.empty(); }
-};
-
 /// Writes the versioned JSON report. `tracer`, `attribution`, `drift`,
 /// `selector` and `degraded` may each be null (their sections are
 /// omitted); an empty selector log also omits its section.
-/// Host-stability metrics are always excluded from "metrics"; `fleet`
-/// (when non-null) renders its OWN snapshot including host metrics into
-/// the "fleet" section, and `post_mortem` (when non-null and non-empty)
-/// adds the "post_mortem" section. Both land right after "flags" so the
-/// deterministic sections that follow keep a stable shape either way.
+/// Host-stability metrics are always excluded from "metrics".
 void write_report_json(std::ostream& os, const RunInfo& info,
                        const MetricsRegistry& metrics, const Tracer* tracer,
                        const AttributionAggregate* attribution = nullptr,
                        const DriftDetector* drift = nullptr,
                        const SelectorLog* selector = nullptr,
-                       const DegradedInfo* degraded = nullptr,
-                       const PostMortemInfo* post_mortem = nullptr,
-                       const MetricsRegistry* fleet = nullptr);
+                       const DegradedInfo* degraded = nullptr);
 
 /// CSV twin: the JSON report flattened into `section,key,value` rows,
 /// one per scalar leaf, in document order. The section is the top-level
 /// key, or "run" for a top-level scalar; the key is the '.'-joined path
-/// below it, with array items named by index (`deaths.0.last_phase`);
+/// below it, with array items named by index (`shards.0.repro`);
 /// the value is the JSON text of a number, bool or null, or the string
 /// itself. Every field is RFC 4180-escaped (csv_escape), so caller-chosen
 /// names with commas or quotes cannot shear a row. An empty object or
@@ -143,9 +104,7 @@ void write_report_csv(std::ostream& os, const RunInfo& info,
                       const AttributionAggregate* attribution = nullptr,
                       const DriftDetector* drift = nullptr,
                       const SelectorLog* selector = nullptr,
-                      const DegradedInfo* degraded = nullptr,
-                      const PostMortemInfo* post_mortem = nullptr,
-                      const MetricsRegistry* fleet = nullptr);
+                      const DegradedInfo* degraded = nullptr);
 
 /// Opens `path` for writing and runs `fn(stream)`; any failure is
 /// Error{kIo} naming the path.

@@ -47,21 +47,6 @@ std::string basename_of(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-/// The fleet lifecycle counters, under the one set of names both the
-/// merged report's `fleet` section and the global registry (the
-/// `--metrics` dump) use. Host-stability by nature: how often leases
-/// bounced depends on the machine, never on the workload.
-void add_fleet_counters(obs::MetricsRegistry& reg, const FleetReport& f) {
-  const auto host = obs::Stability::kHost;
-  reg.counter("svc.leases_granted", host).add(f.leases_granted);
-  reg.counter("svc.retries", host).add(f.retries);
-  reg.counter("svc.revocations", host).add(f.revocations);
-  reg.counter("svc.worker_deaths", host).add(f.worker_deaths);
-  reg.counter("svc.stalls", host).add(f.stalls);
-  reg.counter("svc.strikes", host).add(f.strikes);
-  reg.counter("svc.quarantined", host).add(f.degraded.poisoned_shards);
-}
-
 }  // namespace
 
 int FleetReport::exit_code() const noexcept {
@@ -101,9 +86,8 @@ struct Coordinator::ShardState {
 
   std::string lease_path, hb_path, agg_path, res_path, snap_path;
 
-  // Observability bookkeeping (opt_.observability only). flight/trace
-  // paths are per-attempt so a dead attempt's artifacts survive its
-  // retry.
+  // Observability bookkeeping. flight/trace paths are per-attempt so a
+  // dead attempt's artifacts survive its retry.
   std::string flight_path, trace_path;
   std::uint64_t grant_us = 0;   ///< coordinator clock at the grant
   std::uint64_t offset_us = 0;  ///< min(rx − mono_us) over new beats
@@ -164,22 +148,17 @@ void Coordinator::grant(ShardState& s) {
   lease.deadline_seconds = opt_.attempt_deadline_seconds;
   lease.hb_interval_seconds = opt_.heartbeat_interval_seconds;
   lease.chaos = opt_.chaos;
-  if (opt_.observability) {
-    const std::string astem = opt_.dir + "/shard-" +
-                              std::to_string(s.spec.index) + ".attempt-" +
-                              std::to_string(s.attempt);
-    lease.flight_path = astem + ".flight";
-    lease.trace_path = astem + ".trace.json";
-    lease.flight_bytes = opt_.flight_bytes;
-    s.flight_path = lease.flight_path;
-    s.trace_path = lease.trace_path;
-  }
+  const std::string astem = opt_.dir + "/shard-" +
+                            std::to_string(s.spec.index) + ".attempt-" +
+                            std::to_string(s.attempt);
+  lease.flight_path = astem + ".flight";
+  lease.trace_path = astem + ".trace.json";
+  s.flight_path = lease.flight_path;
+  s.trace_path = lease.trace_path;
   wire_write_file(s.lease_path, kMsgLease, encode_lease(lease));
   s.resume_base = s.banked;
 
-  const std::string log_path = opt_.dir + "/shard-" +
-                               std::to_string(s.spec.index) + ".attempt-" +
-                               std::to_string(s.attempt) + ".log";
+  const std::string log_path = astem + ".log";
   std::vector<std::string> argv = opt_.worker_argv;
   argv.push_back("--svc-lease=" + s.lease_path);
   std::vector<char*> cargv;
@@ -221,12 +200,10 @@ void Coordinator::grant(ShardState& s) {
   // its first heartbeat in a way waitpid cannot see (e.g. before exec)
   // is revoked like one that stops beating later.
   s.updated_us = s.grant_us;
-  if (elog_ != nullptr)
-    elog_->instant("grant shard " + s.spec.str(), s.grant_us,
-                   s.spec.index + 1,
-                   {{"attempt", std::to_string(s.attempt)},
-                    {"resume_points", std::to_string(s.banked)},
-                    {"pid", std::to_string(pid)}});
+  elog_->instant("grant shard " + s.spec.str(), s.grant_us, s.spec.index + 1,
+                 {{"attempt", std::to_string(s.attempt)},
+                  {"resume_points", std::to_string(s.banked)},
+                  {"pid", std::to_string(pid)}});
   log_line("grant shard " + s.spec.str() + " attempt " +
            std::to_string(s.attempt) + " resume_points " +
            std::to_string(s.banked) + " pid " + std::to_string(pid));
@@ -388,7 +365,7 @@ void Coordinator::check_stalls() {
           // crosses below — the true offset (obs/stitch.hpp).
           const std::uint64_t rx = now_us();
           const std::uint64_t mono = hb.value().mono_us;
-          if (opt_.observability && mono > 0 && rx > mono) {
+          if (mono > 0 && rx > mono) {
             const std::uint64_t off = rx - mono;
             if (!s.saw_offset || off < s.offset_us) {
               s.saw_offset = true;
@@ -399,9 +376,8 @@ void Coordinator::check_stalls() {
           s.last_events = hb.value().events;
           s.last_beat_us = mono;
           s.updated_us = rx;
-          if (elog_ != nullptr)
-            elog_->counter("shard " + s.spec.str() + " completed", rx,
-                           s.spec.index + 1, hb.value().completed);
+          elog_->counter("shard " + s.spec.str() + " completed", rx,
+                         s.spec.index + 1, hb.value().completed);
         }
       }
     }
@@ -419,9 +395,8 @@ void Coordinator::check_stalls() {
 void Coordinator::revoke(ShardState& s, const std::string& why,
                          bool already_dead) {
   ++fleet_.revocations;
-  if (elog_ != nullptr)
-    elog_->instant("revoke shard " + s.spec.str(), now_us(),
-                   s.spec.index + 1, {{"why", why}});
+  elog_->instant("revoke shard " + s.spec.str(), now_us(), s.spec.index + 1,
+                 {{"why", why}});
   if (!already_dead && s.pid > 0) {
     ::kill(s.pid, SIGKILL);
     int status = 0;
@@ -432,7 +407,6 @@ void Coordinator::revoke(ShardState& s, const std::string& why,
 }
 
 void Coordinator::harvest(ShardState& s, const std::string& why) {
-  if (!opt_.observability || s.flight_path.empty()) return;
   obs::PostMortemInfo::Harvest h;
   h.shard = s.spec.str();
   h.attempt = s.attempt;
@@ -483,25 +457,17 @@ void Coordinator::harvest(ShardState& s, const std::string& why) {
 }
 
 void Coordinator::end_lease_obs(ShardState& s, const char* outcome) {
-  if (!opt_.observability || s.flight_path.empty()) return;
-  const std::uint64_t offset =
-      s.saw_offset ? s.offset_us : s.grant_us;
+  const std::uint64_t offset = s.saw_offset ? s.offset_us : s.grant_us;
   stitch_.push_back(StitchEntry{
       "shard " + s.spec.str() + " attempt " + std::to_string(s.attempt),
       basename_of(s.trace_path), basename_of(s.flight_path), offset});
-  if (elog_ != nullptr) {
-    const std::uint64_t nowu = now_us();
-    elog_->span("lease shard " + s.spec.str(), s.grant_us,
-                nowu > s.grant_us ? nowu - s.grant_us : 0, s.spec.index + 1,
-                {{"attempt", std::to_string(s.attempt)},
-                 {"outcome", outcome}});
-  }
-  s.flight_path.clear();
-  s.trace_path.clear();
+  const std::uint64_t nowu = now_us();
+  elog_->span("lease shard " + s.spec.str(), s.grant_us,
+              nowu > s.grant_us ? nowu - s.grant_us : 0, s.spec.index + 1,
+              {{"attempt", std::to_string(s.attempt)}, {"outcome", outcome}});
 }
 
 void Coordinator::publish_fleet_status(bool force) {
-  if (!opt_.observability) return;
   const double t = now();
   if (!force && last_status_pub_ >= 0 && t - last_status_pub_ < 0.25) return;
   last_status_pub_ = t;
@@ -515,6 +481,7 @@ void Coordinator::publish_fleet_status(bool force) {
   m.worker_deaths = fleet_.worker_deaths;
   m.stalls = fleet_.stalls;
   m.revocations = fleet_.revocations;
+  m.strikes = fleet_.strikes;
   for (const auto& sp : states_) {
     const ShardState& s = *sp;
     FleetStatusMsg::Shard row;
@@ -547,14 +514,21 @@ void Coordinator::publish_fleet_status(bool force) {
 }
 
 void Coordinator::write_observability_outputs() {
-  if (!opt_.observability) return;
   publish_fleet_status(/*force=*/true);
-  if (elog_ != nullptr) {
+  try {
+    obs::write_file(opt_.dir + "/coordinator.trace.json",
+                    [this](std::ostream& os) { elog_->write_chrome_json(os); });
+  } catch (const Error&) {
+  }
+  if (!fleet_.post_mortem.empty()) {
     try {
-      obs::write_file(opt_.dir + "/coordinator.trace.json",
-                      [this](std::ostream& os) {
-                        elog_->write_chrome_json(os);
-                      });
+      obs::write_file(opt_.dir + "/post_mortem.json", [this](std::ostream& os) {
+        obs::JsonWriter w(os);
+        w.begin_object();
+        obs::write_json(w, fleet_.post_mortem);
+        w.end_object();
+        os << '\n';
+      });
     } catch (const Error&) {
     }
   }
@@ -610,9 +584,7 @@ FleetReport Coordinator::run() {
   fleet_.shards = opt_.shards;
   stitch_.clear();
   last_status_pub_ = -1;
-  elog_ = opt_.observability
-              ? std::make_unique<obs::EventLog>("coordinator", epoch_)
-              : nullptr;
+  elog_ = std::make_unique<obs::EventLog>("coordinator", epoch_);
   for (std::uint64_t i = 0; i < opt_.shards; ++i) {
     auto s = std::make_unique<ShardState>();
     s->spec = resilience::ShardSpec{i, opt_.shards};
@@ -634,12 +606,10 @@ FleetReport Coordinator::run() {
       kill_all();
       fleet_.status = FleetReport::Status::kInterrupted;
       fleet_.elapsed_seconds = now();
-      if (elog_ != nullptr)
-        elog_->instant("interrupted", now_us(), 0,
-                       {{"cause", resilience::cancel_cause_name(
-                                      stop_.cause())}});
+      elog_->instant(
+          "interrupted", now_us(), 0,
+          {{"cause", resilience::cancel_cause_name(stop_.cause())}});
       write_observability_outputs();
-      publish_host_metrics();
       log_line("interrupted (" +
                std::string(resilience::cancel_cause_name(stop_.cause())) +
                ")");
@@ -688,13 +658,11 @@ FleetReport Coordinator::run() {
                       ? FleetReport::Status::kDegraded
                       : FleetReport::Status::kCompleted;
 
-  if (elog_ != nullptr)
-    elog_->instant("merge", now_us(), 0,
-                   {{"completed_shards",
-                     std::to_string(fleet_.completed_shards)}});
+  elog_->instant(
+      "merge", now_us(), 0,
+      {{"completed_shards", std::to_string(fleet_.completed_shards)}});
   write_observability_outputs();
   write_merged_reports();
-  publish_host_metrics();
   log_line("fleet " +
            std::string(fleet_.ok() ? "completed" : "degraded") + ": " +
            std::to_string(fleet_.completed_shards) + "/" +
@@ -749,33 +717,16 @@ void Coordinator::write_merged_reports() {
       fleet_.degraded.poisoned_shards > 0 ? &fleet_.degraded : nullptr;
   const obs::DriftDetector* drift_ptr = drift ? &*drift : nullptr;
 
-  // The coordinator's own lifecycle counters: the report's `fleet`
-  // section.
-  obs::MetricsRegistry fleet_metrics;
-  const obs::MetricsRegistry* fleet_ptr = nullptr;
-  const obs::PostMortemInfo* post_mortem = nullptr;
-  if (opt_.observability) {
-    add_fleet_counters(fleet_metrics, fleet_);
-    fleet_ptr = &fleet_metrics;
-    if (!fleet_.post_mortem.empty()) post_mortem = &fleet_.post_mortem;
-  }
-
   if (!opt_.report_path.empty())
     obs::write_file(opt_.report_path, [&](std::ostream& os) {
       obs::write_report_json(os, info, merged, nullptr, &attribution,
-                             drift_ptr, &selector, degraded, post_mortem,
-                             fleet_ptr);
+                             drift_ptr, &selector, degraded);
     });
   if (!opt_.report_csv_path.empty())
     obs::write_file(opt_.report_csv_path, [&](std::ostream& os) {
       obs::write_report_csv(os, info, merged, nullptr, &attribution,
-                            drift_ptr, &selector, degraded, post_mortem,
-                            fleet_ptr);
+                            drift_ptr, &selector, degraded);
     });
-}
-
-void Coordinator::publish_host_metrics() const {
-  add_fleet_counters(obs::MetricsRegistry::global(), fleet_);
 }
 
 }  // namespace dxbsp::svc

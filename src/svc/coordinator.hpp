@@ -30,6 +30,13 @@
 // contract), a fleet report with no poisoned shards is byte-identical
 // to the report a serial run of the same bench would write; a degraded
 // fleet adds the structured "degraded" section and exits 69 (EX_UNAVAILABLE).
+//
+// Fleet observability (docs/observability.md §fleet) is always on, and
+// everything it records is host-time, so it lives in the working
+// directory, never in the report: per-attempt flight rings and traces,
+// the live fleet.status (whose final copy holds the lifecycle counters),
+// the stitch manifest, the coordinator's own trace, and post_mortem.json
+// when an attempt died.
 
 #include <chrono>
 #include <cstdint>
@@ -39,6 +46,7 @@
 #include <vector>
 
 #include "obs/event_log.hpp"
+#include "obs/flight.hpp"
 #include "obs/report.hpp"
 #include "resilience/cancel.hpp"
 #include "resilience/shard.hpp"
@@ -66,13 +74,6 @@ struct CoordinatorOptions {
   std::string report_csv_path;  ///< merged CSV run report ("" = none)
   bool handle_signals = true;  ///< route SIGINT/SIGTERM to a clean stop
   std::ostream* log = nullptr;  ///< progress lines (null = quiet)
-  /// Fleet observability (docs/observability.md §fleet): per-attempt
-  /// flight rings + host-time traces, the live fleet.status file, a
-  /// stitch manifest, and the "fleet"/"post_mortem" report sections.
-  /// Off by default at the library level so existing byte-identity
-  /// baselines hold; the sweep_coordinator CLI turns it on.
-  bool observability = false;
-  std::uint64_t flight_bytes = 64 * 1024;  ///< per-worker ring size
 };
 
 /// What the fleet did. Counters cover the whole run, all shards.
@@ -90,7 +91,9 @@ struct FleetReport {
   std::uint64_t points_total = 0;   ///< grid points across observed shards
   std::uint64_t points_completed = 0;  ///< points banked across all shards
   obs::DegradedInfo degraded;  ///< poisoned-shard record (when any)
-  obs::PostMortemInfo post_mortem;  ///< harvested flight tails (obs mode)
+  /// Harvested flight tails of dead attempts; written to the working
+  /// directory as post_mortem.json when non-empty.
+  obs::PostMortemInfo post_mortem;
   /// Per-shard wall-clock of the completing attempt, by shard index
   /// (0 when the shard never completed). Host-only; the scaling bench's
   /// raw material.
@@ -129,7 +132,6 @@ class Coordinator {
   void fail_attempt(ShardState& s, const std::string& why);
   void kill_all();
   void write_merged_reports();
-  void publish_host_metrics() const;
   void harvest(ShardState& s, const std::string& why);
   void end_lease_obs(ShardState& s, const char* outcome);
   void publish_fleet_status(bool force);
@@ -144,7 +146,7 @@ class Coordinator {
   FleetReport fleet_;
   std::chrono::steady_clock::time_point epoch_{};
 
-  // Fleet observability (opt_.observability only).
+  // Fleet observability.
   struct StitchEntry {
     std::string label;
     std::string trace;   ///< file name relative to opt_.dir

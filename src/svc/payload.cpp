@@ -30,7 +30,6 @@ static void write_json(JsonWriter& w, const LeaseMsg& m) {
   w.member("chaos", m.chaos);
   w.member("flight_path", m.flight_path);
   w.member("trace_path", m.trace_path);
-  w.member("flight_bytes", m.flight_bytes);
 }
 
 static void read_json(JsonDecoder& d, LeaseMsg& m) {
@@ -50,8 +49,6 @@ static void read_json(JsonDecoder& d, LeaseMsg& m) {
     m.flight_path = fp->is_string() ? fp->as_string() : "";
   if (const JsonValue* tp = d.opt("trace_path"))
     m.trace_path = tp->is_string() ? tp->as_string() : "";
-  if (const JsonValue* fb = d.opt("flight_bytes"))
-    m.flight_bytes = fb->is_number() ? fb->as_u64() : 0;
 }
 
 static void write_json(JsonWriter& w, const HeartbeatMsg& m) {
@@ -109,6 +106,7 @@ static void write_json(JsonWriter& w, const FleetStatusMsg& m) {
   w.member("worker_deaths", m.worker_deaths);
   w.member("stalls", m.stalls);
   w.member("revocations", m.revocations);
+  w.member("strikes", m.strikes);
   w.member("points_total", m.points_total);
   w.member("points_completed", m.points_completed);
   w.key("rows").begin_array();
@@ -129,6 +127,7 @@ static void read_json(JsonDecoder& d, FleetStatusMsg& m) {
   m.worker_deaths = d.u64("worker_deaths");
   m.stalls = d.u64("stalls");
   m.revocations = d.u64("revocations");
+  m.strikes = d.u64("strikes");
   m.points_total = d.u64("points_total");
   m.points_completed = d.u64("points_completed");
   if (const JsonValue* rows = d.array("rows")) {

@@ -68,11 +68,10 @@ struct LeaseMsg {
   double deadline_seconds = 0;     ///< per-attempt budget (<= 0 = none)
   double hb_interval_seconds = 0;  ///< heartbeat publication cadence
   std::string chaos;               ///< forwarded ChaosPlan spec ("" = none)
-  // Observability outputs, all optional ("" / 0 = feature off). Decoded
-  // tolerantly so a newer coordinator can lease to an older worker.
+  // Observability outputs, both optional ("" = feature off). Decoded
+  // tolerantly so a lease written without them still decodes.
   std::string flight_path;  ///< crash-safe flight ring (obs/flight.hpp)
   std::string trace_path;   ///< host-time Chrome trace (obs/event_log.hpp)
-  std::uint64_t flight_bytes = 0;  ///< ring size (0 = default)
 };
 
 struct HeartbeatMsg {
@@ -91,7 +90,9 @@ struct HeartbeatMsg {
 };
 
 /// Coordinator -> sweep_top: the merged live view, republished on a
-/// throttle from the poll loop. One row per shard.
+/// throttle from the poll loop and once more when the fleet ends, so the
+/// final fleet.status holds the fleet's lifecycle counters. One row per
+/// shard; the quarantined count is the number of "poisoned" rows.
 struct FleetStatusMsg {
   std::uint64_t mono_us = 0;  ///< coordinator clock at publication
   std::uint64_t shards = 0;
@@ -101,6 +102,7 @@ struct FleetStatusMsg {
   std::uint64_t worker_deaths = 0;
   std::uint64_t stalls = 0;
   std::uint64_t revocations = 0;
+  std::uint64_t strikes = 0;  ///< no-progress failures, all shards
   std::uint64_t points_total = 0;
   std::uint64_t points_completed = 0;
   struct Shard {

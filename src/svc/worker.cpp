@@ -40,10 +40,8 @@ void WorkerContext::init(const std::string& lease_path) {
   // visible to the coordinator's harvest).
   if (!lease_.flight_path.empty()) {
     try {
-      flight_ = std::make_unique<obs::FlightRecorder>(
-          lease_.flight_path, started_,
-          lease_.flight_bytes > 0 ? lease_.flight_bytes
-                                  : obs::kFlightDefaultBytes);
+      flight_ = std::make_unique<obs::FlightRecorder>(lease_.flight_path,
+                                                      started_);
       // A small private tracer: the ring only ever keeps the last few
       // events per point, so a deep buffer would be wasted memory.
       flight_tracer_ = std::make_unique<obs::Tracer>(/*ring_capacity=*/64);

@@ -3,7 +3,7 @@
 // slots, header refusal), the wall-clock EventLog, cross-process trace
 // stitching (known clock offsets must order correctly, worker events
 // must never precede their lease grant, dead attempts fall back to
-// their flight ring) and the report-v3 fleet/post_mortem sections.
+// their flight ring) and the post_mortem.json writer.
 
 #include <chrono>
 #include <cstdint>
@@ -17,6 +17,7 @@
 
 #include "obs/event_log.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/json_read.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -338,17 +339,9 @@ TEST(Stitch, ManifestErrorsAreStructured) {
 // -------------------------------------------------------- report v3
 
 TEST(ReportV3, FleetAndPostMortemSectionsRender) {
-  obs::RunInfo info;
-  info.bench = "flight test";
-  info.seed = 1;
-
-  obs::MetricsRegistry metrics;
-  metrics.counter("sim.requests").add(5);
-
-  obs::MetricsRegistry fleet;
-  fleet.counter("svc.leases_granted", obs::Stability::kHost).add(3);
-  fleet.counter("svc.revocations", obs::Stability::kHost).add(1);
-
+  // Both host-time fleet aggregates left the run report for the fleet
+  // directory: the counters for fleet.status, the flight tails for
+  // post_mortem.json, rendered by PostMortemInfo's own writer.
   obs::PostMortemInfo pm;
   obs::PostMortemInfo::Harvest h;
   h.shard = "1/4";
@@ -363,22 +356,15 @@ TEST(ReportV3, FleetAndPostMortemSectionsRender) {
   pm.harvests.push_back(std::move(h));
 
   std::ostringstream os;
-  obs::write_report_json(os, info, metrics, nullptr, nullptr, nullptr,
-                         nullptr, nullptr, &pm, &fleet);
-  const std::string json = os.str();
-  const JsonValue doc = JsonValue::parse(json, "report").value();
-  EXPECT_EQ(doc.find("report_version")->as_u64(), 3u);
-
-  const JsonValue* fl = doc.find("fleet");
-  ASSERT_NE(fl, nullptr);
-  EXPECT_EQ(fl->find("schema_version")->as_u64(), obs::kFleetSchemaVersion);
-  EXPECT_EQ(fl->find("svc.leases_granted")->as_u64(), 3u);
-
-  const JsonValue* post = doc.find("post_mortem");
-  ASSERT_NE(post, nullptr);
-  EXPECT_EQ(post->find("schema_version")->as_u64(),
+  obs::JsonWriter w(os);
+  w.begin_object();
+  obs::write_json(w, pm);
+  w.end_object();
+  const JsonValue post = JsonValue::parse(os.str(), "post_mortem").value();
+  EXPECT_EQ(post.find("schema_version")->as_u64(),
             obs::kPostMortemSchemaVersion);
-  const JsonValue* deaths = post->find("deaths");
+  EXPECT_EQ(post.find("harvests")->as_u64(), 1u);
+  const JsonValue* deaths = post.find("deaths");
   ASSERT_NE(deaths, nullptr);
   ASSERT_EQ(deaths->items().size(), 1u);
   const JsonValue& death = deaths->items()[0];
@@ -389,21 +375,22 @@ TEST(ReportV3, FleetAndPostMortemSectionsRender) {
   EXPECT_EQ(death.find("events")->items()[0].find("kind")->as_string(),
             "trace");
 
-  // Without the fleet/post_mortem pointers neither section appears and
-  // the deterministic remainder is untouched: stripping the two section
-  // blocks from the observed report yields the plain one byte-for-byte.
-  std::ostringstream plain;
-  obs::write_report_json(plain, info, metrics, nullptr);
-  EXPECT_EQ(plain.str().find("\"fleet\""), std::string::npos);
-  EXPECT_EQ(plain.str().find("\"post_mortem\""), std::string::npos);
-
-  // CSV twin carries the same content as section,key,value rows.
-  std::ostringstream csv;
-  obs::write_report_csv(csv, info, metrics, nullptr, nullptr, nullptr,
-                        nullptr, nullptr, &pm, &fleet);
-  EXPECT_NE(csv.str().find("fleet,svc.leases_granted,3"), std::string::npos);
-  EXPECT_NE(csv.str().find("post_mortem,deaths.0.last_phase,point"),
-            std::string::npos);
+  // Neither report writer emits a fleet or post_mortem section.
+  obs::RunInfo info;
+  info.bench = "flight test";
+  info.seed = 1;
+  obs::MetricsRegistry metrics;
+  metrics.counter("sim.requests").add(5);
+  metrics.counter("svc.leases_granted", obs::Stability::kHost).add(3);
+  std::ostringstream json, csv;
+  obs::write_report_json(json, info, metrics, nullptr);
+  obs::write_report_csv(csv, info, metrics, nullptr);
+  ASSERT_TRUE(JsonValue::parse(json.str(), "report").ok());
+  for (const std::string& out : {json.str(), csv.str()}) {
+    EXPECT_EQ(out.find("fleet"), std::string::npos) << out;
+    EXPECT_EQ(out.find("post_mortem"), std::string::npos) << out;
+    EXPECT_EQ(out.find("svc.leases_granted"), std::string::npos) << out;
+  }
 }
 
 }  // namespace

@@ -474,19 +474,14 @@ TEST(Report, CsvTwinCarriesSameContent) {
   obs::DegradedInfo degraded;
   degraded.poisoned_shards = 1;
   degraded.shards.push_back({"2/4", 2, 0, 3, "killed", "bench --shard=2/4"});
-  obs::PostMortemInfo pm;
-  pm.harvests.push_back({"1/4", 0, "signal 9", "point", 1, 2, 0,
-                         {{"phase", "point", 1, 5, 1, 2, 3, 4}}});
-  obs::MetricsRegistry fleet;
-  fleet.counter("svc.retries", obs::Stability::kHost).add(1);
   obs::Tracer tracer(8);
   tracer.track(5).record({0, 321, 64, 0, obs::TraceKind::kSuperstep});
 
   std::ostringstream json_os, csv_os;
   obs::write_report_json(json_os, info, reg, &tracer, &agg, &det, &selector,
-                         &degraded, &pm, &fleet);
+                         &degraded);
   obs::write_report_csv(csv_os, info, reg, &tracer, &agg, &det, &selector,
-                        &degraded, &pm, &fleet);
+                        &degraded);
   const auto doc = obs::JsonValue::parse(json_os.str(), "report").value();
   std::vector<std::vector<std::string>> leaves;
   for (const auto& [key, v] : doc.members()) {
@@ -507,9 +502,9 @@ TEST(Report, CsvTwinCarriesSameContent) {
     if (sections.empty() || sections.back() != row[0])
       sections.push_back(row[0]);
   EXPECT_EQ(sections,
-            (std::vector<std::string>{"run", "flags", "fleet", "post_mortem",
-                                      "metrics", "attribution", "drift",
-                                      "selector", "degraded", "timeline"}));
+            (std::vector<std::string>{"run", "flags", "metrics",
+                                      "attribution", "drift", "selector",
+                                      "degraded", "timeline"}));
 }
 
 TEST(CsvEscape, PassesPlainFieldsThrough) {

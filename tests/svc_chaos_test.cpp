@@ -5,7 +5,9 @@
 // deadlines. The invariant under test: whenever no shard ends up
 // poisoned, the merged run report is byte-identical to an undisturbed
 // run's; a permanently-failing shard degrades the fleet (exit 69,
-// poisoned range recorded) instead of hanging it.
+// poisoned range recorded) instead of hanging it. Fleet observability is
+// always on, and its host-time outputs live in the fleet directory, so
+// the byte-identity holds for every fleet here.
 //
 // Chaos is executed by the workers themselves at exact protocol states
 // (svc/chaos.hpp), so every scenario is reproducible — no sleeps, no
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/json_read.hpp"
 #include "obs/trace.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/payload.hpp"
@@ -61,6 +64,30 @@ svc::CoordinatorOptions fleet_options(const std::string& name) {
 svc::FleetReport run_fleet(svc::CoordinatorOptions opt) {
   svc::Coordinator coordinator(std::move(opt));
   return coordinator.run();
+}
+
+bool file_exists(const std::string& path) {
+  return std::ifstream(path).good();
+}
+
+// The final fleet.status the coordinator leaves in `name`'s directory:
+// the fleet's lifecycle counters and one row per shard.
+svc::FleetStatusMsg final_status(const std::string& name) {
+  const auto msg = svc::wire_read_file(tmp_dir(name) + "/fleet.status",
+                                       svc::kMsgFleetStatus);
+  EXPECT_TRUE(msg.ok()) << "no readable fleet.status for " << name;
+  if (!msg.ok()) return {};
+  auto status = svc::decode_fleet_status(msg.value());
+  EXPECT_TRUE(status.ok());
+  return status.ok() ? std::move(status).value() : svc::FleetStatusMsg{};
+}
+
+std::uint64_t rows_in_phase(const svc::FleetStatusMsg& st,
+                            const std::string& phase) {
+  std::uint64_t n = 0;
+  for (const auto& r : st.rows)
+    if (r.phase == phase) ++n;
+  return n;
 }
 
 // The undisturbed fleet's merged report — the byte-identity baseline
@@ -188,6 +215,11 @@ TEST(SvcChaos, PermanentNoProgressFailurePoisonsTheShardNotTheFleet) {
   EXPECT_NE(report, baseline_report());
   EXPECT_NE(report.find("\"degraded\""), std::string::npos);
   EXPECT_NE(report.find("poisoned"), std::string::npos);
+
+  // The final fleet.status keeps the quarantine and its strikes.
+  const svc::FleetStatusMsg st = final_status("poison");
+  EXPECT_EQ(rows_in_phase(st, "poisoned"), 1u);
+  EXPECT_GE(st.strikes, 2u);
 }
 
 TEST(SvcChaos, FleetDeadlineInterruptsAWedgedFleetInBoundedTime) {
@@ -200,43 +232,15 @@ TEST(SvcChaos, FleetDeadlineInterruptsAWedgedFleetInBoundedTime) {
   EXPECT_EQ(fleet.exit_code(), 75);
 }
 
-// Fleet observability (docs/observability.md §fleet). The host-time
-// "fleet" and "post_mortem" report sections are the ONLY bytes an
-// observability-enabled fleet adds over the baseline; stripping them
-// line-wise (2-space indent, brace-counted) recovers the serial report.
-std::string strip_host_sections(const std::string& report) {
-  std::istringstream in(report);
-  std::ostringstream out;
-  std::string line;
-  int skip_depth = 0;
-  while (std::getline(in, line)) {
-    if (skip_depth == 0 &&
-        (line == "  \"fleet\": {" || line == "  \"post_mortem\": {")) {
-      skip_depth = 1;
-      continue;
-    }
-    if (skip_depth > 0) {
-      for (const char c : line) {
-        if (c == '{') ++skip_depth;
-        if (c == '}') --skip_depth;
-      }
-      continue;
-    }
-    out << line << '\n';
-  }
-  return out.str();
-}
-
-bool file_exists(const std::string& path) {
-  return std::ifstream(path).good();
-}
-
+// Fleet observability (docs/observability.md §fleet). Its host-time
+// outputs — flight rings, traces, fleet.status, post_mortem.json — live
+// in the fleet directory, so the merged report stays the baseline's
+// bytes however many workers died.
 TEST(SvcChaos, ObservabilityKillHarvestsFlightTailIntoPostMortem) {
-  // The ISSUE's acceptance gate: SIGKILL a worker mid-shard and the
-  // merged report's post_mortem must name the protocol phase it died in
-  // and carry trace events from its crash-safe flight ring.
+  // SIGKILL a worker mid-shard: the fleet's post_mortem.json must name
+  // the protocol phase it died in and carry trace events from its
+  // crash-safe flight ring, while the report stays the baseline's bytes.
   auto opt = fleet_options("obskill");
-  opt.observability = true;
   opt.chaos = "shard=1,attempt=0,phase=point:1,action=kill";
   const auto fleet = run_fleet(std::move(opt));
   EXPECT_EQ(fleet.status, svc::FleetReport::Status::kCompleted);
@@ -257,53 +261,62 @@ TEST(SvcChaos, ObservabilityKillHarvestsFlightTailIntoPostMortem) {
         << "the flight tail must carry the dead attempt's trace records";
   }
 
+  const std::string dir = tmp_dir("obskill");
+  const auto pm = obs::JsonValue::parse(slurp(dir + "/post_mortem.json"),
+                                        "post_mortem.json");
+  ASSERT_TRUE(pm.ok());
+  const obs::JsonValue* deaths = pm.value().find("deaths");
+  ASSERT_NE(deaths, nullptr);
+  ASSERT_EQ(deaths->items().size(), 1u);
+  const obs::JsonValue& death = deaths->items()[0];
+  EXPECT_EQ(death.find("shard")->as_string(), "1/4");
+  EXPECT_EQ(death.find("last_phase")->as_string(), "point");
+  std::uint64_t trace_records = 0;
+  for (const obs::JsonValue& e : death.find("events")->items())
+    if (e.find("kind")->as_string() == "trace") ++trace_records;
+  if constexpr (obs::kTraceCompiledIn) {
+    EXPECT_GE(trace_records, 1u);
+  }
+
   const std::string report = slurp(tmp_dir("obskill") + ".report.json");
-  EXPECT_NE(report.find("\"post_mortem\""), std::string::npos);
-  EXPECT_NE(report.find("\"last_phase\": \"point\""), std::string::npos);
+  EXPECT_EQ(report.find("\"post_mortem\""), std::string::npos);
+  EXPECT_EQ(report, baseline_report())
+      << "a death must not change the merged report";
 
   // The artifacts flight_reader / trace_stitch consume are on disk.
-  const std::string dir = tmp_dir("obskill");
   EXPECT_TRUE(file_exists(dir + "/stitch.json"));
   EXPECT_TRUE(file_exists(dir + "/coordinator.trace.json"));
   EXPECT_TRUE(file_exists(dir + "/shard-1.attempt-0.flight"));
 
   // sweep_top's one input: the retried shard's row carries the point the
   // dead attempt banked as the current attempt's resume base.
-  const auto msg = svc::wire_read_file(dir + "/fleet.status",
-                                       svc::kMsgFleetStatus);
-  ASSERT_TRUE(msg.ok());
-  const auto status = svc::decode_fleet_status(msg.value());
-  ASSERT_TRUE(status.ok());
-  ASSERT_EQ(status.value().rows.size(), 4u);
-  EXPECT_EQ(status.value().rows[0].resumed, 0u);
-  EXPECT_EQ(status.value().rows[1].attempt, 1u);
-  EXPECT_EQ(status.value().rows[1].resumed, 1u);
-
-  // Chaos or not, the deterministic sections still match the baseline.
-  EXPECT_EQ(strip_host_sections(report),
-            strip_host_sections(baseline_report()));
+  const svc::FleetStatusMsg st = final_status("obskill");
+  ASSERT_EQ(st.rows.size(), 4u);
+  EXPECT_EQ(st.rows[0].resumed, 0u);
+  EXPECT_EQ(st.rows[1].attempt, 1u);
+  EXPECT_EQ(st.rows[1].resumed, 1u);
 }
 
 TEST(SvcChaos, ObservabilityOnHealthyFleetStripsToTheBaselineReport) {
   auto opt = fleet_options("obson");
-  opt.observability = true;
   const auto fleet = run_fleet(std::move(opt));
   EXPECT_EQ(fleet.status, svc::FleetReport::Status::kCompleted);
   EXPECT_EQ(fleet.worker_deaths, 0u);
   EXPECT_TRUE(fleet.post_mortem.empty());
 
   const std::string report = slurp(tmp_dir("obson") + ".report.json");
-  EXPECT_NE(report.find("\"fleet\""), std::string::npos)
-      << "observability adds the fleet lifecycle-counter section";
-  EXPECT_EQ(report.find("\"post_mortem\""), std::string::npos)
-      << "no deaths, no post_mortem section";
-  EXPECT_EQ(strip_host_sections(report),
-            strip_host_sections(baseline_report()))
-      << "host-time sections are the ONLY divergence from a serial run";
+  EXPECT_EQ(report, baseline_report());
 
   const std::string dir = tmp_dir("obson");
   EXPECT_TRUE(file_exists(dir + "/stitch.json"));
-  EXPECT_TRUE(file_exists(dir + "/fleet.status"));
+  EXPECT_FALSE(file_exists(dir + "/post_mortem.json"))
+      << "no deaths, no post_mortem.json";
+
+  // The lifecycle counters live in the final fleet.status.
+  const svc::FleetStatusMsg st = final_status("obson");
+  EXPECT_GE(st.leases_granted, 4u);
+  EXPECT_EQ(st.strikes, 0u);
+  EXPECT_EQ(rows_in_phase(st, "done"), 4u);
 }
 
 }  // namespace

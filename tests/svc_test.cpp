@@ -543,12 +543,10 @@ TEST(Payload, LeaseCarriesObservabilityPathsAndTolerateTheirAbsence) {
   m.result_path = "d/s.res";
   m.flight_path = "d/s.flight";
   m.trace_path = "d/s.trace.json";
-  m.flight_bytes = 4096;
   const auto r = reencode<svc::LeaseMsg>(svc::kMsgLease, svc::encode_lease(m),
                                          svc::decode_lease);
   EXPECT_EQ(r.flight_path, "d/s.flight");
   EXPECT_EQ(r.trace_path, "d/s.trace.json");
-  EXPECT_EQ(r.flight_bytes, 4096u);
 
   // A pre-observability lease (no flight/trace members) must still
   // decode, with the features reading as off.
@@ -560,7 +558,6 @@ TEST(Payload, LeaseCarriesObservabilityPathsAndTolerateTheirAbsence) {
       "\"deadline_seconds\":0,\"hb_interval_seconds\":0.05,\"chaos\":\"\"}",
       svc::decode_lease);
   EXPECT_EQ(old.flight_path, "");
-  EXPECT_EQ(old.flight_bytes, 0u);
 
   const auto old_hb = reencode<svc::HeartbeatMsg>(
       svc::kMsgHeartbeat,
@@ -609,6 +606,7 @@ TEST(Payload, FleetStatusRoundTrips) {
   m.worker_deaths = 1;
   m.stalls = 0;
   m.revocations = 1;
+  m.strikes = 2;
   m.points_total = 64;
   m.points_completed = 20;
   m.rows.push_back({"0/4", "done", 0, 16, 16, 9000, 4000, 0, 81000});
@@ -618,6 +616,7 @@ TEST(Payload, FleetStatusRoundTrips) {
                                                svc::decode_fleet_status);
   EXPECT_EQ(r.shards, 4u);
   EXPECT_EQ(r.revocations, 1u);
+  EXPECT_EQ(r.strikes, 2u);
   EXPECT_EQ(r.points_completed, 20u);
   ASSERT_EQ(r.rows.size(), 2u);
   EXPECT_EQ(r.rows[0].phase, "done");

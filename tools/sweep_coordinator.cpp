@@ -27,14 +27,12 @@
 //   --report=PATH         merged JSON run report
 //   --report-csv=PATH     merged CSV run report
 //   --quiet               suppress per-lease progress lines
-//   --no-obs              disable fleet observability (on by default:
-//                         flight rings, traces, fleet.status, stitch
-//                         manifest and the fleet/post_mortem report
-//                         sections — docs/observability.md §fleet).
-//                         Use it when merged reports must be
-//                         byte-comparable against serial baselines
-//                         without stripping the host-time sections.
-//   --flight-bytes=N      per-worker flight-ring size (default 65536)
+//
+// Fleet observability (docs/observability.md §fleet) is always on and
+// writes only into --dir: per-attempt flight rings and traces, the live
+// fleet.status (its final copy holds the lease/retry/death/stall
+// counters), stitch.json, coordinator.trace.json and, when an attempt
+// died, post_mortem.json. The merged report carries none of it.
 //
 // Exit codes: 0 all shards completed; 69 (EX_UNAVAILABLE) completed
 // degraded — poisoned shards recorded in the report's "degraded"
@@ -78,8 +76,6 @@ int main(int argc, char** argv) {
     opt.chaos = cli.get("chaos", "");
     opt.report_path = cli.get("report", "");
     opt.report_csv_path = cli.get("report-csv", "");
-    opt.observability = !cli.has("no-obs");
-    opt.flight_bytes = cli.get_uint("flight-bytes", 64 * 1024);
     if (!cli.has("quiet")) opt.log = &std::cerr;
 
     svc::Coordinator coordinator(std::move(opt));

@@ -21,9 +21,12 @@
 //
 // --once renders a single frame and exits 0 (the CI smoke path);
 // otherwise frames repeat every --interval seconds (default 1) until
-// the fleet completes. Exit codes: 0 on a rendered fleet (done or not);
-// 74 (EX_IOERR) when DIR has no fleet.status (fleet not running, or
-// observability off).
+// the fleet completes. Every running fleet has a fleet.status — the
+// coordinator publishes it on its first poll, before any grant — so a
+// DIR without one is an error in both modes, not something to wait for.
+// Exit codes: 0 on a rendered fleet (done or not); 64 (EX_USAGE) for any
+// flag but --dir/--once/--interval, or any positional argument; 74
+// (EX_IOERR) when DIR has no readable fleet.status.
 
 #include <chrono>
 #include <cmath>
@@ -136,26 +139,27 @@ int main(int argc, char** argv) {
   using namespace dxbsp;
   try {
     const util::Cli cli(argc, argv);
+    for (const auto& [name, value] : cli.flags())
+      if (name != "dir" && name != "once" && name != "interval")
+        raise(ErrorCode::kParse, "sweep_top: unknown flag --" + name);
+    if (!cli.positional().empty())
+      raise(ErrorCode::kParse,
+            "sweep_top: unexpected argument '" + cli.positional().front() +
+                "'");
     const std::string dir = cli.get("dir", "svc-run");
     const bool once = cli.has("once");
     const double interval = cli.get_double("interval", 1.0);
 
     for (;;) {
       const std::optional<svc::FleetStatusMsg> st = sample(dir);
-      if (!st) {
-        if (once)
-          raise(ErrorCode::kIo,
-                "no readable fleet.status in '" + dir +
-                    "' (fleet not running, or started without "
-                    "observability)");
-        std::cout << "waiting for " << dir << "/fleet.status ...\n";
-      } else {
-        if (!once) std::cout << "\x1b[H\x1b[2J";  // home + clear
-        render(*st);
-        if (st->shards > 0 && st->completed_shards == st->shards) {
-          std::cout << "fleet complete\n";
-          return 0;
-        }
+      if (!st)
+        raise(ErrorCode::kIo, "no readable fleet.status in '" + dir +
+                                  "' (fleet not running)");
+      if (!once) std::cout << "\x1b[H\x1b[2J";  // home + clear
+      render(*st);
+      if (st->shards > 0 && st->completed_shards == st->shards) {
+        std::cout << "fleet complete\n";
+        return 0;
       }
       if (once) return 0;
       std::this_thread::sleep_for(std::chrono::duration<double>(
