@@ -12,6 +12,17 @@
 // p=64, x=4, d=8 machine. Reported as items_per_second; ns/element is
 // its inverse.
 //
+// util.multiplicity/TRACE/N is the counter sweep of docs/performance.md
+// (its tables read --benchmark_filter=^util.multiplicity/, with the
+// method stated there): TRACE is uniform, khot, multihot (64 hot
+// locations taking n/1024 requests each, the perfbench pattern) or x64
+// (every key of [0, n/64) exactly 64 times, shuffled), and N is 2^14,
+// 2^16, 2^17, 2^18, 2^20 and 2^22, which puts every partition layout
+// the counter uses (one partition, one scatter pass, two) on each trace.
+// hot16 and hot4 are fig4's heavy hot spots (one location taking n/16
+// or n/4 of the requests) at N = 2^20 and 2^22: their hot level-1
+// partition is several times the average.
+//
 // scatter_soa/BANKS times the SoA bank-service kernel across bank
 // counts: a Machine::scatter of 2^20 uniform addresses on p=64, d=8,
 // with x = BANKS/64 for BANKS in {2^8, 2^15, 2^16, 2^18, 2^20} and the
@@ -23,6 +34,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/predictor.hpp"
@@ -72,8 +84,28 @@ void bm_analyze_banks(benchmark::State& state, bool k_hot,
   set_items(state, addrs.size());
 }
 
-void bm_multiplicity(benchmark::State& state, bool k_hot) {
-  const auto addrs = trace(state.range(0), k_hot);
+enum class CountTrace { kUniform, kKHot, kMultiHot, kX64, kHot16, kHot4 };
+
+std::vector<std::uint64_t> count_trace(std::int64_t n, CountTrace t) {
+  const auto un = static_cast<std::uint64_t>(n);
+  switch (t) {
+    case CountTrace::kUniform: return trace(n, false);
+    case CountTrace::kKHot: return trace(n, true);
+    case CountTrace::kMultiHot:
+      return workload::multi_hot(un, 64, un / 1024, kSpace, 1995);
+    case CountTrace::kX64: {
+      auto keys = workload::cyclic(un, un / 64);
+      workload::shuffle(keys, 1995);
+      return keys;
+    }
+    case CountTrace::kHot16: return workload::k_hot(un, un / 16, kSpace, 1995);
+    case CountTrace::kHot4: return workload::k_hot(un, un / 4, kSpace, 1995);
+  }
+  return {};
+}
+
+void bm_multiplicity(benchmark::State& state, CountTrace t) {
+  const auto addrs = count_trace(state.range(0), t);
   util::MultiplicityCounter counter;
   for (auto _ : state) benchmark::DoNotOptimize(counter.count(addrs));
   set_items(state, addrs.size());
@@ -109,6 +141,27 @@ void bm_scatter_soa(benchmark::State& state) {
 }
 
 void register_all() {
+  for (const auto& [name, t] :
+       {std::pair{"uniform", CountTrace::kUniform},
+        std::pair{"khot", CountTrace::kKHot},
+        std::pair{"multihot", CountTrace::kMultiHot},
+        std::pair{"x64", CountTrace::kX64}}) {
+    benchmark::RegisterBenchmark(
+        (std::string("util.multiplicity/") + name).c_str(), bm_multiplicity, t)
+        ->Arg(1 << 14)
+        ->Arg(1 << 16)
+        ->Arg(1 << 17)
+        ->Arg(1 << 18)
+        ->Arg(1 << 20)
+        ->Arg(1 << 22);
+  }
+  for (const auto& [name, t] : {std::pair{"hot16", CountTrace::kHot16},
+                                std::pair{"hot4", CountTrace::kHot4}}) {
+    benchmark::RegisterBenchmark(
+        (std::string("util.multiplicity/") + name).c_str(), bm_multiplicity, t)
+        ->Arg(1 << 20)
+        ->Arg(1 << 22);
+  }
   benchmark::RegisterBenchmark("scatter_soa", bm_scatter_soa)
       ->Arg(1 << 8)
       ->Arg(1 << 15)
@@ -131,9 +184,6 @@ void register_all() {
                                    std::string(m))
           ->Apply(sizes);
     }
-    benchmark::RegisterBenchmark(("util.multiplicity" + dist).c_str(),
-                                 bm_multiplicity, k_hot)
-        ->Apply(sizes);
     benchmark::RegisterBenchmark(("core.predict_scatter" + dist).c_str(),
                                  bm_predict_scatter, k_hot)
         ->Apply(sizes);
@@ -149,10 +199,11 @@ int main(int argc, char** argv) {
   std::printf("=== Contention-analysis layers ===\n");
   std::printf(
       "Host cost of location counting (partitioned MultiplicityCounter,\n"
-      "kPartitionKeys = %zu), bank tallies, the predictor, and a scatter\n"
-      "predicted from its own result.\n"
+      "kPartitionKeys = %zu, kFanBits = %u), bank tallies, the predictor,\n"
+      "and a scatter predicted from its own result.\n"
       "Measured host throughput (items/s; see items_per_second):\n",
-      util::MultiplicityCounter::kPartitionKeys);
+      util::MultiplicityCounter::kPartitionKeys,
+      util::MultiplicityCounter::kFanBits);
   register_all();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -66,9 +66,9 @@
 #    a pure speed knob. A scalar build of the fig4 bench must produce a
 #    byte-identical run report, the hotpath bench's three-engine
 #    cross-check must still pass, and contention_diff_test must pass:
-#    the scalar bank_of_batch loops against per-element bank_of, and the
+#    the scalar bank_of_batch loops against per-element bank_of, the
 #    simulator's access profile (which rests on them) against
-#    predict_scatter.
+#    predict_scatter, and the location counter against its sort oracle.
 # 10. Trace-off build leg (DXBSP_OBS_TRACE=OFF): compiling tracing out
 #     must be a pure observability knob. A trace-off tree must pass the
 #     full tier-1 ctest (the few assertions that count trace events are
@@ -80,9 +80,10 @@
 #     holds the lifecycle counters, a chaos-killed worker's flight ring
 #     surfaces as the fleet directory's post_mortem.json (last protocol
 #     phase + trace tail), the stitched fleet timeline is valid Chrome
-#     JSON, sweep_top renders a live fleet and refuses an empty dir or
-#     an unknown flag, and the trend reader degrades gracefully when no
-#     BENCH_*.json baselines match.
+#     JSON, sweep_top renders a live fleet, exits 0 on a fleet that
+#     ended degraded and refuses an empty dir or an unknown flag,
+#     sweep_coordinator refuses an unknown flag, and the trend reader
+#     degrades gracefully when no BENCH_*.json baselines match.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -412,7 +413,7 @@ cmake --build build-ci-scalar -j"$JOBS" \
 cmp "$SMOKE/report_vec.json" "$SMOKE/report_scalar.json"
 ./build-ci-scalar/bench/bench_perf_hotpath --quick --reps=1 > /dev/null
 run_filtered ./build-ci-scalar/tests/contention_diff_test \
-  'BankCounterDiff.*:ProfileDiff.*'
+  'BankCounterDiff.*:ProfileDiff.*:LocationCounterDiff.*'
 echo "scalar build is byte-identical to the vectorized build"
 
 echo "== trace-off build leg (DXBSP_OBS_TRACE=OFF) =="
@@ -506,6 +507,19 @@ python3 -m json.tool "$SMOKE/fleet-poison.json" > /dev/null
 grep -q '"degraded"' "$SMOKE/fleet-poison.json"
 echo "permanently-failing shard degrades the fleet (exit 69) with a repro"
 
+# A mistyped coordinator flag is a usage error (exit 64) naming the
+# flag, never a run with the default in its place.
+RC=0
+"$COORD" --quiet --wokers=4 --shards=4 --dir="$SMOKE/fleet-typo" \
+  -- "$OBS_BENCH" "${OBS_ARGS[@]}" > /dev/null 2> "$SMOKE/fleet-typo.err" \
+  || RC=$?
+if [[ "$RC" != 64 ]]; then
+  echo "sweep_coordinator --wokers=4: expected exit 64, got $RC" >&2
+  exit 1
+fi
+grep -q -- "--wokers" "$SMOKE/fleet-typo.err"
+echo "sweep_coordinator refuses an unknown flag (64)"
+
 # Scaling model check (docs/resilience.md §fleet mode): fleet wall
 # clock vs the BSF master-worker prediction, generous CI band.
 ./build-ci/bench/bench_svc_scaling --n=131072 --points=8 --shards=4 \
@@ -596,6 +610,19 @@ if [[ "$RC" != 64 ]]; then
   exit 1
 fi
 echo "sweep_top refuses an empty dir (74) and an unknown flag (64)"
+
+# Live mode ends on any ended fleet, not only a completed one: the
+# poisoned fleet's final fleet.status says it ended degraded, and
+# sweep_top renders it once and exits 0.
+RC=0
+timeout 5 ./build-ci/tools/sweep_top --dir="$SMOKE/fleet-poison" \
+  --interval=0.5 > "$SMOKE/sweep_top_poison.txt" || RC=$?
+if [[ "$RC" != 0 ]]; then
+  echo "sweep_top on an ended degraded fleet: expected exit 0, got $RC" >&2
+  exit 1
+fi
+grep -q "^fleet ended (degraded)$" "$SMOKE/sweep_top_poison.txt"
+echo "sweep_top exits on a fleet that ended degraded"
 
 # The trend reader degrades gracefully when no baselines match: a clear
 # note and exit 0, not a stack trace — a fresh repo has no trend yet.

@@ -348,8 +348,15 @@ std::span<const std::uint64_t> Machine::profile(
   std::fill(cnt, cnt + nbanks, 0);
   for (const std::uint64_t b : route) ++cnt[b];
   res.mapped_bank_load = *std::max_element(cnt, cnt + nbanks);
-  // Location contention k and the distinct count over the requested ids
-  // (addresses; bank ids for scatter_banks).
+  // Location contention k and the distinct count over the requested ids.
+  // scatter_banks ids are the banks, so the tally already holds both:
+  // k is the hottest bank, distinct the banks requested at all.
+  if (ids_are_banks) {
+    res.max_location_contention = res.mapped_bank_load;
+    res.distinct_locations = static_cast<std::uint64_t>(std::count_if(
+        cnt, cnt + nbanks, [](std::uint64_t c) { return c != 0; }));
+    return route;
+  }
   const util::Multiplicity loc = contention_.count(ids);
   res.max_location_contention = loc.max;
   res.distinct_locations = loc.distinct;

@@ -316,7 +316,9 @@ class Machine {
   /// of every element; `ids` itself for scatter_banks, range-checked),
   /// leaves its per-bank tally in the workspace count plane, and fills
   /// the access profile: res.mapped_bank_load (the tally's max),
-  /// res.max_location_contention and res.distinct_locations.
+  /// res.max_location_contention and res.distinct_locations (counted by
+  /// contention_; for scatter_banks, whose ids are banks, read off the
+  /// tally instead).
   std::span<const std::uint64_t> profile(std::span<const std::uint64_t> ids,
                                          bool ids_are_banks, BulkResult& res);
 

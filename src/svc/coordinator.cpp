@@ -59,6 +59,15 @@ int FleetReport::exit_code() const noexcept {
   return dxbsp::exit_code(ErrorCode::kInternal);
 }
 
+const char* FleetReport::status_name() const noexcept {
+  switch (status) {
+    case Status::kCompleted: return "completed";
+    case Status::kDegraded: return "degraded";
+    case Status::kInterrupted: return "interrupted";
+  }
+  return "unknown";
+}
+
 /// Everything the coordinator knows about one shard's lease lifecycle.
 struct Coordinator::ShardState {
   enum class Phase { kQueued, kRunning, kDone, kPoisoned };
@@ -467,13 +476,14 @@ void Coordinator::end_lease_obs(ShardState& s, const char* outcome) {
               {{"attempt", std::to_string(s.attempt)}, {"outcome", outcome}});
 }
 
-void Coordinator::publish_fleet_status(bool force) {
+void Coordinator::publish_fleet_status(bool ended) {
   const double t = now();
-  if (!force && last_status_pub_ >= 0 && t - last_status_pub_ < 0.25) return;
+  if (!ended && last_status_pub_ >= 0 && t - last_status_pub_ < 0.25) return;
   last_status_pub_ = t;
 
   FleetStatusMsg m;
   m.mono_us = now_us();
+  if (ended) m.ended = fleet_.status_name();
   m.shards = fleet_.shards;
   m.completed_shards = fleet_.completed_shards;
   m.leases_granted = fleet_.leases_granted;
@@ -514,7 +524,7 @@ void Coordinator::publish_fleet_status(bool force) {
 }
 
 void Coordinator::write_observability_outputs() {
-  publish_fleet_status(/*force=*/true);
+  publish_fleet_status(/*ended=*/true);
   try {
     obs::write_file(opt_.dir + "/coordinator.trace.json",
                     [this](std::ostream& os) { elog_->write_chrome_json(os); });
@@ -618,7 +628,7 @@ FleetReport Coordinator::run() {
 
     reap();
     check_stalls();
-    publish_fleet_status(/*force=*/false);
+    publish_fleet_status(/*ended=*/false);
 
     std::uint64_t running = 0;
     std::uint64_t settled = 0;

@@ -106,6 +106,8 @@ struct FleetReport {
   /// 0 completed, 69 (EX_UNAVAILABLE) degraded, 75 (EX_TEMPFAIL)
   /// interrupted.
   [[nodiscard]] int exit_code() const noexcept;
+  /// "completed", "degraded" or "interrupted".
+  [[nodiscard]] const char* status_name() const noexcept;
 };
 
 class Coordinator {
@@ -134,7 +136,9 @@ class Coordinator {
   void write_merged_reports();
   void harvest(ShardState& s, const std::string& why);
   void end_lease_obs(ShardState& s, const char* outcome);
-  void publish_fleet_status(bool force);
+  /// Writes fleet.status, at most every 0.25 s while the fleet runs; the
+  /// publication once it has `ended` is unthrottled and names its status.
+  void publish_fleet_status(bool ended);
   void write_observability_outputs();
   [[nodiscard]] double now() const;
   [[nodiscard]] std::uint64_t now_us() const;

@@ -99,6 +99,7 @@ static void read_json(JsonDecoder& d, FleetStatusMsg::Shard& s) {
 
 static void write_json(JsonWriter& w, const FleetStatusMsg& m) {
   w.member("mono_us", m.mono_us);
+  w.member("ended", m.ended);
   w.member("shards", m.shards);
   w.member("completed_shards", m.completed_shards);
   w.member("leases_granted", m.leases_granted);
@@ -120,6 +121,7 @@ static void write_json(JsonWriter& w, const FleetStatusMsg& m) {
 
 static void read_json(JsonDecoder& d, FleetStatusMsg& m) {
   m.mono_us = d.u64("mono_us");
+  m.ended = d.str("ended");
   m.shards = d.u64("shards");
   m.completed_shards = d.u64("completed_shards");
   m.leases_granted = d.u64("leases_granted");

@@ -95,6 +95,9 @@ struct HeartbeatMsg {
 /// shard; the quarantined count is the number of "poisoned" rows.
 struct FleetStatusMsg {
   std::uint64_t mono_us = 0;  ///< coordinator clock at publication
+  /// Empty while the fleet runs; set only on the final publication, to
+  /// the fleet's end status ("completed", "degraded" or "interrupted").
+  std::string ended;
   std::uint64_t shards = 0;
   std::uint64_t completed_shards = 0;
   std::uint64_t leases_granted = 0;

@@ -29,9 +29,24 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
-std::string Cli::get(const std::string& name, const std::string& def) const {
+const std::string* Cli::find(const std::string& name) const {
+  read_.insert(name);
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : it->second;
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+void Cli::reject_unread() const {
+  for (const auto& [name, value] : flags_)
+    if (read_.count(name) == 0)
+      raise(ErrorCode::kParse, "unknown flag --" + name);
+  if (!positional_.empty())
+    raise(ErrorCode::kParse,
+          "unexpected argument '" + positional_.front() + "'");
+}
+
+std::string Cli::get(const std::string& name, const std::string& def) const {
+  const std::string* value = find(name);
+  return value == nullptr ? def : *value;
 }
 
 namespace {
@@ -61,26 +76,26 @@ T parse_number(const std::string& name, const std::string& text) {
 }  // namespace
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  return parse_number<std::int64_t>(name, it->second);
+  const std::string* value = find(name);
+  if (value == nullptr) return def;
+  return parse_number<std::int64_t>(name, *value);
 }
 
 std::uint64_t Cli::get_uint(const std::string& name, std::uint64_t def) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
+  const std::string* value = find(name);
+  if (value == nullptr) return def;
   // from_chars<unsigned> rejects '-' already, but say why explicitly:
   // "--n=-4" deserves "must be non-negative", not "expects an integer".
-  if (!it->second.empty() && it->second[0] == '-')
+  if (!value->empty() && (*value)[0] == '-')
     raise(ErrorCode::kParse, "flag --" + name + " must be non-negative, got '" +
-                                 it->second + "'");
-  return parse_number<std::uint64_t>(name, it->second);
+                                 *value + "'");
+  return parse_number<std::uint64_t>(name, *value);
 }
 
 double Cli::get_double(const std::string& name, double def) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  const std::string& text = it->second;
+  const std::string* found = find(name);
+  if (found == nullptr) return def;
+  const std::string& text = *found;
   // strtod instead of from_chars<double>: equally strict once we check
   // full consumption, and not dependent on libstdc++'s FP from_chars.
   const char* begin = text.c_str();
@@ -97,9 +112,8 @@ double Cli::get_double(const std::string& name, double def) const {
 }
 
 bool Cli::has(const std::string& name) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return false;
-  return it->second != "false" && it->second != "0";
+  const std::string* value = find(name);
+  return value != nullptr && *value != "false" && *value != "0";
 }
 
 }  // namespace dxbsp::util

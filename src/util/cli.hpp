@@ -1,12 +1,14 @@
 #pragma once
 // Minimal command-line flag parsing shared by bench and example binaries.
 //
-// Supports --name=value, --name value, and boolean --name. Unknown flags
-// raise an error so typos in sweep scripts fail loudly.
+// Supports --name=value, --name value, and boolean --name. A tool whose
+// whole command line is flags calls reject_unread() after its reads, so
+// a mistyped flag fails loudly instead of leaving its default in place.
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,7 +16,8 @@
 
 namespace dxbsp::util {
 
-/// Parsed command-line flags.
+/// Parsed command-line flags. Every lookup records the name it asked for
+/// (for reject_unread), so one Cli is read from one thread.
 class Cli {
  public:
   /// Parses argv; throws Error{kParse} on malformed input.
@@ -43,6 +46,10 @@ class Cli {
   /// than "false"/"0").
   [[nodiscard]] bool has(const std::string& name) const;
 
+  /// Raises Error{kParse} naming the first flag that no get*/has call
+  /// has read, or the first positional argument (this tool takes none).
+  void reject_unread() const;
+
   /// Every parsed flag, sorted by name (std::map order) — the run-report
   /// writer iterates this for a deterministic flag section.
   [[nodiscard]] const std::map<std::string, std::string>& flags() const {
@@ -61,6 +68,10 @@ class Cli {
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;  // names looked up by get*/has
+
+  /// The value of --name, or nullptr if absent; records the lookup.
+  [[nodiscard]] const std::string* find(const std::string& name) const;
 };
 
 }  // namespace dxbsp::util

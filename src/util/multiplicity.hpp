@@ -7,24 +7,46 @@
 // per-op attribution both count through it.
 //
 // One hash table over the whole stream misses cache on nearly every key
-// once the table outgrows L2. This counter partitions first:
-//   1. radix partition: each key's Fibonacci hash h = key·kMultiplier
-//      goes to partition h >> (64 - bits) of a scratch buffer of n
-//      words (a counting pass, then a scatter pass). kMultiplier is
-//      odd, so the hash is a bijection on 64-bit words: equal hashes
-//      are equal keys, and the buffer is counted in place of the keys;
-//   2. each partition is counted in one small table of 16-byte
-//      {hash, epoch, count} slots that stays in cache. A partition
-//      invalidates the table by bumping a 32-bit epoch instead of
-//      clearing it (the table is only wiped when the epoch wraps).
-// The partition count follows from n alone: the smallest power of two
-// that leaves at most kPartitionKeys keys per partition on average. The
+// once the table outgrows L2. This counter partitions first, then counts
+// each partition in a table that stays in cache:
+//   1. hash: each key's Fibonacci hash h = key·kMultiplier. kMultiplier
+//      is odd, so the hash is a bijection on 64-bit words: equal hashes
+//      are equal keys, and the partitioned hashes are counted in place
+//      of the keys. A partition is a run of hashes sharing their top
+//      `bits` bits; one histogram of those bits sizes every partition.
+//   2. radix partition in one or two scatter passes. A pass that writes
+//      more than 2^kFanBits = 32 streams into a buffer larger than L2
+//      costs 2-4x per key what a 32-way pass does (docs/performance.md);
+//      into an L2-sized buffer 64 streams are still cheap. So a span of
+//      up to 2^18 keys (64 partitions, a 2 MiB buffer) is scattered in
+//      one pass, and a longer one in two: pass 1 scatters the hashes
+//      into a scratch buffer of n words by their top kFanBits bits; pass
+//      2 scatters each (L2-sized) level-1 partition by the next bits
+//      into a second, reused buffer. The second buffer holds a level-1
+//      partition of up to kOversize times the average (n/16 words). A
+//      longer one (a hot spot's, or a crafted key set's) is split into
+//      its sub-partitions in place in the scratch buffer instead, by
+//      swaps (American flag sort): slower per key than the scatter, but
+//      it needs no buffer, and a hot spot's sub-partitions still hold
+//      about the average number of distinct keys, so the table keeps
+//      its size;
+//   3. each partition is counted in one small table of 16-byte
+//      {hash, epoch, count} slots. A partition invalidates the table by
+//      bumping a 32-bit epoch instead of clearing it (the table is only
+//      wiped when the epoch wraps).
+// The partition count follows from n alone: one partition up to
+// kPartitionKeys keys; beyond that, the smallest power of two that
+// leaves at most kPartitionKeys/2 keys per partition on average. The
 // table has kSlotsPerKey·kPartitionKeys slots and doubles, in place,
 // whenever a partition's distinct keys would fill more than
 // 1/kSlotsPerKey of it, so the load factor never exceeds 1/kSlotsPerKey
 // (probe chains, and the branch mispredictions they cost, stay short).
-// Buffers are kept across calls and never shrink, so a counter reused
-// across a sweep stops allocating.
+// Averaging half the growth threshold keeps a uniform trace's partitions
+// (spread ~√mean around the mean) below it, and repeated keys do not
+// count against it, so the table only grows on a partition with far
+// more distinct keys than average (a crafted key set, as hashes are
+// near-uniform otherwise). Buffers are kept across calls and never
+// shrink, so a counter reused across a sweep stops allocating.
 //
 // Counts and partition offsets are 32-bit: a span of more than kMaxKeys
 // keys raises ErrorCode::kConfig.
@@ -52,13 +74,19 @@ class MultiplicityCounter {
  public:
   /// Fibonacci-hash multiplier (2^64 / golden ratio, odd).
   static constexpr std::uint64_t kMultiplier = 0x9E3779B97F4A7C15ULL;
-  /// Average keys per partition, and table slots per key (the inverse of
-  /// the maximum load factor); both chosen from a measured sweep
+  /// Keys the table is sized for, and table slots per key (the inverse
+  /// of the maximum load factor); both chosen from a measured sweep
   /// (docs/performance.md). Spans up to kPartitionKeys form one
-  /// partition; the table is 16 B · kSlotsPerKey · kPartitionKeys =
+  /// partition; longer spans average kPartitionKeys/2 keys per
+  /// partition. The table is 16 B · kSlotsPerKey · kPartitionKeys =
   /// 512 KiB, resident in a 1 MiB-or-larger L2.
   static constexpr std::size_t kPartitionKeys = std::size_t{1} << 13;
   static constexpr std::size_t kSlotsPerKey = 4;
+  /// log2 of the most partitions a scatter pass writes into a buffer
+  /// larger than L2; one more bit when the buffer fits (a span of up to
+  /// 2^(kFanBits+1) · kPartitionKeys/2 = 2^18 keys, 2 MiB). Past these
+  /// fan-outs a pass costs 2-4x per key (docs/performance.md).
+  static constexpr unsigned kFanBits = 5;
   /// Largest span count() accepts (32-bit counts and offsets).
   static constexpr std::size_t kMaxKeys = 0xFFFFFFFEU;
 
@@ -71,37 +99,48 @@ class MultiplicityCounter {
     reserve(n);
     const unsigned bits = partition_bits(n);
     std::uint64_t* const buf = scratch_.data();
+    Multiplicity m{1, 0};
     if (bits == 0) {
       for (std::size_t i = 0; i < n; ++i) buf[i] = keys[i] * kMultiplier;
-      offsets_.assign({0, static_cast<std::uint32_t>(n)});
-    } else {
-      partition(keys, bits);
+      count_partition(buf, buf + n, 0, m);
+      return m;
     }
-
-    Multiplicity m{1, 0};
-    const std::size_t parts = offsets_.size() - 1;
+    const unsigned top = level1_bits(bits);
+    const unsigned sub = bits - top;
+    partition(keys, bits, top);
+    const std::size_t parts = std::size_t{1} << top;
+    if (sub == 0) {
+      for (std::size_t p = 0; p < parts; ++p)
+        count_partition(buf + bounds_[p], buf + bounds_[p + 1], bits, m);
+      return m;
+    }
+    const std::size_t oversize = second_buffer_words(n, top);
+    const std::size_t subparts = std::size_t{1} << sub;
     for (std::size_t p = 0; p < parts; ++p) {
-      const std::uint32_t cur = next_epoch();
-      std::size_t part_distinct = 0;
-      for (std::size_t i = offsets_[p]; i < offsets_[p + 1]; ++i) {
-        const std::uint64_t h = buf[i];
-        std::size_t j = slot_of(h, bits);
-        while (true) {
-          Slot& s = slots_[j];
-          if (s.epoch != cur) {
-            s = Slot{h, cur, 1};
-            if (kSlotsPerKey * ++part_distinct > slots_.size())
-              grow(cur, bits);
-            break;
-          }
-          if (s.hash == h) {
-            m.max = std::max<std::uint64_t>(m.max, ++s.count);
-            break;
-          }
-          j = (j + 1) & mask_;
+      std::uint64_t* const first = buf + bounds_[p];
+      std::uint64_t* const last = buf + bounds_[p + 1];
+      // The histogram's row for p sizes p's sub-partitions.
+      const std::uint32_t* const sizes = hist_.data() + (p << sub);
+      std::uint32_t start = 0;
+      for (std::size_t s = 0; s < subparts; ++s) {
+        cursor_[s] = start;
+        start += sizes[s];
+      }
+      std::uint64_t* out = second_.data();
+      if (static_cast<std::size_t>(last - first) > oversize) {
+        split_in_place(first, sizes, top, sub);
+        out = first;
+      } else {
+        for (const std::uint64_t* it = first; it != last; ++it) {
+          const std::uint64_t h = *it;
+          out[cursor_[(h << top) >> (64U - sub)]++] = h;
         }
       }
-      m.distinct += part_distinct;
+      start = 0;
+      for (std::size_t s = 0; s < subparts; ++s) {
+        count_partition(out + start, out + start + sizes[s], bits, m);
+        start += sizes[s];
+      }
     }
     return m;
   }
@@ -122,6 +161,10 @@ class MultiplicityCounter {
                 " keys exceed the 32-bit count limit of " +
                 std::to_string(kMaxKeys));
     if (scratch_.size() < n) scratch_.resize(n);
+    const unsigned bits = partition_bits(n);
+    const unsigned top = level1_bits(bits);
+    if (bits > top && second_.size() < second_buffer_words(n, top))
+      second_.resize(second_buffer_words(n, top));
     const std::size_t want =
         std::bit_ceil(kSlotsPerKey * std::min(n, kPartitionKeys));
     if (slots_.size() < want) {
@@ -133,8 +176,17 @@ class MultiplicityCounter {
 
   /// Keys a call can take without growing the scratch buffer.
   [[nodiscard]] std::size_t capacity() const noexcept { return scratch_.size(); }
+  /// Slots in the count table (kSlotsPerKey·kPartitionKeys unless a
+  /// skewed partition made it grow).
+  [[nodiscard]] std::size_t table_slots() const noexcept {
+    return slots_.size();
+  }
 
  private:
+  /// A level-1 partition longer than kOversize times the average is
+  /// split in place instead of scattered into the second buffer.
+  static constexpr std::size_t kOversize = 2;
+
   struct Slot {
     std::uint64_t hash = 0;
     std::uint32_t epoch = 0;  // tag: valid only when == current epoch
@@ -142,10 +194,31 @@ class MultiplicityCounter {
   };
   static_assert(sizeof(Slot) == 16);
 
-  /// log2 of the partition count: 0 up to kPartitionKeys keys, then one
-  /// more bit each time n doubles.
+  /// log2 of the partition count: 0 up to kPartitionKeys keys, then the
+  /// fewest bits that leave at most kPartitionKeys/2 keys per partition
+  /// on average (one more bit each time n doubles).
   [[nodiscard]] static unsigned partition_bits(std::size_t n) noexcept {
-    return static_cast<unsigned>(std::bit_width((n - 1) / kPartitionKeys));
+    if (n <= kPartitionKeys) return 0;
+    return static_cast<unsigned>(
+        std::bit_width((n - 1) / (kPartitionKeys / 2)));
+  }
+
+  /// Bits of pass 1 (the scatter into scratch_) out of a span's `bits`.
+  /// Up to kFanBits + 1 bits (2^18 keys, a scratch buffer that fits L2)
+  /// one pass takes them all. Beyond, pass 1 takes kFanBits and pass 2,
+  /// whose buffer fits L2, the rest up to kFanBits + 1; past
+  /// 2·kFanBits + 1 bits (2^23 keys) pass 1 takes the excess, so a
+  /// level-1 partition stays L2-sized.
+  [[nodiscard]] static unsigned level1_bits(unsigned bits) noexcept {
+    if (bits <= kFanBits + 1) return bits;
+    return std::max(kFanBits, bits - (kFanBits + 1));
+  }
+
+  /// Words of the second buffer: kOversize times the average level-1
+  /// partition of a span of `n` keys split by `top` bits.
+  [[nodiscard]] static std::size_t second_buffer_words(std::size_t n,
+                                                       unsigned top) noexcept {
+    return kOversize * ((n >> top) + 1);
   }
 
   /// Table slot of hash `h` inside its partition: the bits just below the
@@ -155,20 +228,83 @@ class MultiplicityCounter {
     return static_cast<std::size_t>((h << bits) >> shift_);
   }
 
-  /// Scatters the keys' hashes into scratch_ grouped by their top `bits`
-  /// bits; offsets_[p] .. offsets_[p + 1] delimits partition p.
-  void partition(std::span<const std::uint64_t> keys, unsigned bits) {
-    const std::size_t parts = std::size_t{1} << bits;
-    const unsigned top = 64U - bits;
-    offsets_.assign(parts + 1, 0);
-    for (const std::uint64_t k : keys) ++offsets_[((k * kMultiplier) >> top) + 1];
-    for (std::size_t p = 1; p <= parts; ++p) offsets_[p] += offsets_[p - 1];
-    cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+  /// Histograms the keys' hashes by their top `bits` bits into hist_ and
+  /// scatters them into scratch_ grouped by their top `top` bits;
+  /// bounds_[p] .. bounds_[p + 1] delimits level-1 partition p.
+  void partition(std::span<const std::uint64_t> keys, unsigned bits,
+                 unsigned top) {
+    const unsigned shift = 64U - bits;
+    hist_.assign(std::size_t{1} << bits, 0);
+    for (const std::uint64_t k : keys) ++hist_[(k * kMultiplier) >> shift];
+    const std::size_t parts = std::size_t{1} << top;
+    const std::size_t group = std::size_t{1} << (bits - top);
+    bounds_.resize(parts + 1);
+    cursor_.resize(std::max(parts, group));
+    std::uint32_t start = 0;
+    for (std::size_t p = 0; p < parts; ++p) {
+      bounds_[p] = start;
+      cursor_[p] = start;
+      for (std::size_t s = 0; s < group; ++s) start += hist_[p * group + s];
+    }
+    bounds_[parts] = start;
+    const unsigned down = 64U - top;
     std::uint64_t* const buf = scratch_.data();
     for (const std::uint64_t k : keys) {
       const std::uint64_t h = k * kMultiplier;
-      buf[cursor_[h >> top]++] = h;
+      buf[cursor_[h >> down]++] = h;
     }
+  }
+
+  /// Moves the hashes of the level-1 partition at `a` into its
+  /// sub-partitions (by the `sub` hash bits below the top `top`) in
+  /// place, swapping each into its sub-partition's next free word
+  /// (American flag sort). cursor_[s] starts at sub-partition s's offset;
+  /// `sizes` are the sub-partitions' lengths.
+  void split_in_place(std::uint64_t* a, const std::uint32_t* sizes,
+                      unsigned top, unsigned sub) {
+    const auto sub_of = [&](std::uint64_t h) {
+      return static_cast<std::size_t>((h << top) >> (64U - sub));
+    };
+    std::uint32_t end = 0;
+    for (std::size_t s = 0; s < (std::size_t{1} << sub); ++s) {
+      end += sizes[s];
+      while (cursor_[s] < end) {
+        std::uint64_t h = a[cursor_[s]];
+        for (std::size_t d = sub_of(h); d != s; d = sub_of(h))
+          std::swap(h, a[cursor_[d]++]);
+        a[cursor_[s]++] = h;
+      }
+    }
+  }
+
+  /// Counts the hashes [first, last), one partition whose keys share
+  /// their top `bits` hash bits, and folds its largest multiplicity and
+  /// distinct count into `m`.
+  void count_partition(const std::uint64_t* first, const std::uint64_t* last,
+                       unsigned bits, Multiplicity& m) {
+    const std::uint32_t cur = next_epoch();
+    std::uint64_t max = m.max;
+    std::size_t part_distinct = 0;
+    for (; first != last; ++first) {
+      const std::uint64_t h = *first;
+      std::size_t j = slot_of(h, bits);
+      while (true) {
+        Slot& s = slots_[j];
+        if (s.epoch != cur) {
+          s = Slot{h, cur, 1};
+          if (kSlotsPerKey * ++part_distinct > slots_.size())
+            grow(cur, bits);
+          break;
+        }
+        if (s.hash == h) {
+          max = std::max<std::uint64_t>(max, ++s.count);
+          break;
+        }
+        j = (j + 1) & mask_;
+      }
+    }
+    m.max = max;
+    m.distinct += part_distinct;
   }
 
   [[nodiscard]] std::uint32_t next_epoch() {
@@ -199,8 +335,10 @@ class MultiplicityCounter {
     shift_ = 64U - static_cast<unsigned>(std::countr_zero(cap));
   }
 
-  std::vector<std::uint64_t> scratch_;  // partitioned hashes, n words
-  std::vector<std::uint32_t> offsets_;  // partition bounds
+  std::vector<std::uint64_t> scratch_;  // level-1 partitioned hashes, n words
+  std::vector<std::uint64_t> second_;   // one level-1 partition, re-scattered
+  std::vector<std::uint32_t> hist_;     // partition sizes, by all bits
+  std::vector<std::uint32_t> bounds_;   // level-1 partition bounds
   std::vector<std::uint32_t> cursor_;   // scatter write positions
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;

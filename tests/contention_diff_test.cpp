@@ -5,13 +5,17 @@
 // diffed here against the copy-and-sort count it replaced, kept below as
 // the oracle: {max_contention, distinct, mean_contention} must agree
 // exactly on seeded random traces at every size where the partition
-// count changes, on repeat-heavy key spaces, on the sentinel keys 0 and
-// ~0, and on a trace whose keys all land in one partition.
+// count or the number of scatter passes changes, on repeat-heavy key
+// spaces, on the sentinel keys 0 and ~0, on a trace whose keys all land
+// in one partition and on one whose keys all land in one level-1
+// partition of a two-pass span.
 // mem::analyze_banks maps through bank_of_batch in chunks; it is diffed
 // against a per-element bank_of tally for every mapping make_mapping
 // builds. The access profile a simulated op returns (Machine::run's one
 // mapping-and-count pass, read by core::predict(result, ...)) is diffed
-// against core::predict_scatter's own count on every engine pin.
+// against core::predict_scatter's own count on every engine pin, and a
+// scatter_banks profile (read off the bank tally) against
+// analyze_locations over its bank ids.
 
 #include <sys/mman.h>
 
@@ -89,13 +93,18 @@ std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t space,
   return keys;
 }
 
-/// 0, 1, every size at which the partition count changes (±1), 2^16+1
-/// and 2^20.
+/// The longest span counted with one scatter pass.
+constexpr std::size_t kOnePassKeys = (MultiplicityCounter::kPartitionKeys / 2)
+                                     << (MultiplicityCounter::kFanBits + 1);
+
+/// 0, 1, 2^16+1, and every size (±1) at which the partition count, the
+/// number of scatter passes or a pass's fan-out changes, up to 2^22: each
+/// power of two from kPartitionKeys on (the one-pass limit kOnePassKeys
+/// is one of them).
 std::vector<std::size_t> trace_sizes() {
-  std::vector<std::size_t> sizes{0, 1, (std::size_t{1} << 16) + 1,
-                                 std::size_t{1} << 20};
+  std::vector<std::size_t> sizes{0, 1, (std::size_t{1} << 16) + 1};
   for (std::size_t t = MultiplicityCounter::kPartitionKeys;
-       t <= (std::size_t{1} << 20); t *= 2) {
+       t <= (std::size_t{1} << 22); t *= 2) {
     sizes.push_back(t - 1);
     sizes.push_back(t);
     sizes.push_back(t + 1);
@@ -151,9 +160,12 @@ TEST(LocationCounterDiff, AllKeysInOnePartitionGrowTheTableExactly) {
   const std::uint64_t inv = inverse_of(MultiplicityCounter::kMultiplier);
   ASSERT_EQ(inv * MultiplicityCounter::kMultiplier, 1u);
   const std::size_t n = (std::size_t{1} << 16) + 1;
+  // Partition bits: the fewest that average kPartitionKeys/2 keys or
+  // fewer per partition (a one-pass span at this n).
   const auto bits = static_cast<unsigned>(
-      std::bit_width((n - 1) / MultiplicityCounter::kPartitionKeys));
+      std::bit_width((n - 1) / (MultiplicityCounter::kPartitionKeys / 2)));
   ASSERT_GT(bits, 0u) << "n must span several partitions";
+  ASSERT_LE(n, kOnePassKeys);
   util::SplitMix64 rng(99);
   std::vector<std::uint64_t> keys(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -164,14 +176,71 @@ TEST(LocationCounterDiff, AllKeysInOnePartitionGrowTheTableExactly) {
   expect_matches_oracle(keys, "one partition");
 }
 
+TEST(LocationCounterDiff, OversizedFirstLevelPartitionCountsExactly) {
+  // A two-pass span whose hashes all share their top kFanBits bits: pass
+  // 1 puts every key in one level-1 partition, far longer than the
+  // second buffer, so it is split into its sub-partitions in place in
+  // the scratch buffer instead of scattered into the second buffer. Each
+  // sub-partition is still far over the average, so the table grows
+  // mid-partition.
+  const std::uint64_t inv = inverse_of(MultiplicityCounter::kMultiplier);
+  const std::size_t n = 2 * kOnePassKeys;
+  util::SplitMix64 rng(7);
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = i % 4 == 3 ? keys[i / 2]
+                         : (rng() >> MultiplicityCounter::kFanBits) * inv;
+  }
+  expect_matches_oracle(keys, "one oversized level-1 partition");
+}
+
+TEST(LocationCounterDiff, UniformTraceKeepsTheTableInBudget) {
+  // Partitions average half the growth threshold, so a uniform trace
+  // never grows the table past kSlotsPerKey·kPartitionKeys slots.
+  for (std::size_t n = std::size_t{1} << 14; n <= (std::size_t{1} << 20);
+       n *= 2) {
+    MultiplicityCounter mc;
+    const auto keys = random_keys(n, 0, n);
+    EXPECT_EQ(mc.count(keys).distinct, n);
+    EXPECT_EQ(mc.table_slots(), MultiplicityCounter::kSlotsPerKey *
+                                    MultiplicityCounter::kPartitionKeys)
+        << "n=" << n;
+  }
+}
+
+TEST(LocationCounterDiff, HeavyHotSpotKeepsTheTableInBudget) {
+  // fig4's heavy hot spots: one key taking n/16 or n/4 of a two-pass
+  // span makes its level-1 partition several times the average, too
+  // long for the second buffer. It is split into sub-partitions in
+  // place, so each holds about the average number of distinct keys and
+  // the table never grows, on this call or on a later uniform one.
+  const std::size_t budget =
+      MultiplicityCounter::kSlotsPerKey * MultiplicityCounter::kPartitionKeys;
+  const std::size_t n = 4 * kOnePassKeys;
+  MultiplicityCounter mc;
+  for (const std::size_t hot : {n / 16, n / 4}) {
+    auto keys = random_keys(n, 0, hot);
+    for (std::size_t i = 0; i < hot; ++i) keys[i * (n / hot)] = 42;
+    const auto want = sort_count(keys);
+    const util::Multiplicity m = mc.count(keys);
+    EXPECT_EQ(m.max, want.max_contention) << "hot=" << hot;
+    EXPECT_EQ(m.distinct, want.distinct) << "hot=" << hot;
+    EXPECT_EQ(mc.table_slots(), budget) << "hot=" << hot;
+  }
+  EXPECT_EQ(mc.count(random_keys(n, 0, 3)).distinct, n);
+  EXPECT_EQ(mc.table_slots(), budget);
+}
+
 TEST(LocationCounterDiff, ReusedCounterStaysExactAcrossSizes) {
-  // One counter over shrinking and growing traces: stale tallies of a
-  // larger earlier call must never leak into a later one.
+  // One counter over shrinking and growing traces, across the
+  // one-pass/two-pass boundary both ways: stale tallies of a larger
+  // earlier call must never leak into a later one.
   MultiplicityCounter mc;
   std::uint64_t seed = 500;
   for (const std::size_t n :
        {std::size_t{1} << 18, std::size_t{10}, std::size_t{1} << 15,
-        std::size_t{1} << 18, std::size_t{3000}}) {
+        kOnePassKeys + 1, kOnePassKeys, std::size_t{1} << 18,
+        std::size_t{3000}}) {
     const auto keys = random_keys(n, n / 3 + 1, seed++);
     const auto want = sort_count(keys);
     const util::Multiplicity m = mc.count(keys);
@@ -318,6 +387,31 @@ TEST(ProfileDiff, MachineProfileMatchesProfileAccess) {
               core::predict_scatter(addrs, base, mapping.get()))
         << name << " scatter_bulk_delivery";
   }
+  // scatter_banks: its ids are banks, so the machine reads k and the
+  // distinct count off its bank tally instead of counting; they must
+  // still be analyze_locations' numbers over the same ids. The ids hit
+  // only half the banks, so the distinct count is not the bank count.
+  std::vector<std::uint64_t> bank_ids(addrs.size());
+  for (std::size_t i = 0; i < addrs.size(); ++i)
+    bank_ids[i] = addrs[i] % (base.banks() / 2);
+  const mem::LocationContention want_banks = mem::analyze_locations(bank_ids);
+  ASSERT_GT(want_banks.max_contention, 300u);  // the hot address's bank
+  ASSERT_LT(want_banks.distinct, base.banks());
+  for (const Scenario& sc : scenarios) {
+    if (sc.faults.any()) continue;  // scatter_banks throws when degraded
+    const auto machines = testing_pins::pinned_machines(
+        [&] { return std::make_unique<sim::Machine>(sc.cfg); });
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+      const std::string what = "scatter_banks " + sc.name + " " +
+                               testing_pins::pin_name(testing_pins::kPins[i]);
+      const sim::BulkResult res = machines[i]->scatter_banks(bank_ids);
+      EXPECT_EQ(res.max_location_contention, want_banks.max_contention)
+          << what;
+      EXPECT_EQ(res.distinct_locations, want_banks.distinct) << what;
+      EXPECT_EQ(res.mapped_bank_load, want_banks.max_contention) << what;
+    }
+  }
+
   for (const Scenario& sc : scenarios) {
     if (sc.name == "healthy") {
       EXPECT_EQ(sc.served_differs, 0u) << sc.name;

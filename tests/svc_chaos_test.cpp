@@ -220,6 +220,7 @@ TEST(SvcChaos, PermanentNoProgressFailurePoisonsTheShardNotTheFleet) {
   const svc::FleetStatusMsg st = final_status("poison");
   EXPECT_EQ(rows_in_phase(st, "poisoned"), 1u);
   EXPECT_GE(st.strikes, 2u);
+  EXPECT_EQ(st.ended, "degraded");
 }
 
 TEST(SvcChaos, FleetDeadlineInterruptsAWedgedFleetInBoundedTime) {
@@ -230,6 +231,7 @@ TEST(SvcChaos, FleetDeadlineInterruptsAWedgedFleetInBoundedTime) {
   const auto fleet = run_fleet(std::move(opt));
   EXPECT_EQ(fleet.status, svc::FleetReport::Status::kInterrupted);
   EXPECT_EQ(fleet.exit_code(), 75);
+  EXPECT_EQ(final_status("deadline").ended, "interrupted");
 }
 
 // Fleet observability (docs/observability.md §fleet). Its host-time
@@ -317,6 +319,7 @@ TEST(SvcChaos, ObservabilityOnHealthyFleetStripsToTheBaselineReport) {
   EXPECT_GE(st.leases_granted, 4u);
   EXPECT_EQ(st.strikes, 0u);
   EXPECT_EQ(rows_in_phase(st, "done"), 4u);
+  EXPECT_EQ(st.ended, "completed");
 }
 
 }  // namespace

@@ -599,6 +599,7 @@ TEST(Payload, TelemetryRoundTrips) {
 TEST(Payload, FleetStatusRoundTrips) {
   svc::FleetStatusMsg m;
   m.mono_us = 5000;
+  m.ended = "degraded";
   m.shards = 4;
   m.completed_shards = 1;
   m.leases_granted = 5;
@@ -627,6 +628,14 @@ TEST(Payload, FleetStatusRoundTrips) {
   EXPECT_EQ(r.rows[0].beat_us, 81000u);
   EXPECT_EQ(r.rows[1].resumed, 3u);
   EXPECT_EQ(r.rows[1].beat_us, 7000u);
+  EXPECT_EQ(r.ended, "degraded");
+  // A live publication (fleet still running) carries an empty `ended`.
+  m.ended.clear();
+  EXPECT_EQ(reencode<svc::FleetStatusMsg>(svc::kMsgFleetStatus,
+                                          svc::encode_fleet_status(m),
+                                          svc::decode_fleet_status)
+                .ended,
+            "");
 }
 
 // Satellite: decoder fuzz. Every truncation and every single-bit flip

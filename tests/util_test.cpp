@@ -246,6 +246,35 @@ TEST(Cli, ParsesFlagsAndPositionals) {
   EXPECT_EQ(cli.get_int("missing", 7), 7);
 }
 
+TEST(Cli, RejectUnreadNamesTheFirstUnreadFlagOrArgument) {
+  const char* argv[] = {"prog", "--workers=4", "--wokers=4", "--quiet"};
+  const util::Cli cli(4, argv);
+  EXPECT_EQ(cli.get_uint("workers", 2), 4u);
+  EXPECT_FALSE(cli.has("once"));  // read though absent: not an error
+  try {
+    cli.reject_unread();
+    FAIL() << "expected Error";
+  } catch (const dxbsp::Error& e) {
+    EXPECT_EQ(e.code(), dxbsp::ErrorCode::kParse);
+    EXPECT_NE(std::string(e.what()).find("--quiet"), std::string::npos);
+  }
+  EXPECT_TRUE(cli.has("quiet"));
+  EXPECT_THROW(cli.reject_unread(), dxbsp::Error);  // --wokers still unread
+  (void)cli.get("wokers", "");
+  cli.reject_unread();  // every flag read
+
+  const char* stray[] = {"prog", "--n=1", "extra"};
+  const util::Cli positional(3, stray);
+  (void)positional.get_int("n", 0);
+  try {
+    positional.reject_unread();
+    FAIL() << "expected Error";
+  } catch (const dxbsp::Error& e) {
+    EXPECT_EQ(e.code(), dxbsp::ErrorCode::kParse);
+    EXPECT_NE(std::string(e.what()).find("extra"), std::string::npos);
+  }
+}
+
 TEST(Cli, BareTrailingFlagIsBoolean) {
   const char* argv[] = {"prog", "--csv"};
   const util::Cli cli(2, argv);

@@ -36,7 +36,9 @@
 //
 // Exit codes: 0 all shards completed; 69 (EX_UNAVAILABLE) completed
 // degraded — poisoned shards recorded in the report's "degraded"
-// section; 75 (EX_TEMPFAIL) interrupted (signal/deadline).
+// section; 75 (EX_TEMPFAIL) interrupted (signal/deadline); 64
+// (EX_USAGE) for a flag before `--` outside the list above, or a
+// positional argument there.
 
 #include <iostream>
 #include <string>
@@ -57,12 +59,6 @@ int main(int argc, char** argv) {
     const util::Cli cli(split, argv);
 
     svc::CoordinatorOptions opt;
-    for (int i = split + 1; i < argc; ++i) opt.worker_argv.push_back(argv[i]);
-    if (opt.worker_argv.empty()) {
-      std::cerr << "usage: sweep_coordinator [flags] -- <bench binary> "
-                   "[workload flags...]\n";
-      return exit_code(ErrorCode::kConfig);
-    }
     opt.dir = cli.get("dir", "svc-run");
     opt.workers = cli.get_uint("workers", 2);
     opt.shards = cli.get_uint("shards", 0);
@@ -77,16 +73,18 @@ int main(int argc, char** argv) {
     opt.report_path = cli.get("report", "");
     opt.report_csv_path = cli.get("report-csv", "");
     if (!cli.has("quiet")) opt.log = &std::cerr;
+    cli.reject_unread();  // the worker command follows --
+    for (int i = split + 1; i < argc; ++i) opt.worker_argv.push_back(argv[i]);
+    if (opt.worker_argv.empty()) {
+      std::cerr << "usage: sweep_coordinator [flags] -- <bench binary> "
+                   "[workload flags...]\n";
+      return exit_code(ErrorCode::kConfig);
+    }
 
     svc::Coordinator coordinator(std::move(opt));
     const svc::FleetReport fleet = coordinator.run();
 
-    const char* status = "completed";
-    if (fleet.status == svc::FleetReport::Status::kDegraded)
-      status = "degraded";
-    if (fleet.status == svc::FleetReport::Status::kInterrupted)
-      status = "interrupted";
-    std::cout << "FLEET " << status << " shards="
+    std::cout << "FLEET " << fleet.status_name() << " shards="
               << fleet.completed_shards << "/" << fleet.shards
               << " points=" << fleet.points_completed << "/"
               << fleet.points_total << " retries=" << fleet.retries

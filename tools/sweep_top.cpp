@@ -21,7 +21,9 @@
 //
 // --once renders a single frame and exits 0 (the CI smoke path);
 // otherwise frames repeat every --interval seconds (default 1) until
-// the fleet completes. Every running fleet has a fleet.status — the
+// the fleet ends: the coordinator's last fleet.status names the end
+// status (completed, degraded or interrupted), and sweep_top renders it
+// once, prints "fleet ended (<status>)" and exits 0. Every running fleet has a fleet.status — the
 // coordinator publishes it on its first poll, before any grant — so a
 // DIR without one is an error in both modes, not something to wait for.
 // Exit codes: 0 on a rendered fleet (done or not); 64 (EX_USAGE) for any
@@ -139,16 +141,10 @@ int main(int argc, char** argv) {
   using namespace dxbsp;
   try {
     const util::Cli cli(argc, argv);
-    for (const auto& [name, value] : cli.flags())
-      if (name != "dir" && name != "once" && name != "interval")
-        raise(ErrorCode::kParse, "sweep_top: unknown flag --" + name);
-    if (!cli.positional().empty())
-      raise(ErrorCode::kParse,
-            "sweep_top: unexpected argument '" + cli.positional().front() +
-                "'");
     const std::string dir = cli.get("dir", "svc-run");
     const bool once = cli.has("once");
     const double interval = cli.get_double("interval", 1.0);
+    cli.reject_unread();
 
     for (;;) {
       const std::optional<svc::FleetStatusMsg> st = sample(dir);
@@ -157,8 +153,8 @@ int main(int argc, char** argv) {
                                   "' (fleet not running)");
       if (!once) std::cout << "\x1b[H\x1b[2J";  // home + clear
       render(*st);
-      if (st->shards > 0 && st->completed_shards == st->shards) {
-        std::cout << "fleet complete\n";
+      if (!st->ended.empty()) {
+        std::cout << "fleet ended (" << st->ended << ")\n";
         return 0;
       }
       if (once) return 0;
