@@ -28,6 +28,17 @@
 // with x = BANKS/64 for BANKS in {2^8, 2^15, 2^16, 2^18, 2^20} and the
 // engine left on auto (which picks SoA). docs/performance.md §soa reads
 // it with --benchmark_filter=scatter_soa --benchmark_repetitions=15.
+//
+// scheduled.combine/N and cache_tier/WAYS/CAP time two slots of the
+// perfbench scatter_scheduled workload on their own (p=16, x=4, d=4,
+// g=1, L=8, engine on auto, which schedules them on the calendar wheel
+// and the heap). scheduled.combine is the combining slot (S=512, one
+// location taking N/32 of N requests) for N = 2^14 .. 2^18: its cost
+// per request should not grow with N, as the combining table holds
+// only the op's repeated addresses. cache_tier is the cache-tier slot
+// (S=64, a Zipf(0.9) trace of 2^17 requests over 2^16 words, 8-word
+// lines) with a tier of CAP = 256 or 1024 lines, direct-mapped, 8-way
+// or fully associative (one set that every access scans).
 
 #include <benchmark/benchmark.h>
 
@@ -140,6 +151,25 @@ void bm_scatter_soa(benchmark::State& state) {
   set_items(state, addrs.size());
 }
 
+void bm_scheduled_combine(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const auto addrs = workload::k_hot(n, n / 32, kSpace, 1995);
+  sim::Machine m(
+      sim::MachineConfig::parse("p=16,x=4,d=4,g=1,L=8,S=512,combine=1"));
+  for (auto _ : state) benchmark::DoNotOptimize(m.scatter(addrs));
+  set_items(state, addrs.size());
+}
+
+void bm_cache_tier(benchmark::State& state, std::uint64_t assoc) {
+  const auto addrs = workload::zipf(1 << 17, 1 << 16, 0.9, 1995);
+  sim::Machine m(sim::MachineConfig::parse(
+      "p=16,x=4,d=4,g=1,L=8,S=64,cache-line=8,cache=" +
+      std::to_string(state.range(0)) +
+      ",cache-assoc=" + std::to_string(assoc)));
+  for (auto _ : state) benchmark::DoNotOptimize(m.scatter(addrs));
+  set_items(state, addrs.size());
+}
+
 void register_all() {
   for (const auto& [name, t] :
        {std::pair{"uniform", CountTrace::kUniform},
@@ -168,6 +198,17 @@ void register_all() {
       ->Arg(1 << 16)
       ->Arg(1 << 18)
       ->Arg(1 << 20);
+  benchmark::RegisterBenchmark("scheduled.combine", bm_scheduled_combine)
+      ->RangeMultiplier(2)
+      ->Range(1 << 14, 1 << 18);
+  for (const auto& [name, assoc] :
+       {std::pair{"direct", std::uint64_t{1}}, std::pair{"8way", std::uint64_t{8}},
+        std::pair{"full", std::uint64_t{0}}}) {
+    benchmark::RegisterBenchmark((std::string("cache_tier/") + name).c_str(),
+                                 bm_cache_tier, assoc)
+        ->Arg(256)
+        ->Arg(1024);
+  }
   for (const bool k_hot : {false, true}) {
     const std::string dist = k_hot ? "/khot" : "/uniform";
     const auto sizes = [](benchmark::internal::Benchmark* b) {

@@ -18,7 +18,9 @@
 #    engine-equivalence and attribution suites also run explicitly
 #    under the sanitizers: they diff every forced engine strategy and
 #    the unforced selector, traced and untraced, against the reference
-#    engine, so every specialized loop runs there.
+#    engine, so every specialized loop runs there. So do the bank
+#    array's combining tests, which diff a table seeded with only the
+#    repeated addresses against one seeded with every address.
 # 3. Kill-and-resume smoke: SIGTERM a checkpointing sweep mid-flight,
 #    resume it, and require the output to be byte-identical to a
 #    straight-through run. Also checks that --deadline=0.000001 produces
@@ -82,7 +84,8 @@
 #     phase + trace tail), the stitched fleet timeline is valid Chrome
 #     JSON, sweep_top renders a live fleet, exits 0 on a fleet that
 #     ended degraded and refuses an empty dir or an unknown flag,
-#     sweep_coordinator refuses an unknown flag, and the trend reader
+#     sweep_coordinator refuses an unknown flag and a stray argument
+#     after a boolean flag, and the trend reader
 #     degrades gracefully when no BENCH_*.json baselines match.
 #
 # Usage: scripts/ci.sh [jobs]
@@ -140,6 +143,9 @@ echo "== engine matrix under sanitizers =="
 # with asan/ubsan watching.
 ./build-ci-san/tests/engine_equivalence_test > /dev/null
 ./build-ci-san/tests/attribution_test > /dev/null
+# The combining table holds only seeded (repeated) addresses and is
+# updated in place through the pointer its lookup returned.
+run_filtered ./build-ci-san/tests/sim_features_test 'Combining.*' > /dev/null
 echo "engine matrix is sanitizer-clean"
 
 echo "== kill-and-resume smoke =="
@@ -519,6 +525,19 @@ if [[ "$RC" != 64 ]]; then
 fi
 grep -q -- "--wokers" "$SMOKE/fleet-typo.err"
 echo "sweep_coordinator refuses an unknown flag (64)"
+
+# A stray argument after a boolean flag is a usage error too, not the
+# flag's value: the fleet must not start.
+RC=0
+"$COORD" --quiet stray --shards=4 --dir="$SMOKE/fleet-stray" \
+  -- "$OBS_BENCH" "${OBS_ARGS[@]}" > /dev/null 2> "$SMOKE/fleet-stray.err" \
+  || RC=$?
+if [[ "$RC" != 64 ]]; then
+  echo "sweep_coordinator --quiet stray: expected exit 64, got $RC" >&2
+  exit 1
+fi
+grep -q "unexpected argument 'stray'" "$SMOKE/fleet-stray.err"
+echo "sweep_coordinator refuses a stray argument after a boolean flag (64)"
 
 # Scaling model check (docs/resilience.md §fleet mode): fleet wall
 # clock vs the BSF master-worker prediction, generous CI band.

@@ -65,8 +65,9 @@ std::uint64_t BankArray::serve_addr(std::uint64_t bank, std::uint64_t arrival,
                                     std::uint64_t busy_scale) {
   ++total_;
 
+  std::uint64_t* pend = nullptr;  // the word's seeded entry, if combinable
   if (combining_) {
-    const std::uint64_t* pend = pending_.find(addr);
+    pend = pending_.find(addr);
     if (pend != nullptr && *pend > arrival) {
       // A request for this word is still queued or in service: ride it.
       ++combined_;
@@ -97,7 +98,7 @@ std::uint64_t BankArray::serve_addr(std::uint64_t bank, std::uint64_t arrival,
 
   if (busy_scale > 1) degraded_cycles_ += busy * (busy_scale - 1);
   const std::uint64_t end = occupy(bank, arrival, busy * busy_scale);
-  if (combining_) pending_.insert_or_assign(addr, end);
+  if (pend != nullptr) *pend = end;
   return end;
 }
 
@@ -125,14 +126,16 @@ void BankArray::publish(obs::MetricsRegistry& reg) const {
   reg.gauge("bank.max_load").observe(max_load_);
 }
 
-void BankArray::reset(std::size_t expected_requests) {
+void BankArray::reset(std::span<const std::uint64_t> combinable) {
   std::fill(free_at_.begin(), free_at_.end(), 0);
   std::fill(load_.begin(), load_.end(), 0);
   std::fill(mru_.begin(), mru_.end(), ~0ULL);
   pending_.clear();
-  // Size the combining table for the whole bulk op up front (a no-op
-  // once grown: reserve never shrinks), so serve_addr never rehashes.
-  if (combining_ && expected_requests > 0) pending_.reserve(expected_requests);
+  if (combining_) {
+    pending_.reserve(combinable.size());
+    for (const std::uint64_t addr : combinable)
+      pending_.insert_or_assign(addr, 0);
+  }
   max_load_ = 0;
   total_ = 0;
   hits_ = 0;

@@ -9,9 +9,20 @@
 // serves hits in `cached_delay` cycles. With combining enabled, a
 // request for a word that is already queued or in service at its bank is
 // merged with the pending one and occupies no extra bank time.
+//
+// Only a word requested at least twice in an op can combine, so the
+// combining table holds those words alone: reset() seeds it with the
+// op's repeated addresses (Machine::profile collects them while it
+// counts the location contention), and serve_addr only updates a seeded
+// entry in place. A word requested once keeps no entry; its entry would
+// be written once and never read, since each element is served at most
+// once (a retry re-issues an element only after its earlier attempt was
+// NACKed before service). So the table is sized to the op's repeated
+// words, not to the op, and stays cache-resident on a large op.
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/flat_map.hpp"
@@ -48,7 +59,7 @@ class BankArray {
 
   /// Serves a request for word `addr`, applying caching and combining
   /// when configured. Must also be called in nondecreasing arrival order
-  /// per bank.
+  /// per bank. Only a word reset() seeded can combine.
   std::uint64_t serve_addr(std::uint64_t bank, std::uint64_t arrival,
                            std::uint64_t addr, std::uint64_t busy_scale = 1);
 
@@ -124,11 +135,12 @@ class BankArray {
   /// as a max-gauge). Called by Machine at the end of each bulk op.
   void publish(obs::MetricsRegistry& reg) const;
 
-  /// Resets all banks to idle and clears statistics.
-  /// `expected_requests` (the upcoming bulk op's size, 0 = unknown)
-  /// pre-sizes the combining table so the hot loop never rehashes;
-  /// capacity is kept across resets either way.
-  void reset(std::size_t expected_requests = 0);
+  /// Resets all banks to idle and clears statistics. With combining,
+  /// `combinable` lists the words that may combine in the coming op
+  /// (every word it requests at least twice; duplicates are harmless):
+  /// they seed the combining table, so serve_addr never inserts and the
+  /// table never rehashes. Ignored without combining.
+  void reset(std::span<const std::uint64_t> combinable = {});
 
  private:
   std::uint64_t occupy(std::uint64_t bank, std::uint64_t arrival,
@@ -146,10 +158,10 @@ class BankArray {
   // Per-bank MRU line ids, flattened: bank b owns
   // mru_[b*cache_.lines .. (b+1)*cache_.lines). ~0 = empty slot.
   std::vector<std::uint64_t> mru_;
-  // Combining: pending service completion per word (an address lives in
-  // exactly one bank, so a single map is sound). Open-addressing flat
-  // map, reserved to the bulk-op size by reset(); stale entries are
-  // pruned lazily (the `> arrival` check ignores them).
+  // Combining: pending service completion per combinable word (an
+  // address lives in exactly one bank, so a single map is sound). Seeded
+  // by reset() at completion 0, which no arrival precedes; a stale
+  // completion is ignored the same way (the `> arrival` check).
   util::FlatMap64 pending_;
 
   std::uint64_t max_load_ = 0;

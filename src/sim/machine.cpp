@@ -160,6 +160,7 @@ struct EventHeap {
 constexpr std::size_t kRouteSlot = 0;  // addr → bank, one per element
 constexpr std::size_t kRingSlot = 1;   // flattened completion rings
 constexpr std::size_t kCntSlot = 2;    // per-bank request count
+constexpr std::size_t kRepeatSlot = 3;  // addresses requested twice or more
 
 /// Walks the n requests of a bulk op in scheduler pop order for the case
 /// where every issue departs exactly `gap` after the previous one (no
@@ -321,7 +322,8 @@ BulkResult Machine::scatter_banks(std::span<const std::uint64_t> banks) {
 }
 
 std::span<const std::uint64_t> Machine::profile(
-    std::span<const std::uint64_t> ids, bool ids_are_banks, BulkResult& res) {
+    std::span<const std::uint64_t> ids, bool ids_are_banks, BulkResult& res,
+    std::span<const std::uint64_t>* combinable) {
   if (!state_) state_ = std::make_unique<Workspace>();
   util::ScratchArena& arena = state_->arena;
   const std::uint64_t nbanks = config_.banks();
@@ -357,15 +359,20 @@ std::span<const std::uint64_t> Machine::profile(
         cnt, cnt + nbanks, [](std::uint64_t c) { return c != 0; }));
     return route;
   }
-  const util::Multiplicity loc = contention_.count(ids);
+  // On a combining machine the count also lists the repeated addresses,
+  // the only ones that can combine.
+  std::vector<std::uint64_t>* repeated = nullptr;
+  if (combinable != nullptr && config_.combine_requests)
+    repeated = &arena.vec<std::uint64_t>(kRepeatSlot);
+  const util::Multiplicity loc = contention_.count(ids, repeated);
   res.max_location_contention = loc.max;
   res.distinct_locations = loc.distinct;
+  if (repeated != nullptr) *combinable = *repeated;
   return route;
 }
 
 FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
                         bool ids_are_banks, RequestTiming* timing) {
-  banks_.reset(ids.size());
   network_.reset();
   if (tier_ != nullptr) tier_->reset();
 
@@ -373,15 +380,19 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
   BulkResult& res = out.bulk;
   res.n = ids.size();
   if (ids.empty()) {
+    banks_.reset();
     publish_bulk(res, 0, banks_, network_, tier_.get());
     return out;
   }
 
   FailTally tally;
   attr_.begin();
-  // The access profile, once per op: route plane, tally, k, distinct.
+  // The access profile, once per op: route plane, tally, k, distinct,
+  // and the addresses that can combine, which seed the bank array.
+  std::span<const std::uint64_t> combinable;
   const std::span<const std::uint64_t> route =
-      profile(ids, ids_are_banks, res);
+      profile(ids, ids_are_banks, res, &combinable);
+  banks_.reset(combinable);
 
   // Dispatch (docs/performance.md §selector): classify the op from O(1)
   // pre-dispatch features (or take the forced choice), and demote an
@@ -1083,7 +1094,7 @@ std::uint64_t Machine::run_soa(std::span<const std::uint64_t> route,
 
 BulkResult Machine::scatter_bulk_delivery(
     std::span<const std::uint64_t> addrs) {
-  banks_.reset(addrs.size());
+  banks_.reset();  // serve() only: nothing combines
   network_.reset();
 
   BulkResult res;

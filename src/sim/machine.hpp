@@ -318,9 +318,13 @@ class Machine {
   /// the access profile: res.mapped_bank_load (the tally's max),
   /// res.max_location_contention and res.distinct_locations (counted by
   /// contention_; for scatter_banks, whose ids are banks, read off the
-  /// tally instead).
-  std::span<const std::uint64_t> profile(std::span<const std::uint64_t> ids,
-                                         bool ids_are_banks, BulkResult& res);
+  /// tally instead). On a combining machine, when `combinable` is given,
+  /// it is set to the addresses the op requests at least twice (the
+  /// count lists them; empty for scatter_banks), which BankArray::reset
+  /// seeds its combining table with.
+  std::span<const std::uint64_t> profile(
+      std::span<const std::uint64_t> ids, bool ids_are_banks, BulkResult& res,
+      std::span<const std::uint64_t>* combinable = nullptr);
 
   /// The original priority_queue event loop (pre-calendar hot path);
   /// returns the makespan. It maps every event with its own bank_of

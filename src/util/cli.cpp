@@ -19,18 +19,22 @@ Cli::Cli(int argc, const char* const* argv) {
     arg.erase(0, 2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
+      spaced_.erase(arg.substr(0, eq));
       flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       // "--name value": consume the next token as the value.
       flags_[arg] = argv[++i];
+      spaced_.insert(arg);
     } else {
       flags_[arg] = "true";  // bare boolean flag
+      spaced_.erase(arg);
     }
   }
 }
 
-const std::string* Cli::find(const std::string& name) const {
+const std::string* Cli::find(const std::string& name, bool boolean) const {
   read_.insert(name);
+  if (!boolean) valued_.insert(name);
   const auto it = flags_.find(name);
   return it == flags_.end() ? nullptr : &it->second;
 }
@@ -39,6 +43,14 @@ void Cli::reject_unread() const {
   for (const auto& [name, value] : flags_)
     if (read_.count(name) == 0)
       raise(ErrorCode::kParse, "unknown flag --" + name);
+  // A boolean flag took the next token as its value ("--quiet stray"):
+  // unless that token is a boolean, it was a stray argument.
+  for (const std::string& name : spaced_) {
+    const std::string& value = flags_.at(name);
+    if (valued_.count(name) == 0 && value != "true" && value != "false" &&
+        value != "1" && value != "0")
+      raise(ErrorCode::kParse, "unexpected argument '" + value + "'");
+  }
   if (!positional_.empty())
     raise(ErrorCode::kParse,
           "unexpected argument '" + positional_.front() + "'");
@@ -112,7 +124,7 @@ double Cli::get_double(const std::string& name, double def) const {
 }
 
 bool Cli::has(const std::string& name) const {
-  const std::string* value = find(name);
+  const std::string* value = find(name, /*boolean=*/true);
   return value != nullptr && *value != "false" && *value != "0";
 }
 

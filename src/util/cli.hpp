@@ -4,6 +4,9 @@
 // Supports --name=value, --name value, and boolean --name. A tool whose
 // whole command line is flags calls reject_unread() after its reads, so
 // a mistyped flag fails loudly instead of leaving its default in place.
+// "--name value" is ambiguous for a boolean flag: reject_unread() also
+// refuses the token after a flag read only through has() unless it
+// reads as a boolean (true/false/1/0), since it was a stray argument.
 
 #include <cstdint>
 #include <map>
@@ -47,7 +50,9 @@ class Cli {
   [[nodiscard]] bool has(const std::string& name) const;
 
   /// Raises Error{kParse} naming the first flag that no get*/has call
-  /// has read, or the first positional argument (this tool takes none).
+  /// has read, then an argument that a boolean flag (read only by has())
+  /// swallowed as "--name value" and that is not true/false/1/0, then
+  /// the first positional argument (this tool takes none).
   void reject_unread() const;
 
   /// Every parsed flag, sorted by name (std::map order) — the run-report
@@ -68,10 +73,14 @@ class Cli {
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
-  mutable std::set<std::string> read_;  // names looked up by get*/has
+  std::set<std::string> spaced_;          // names given as "--name value"
+  mutable std::set<std::string> read_;    // names looked up by get*/has
+  mutable std::set<std::string> valued_;  // names looked up by get*
 
-  /// The value of --name, or nullptr if absent; records the lookup.
-  [[nodiscard]] const std::string* find(const std::string& name) const;
+  /// The value of --name, or nullptr if absent; records the lookup (as a
+  /// value read unless `boolean`).
+  [[nodiscard]] const std::string* find(const std::string& name,
+                                        bool boolean = false) const;
 };
 
 }  // namespace dxbsp::util

@@ -10,8 +10,9 @@
 // no erase (the combining table is pruned by clearing between bulk ops),
 // hence no tombstones. Load factor is capped at 1/2.
 //
-// clear() and reserve() keep capacity, so a table sized once per sweep
-// (BankArray::reset(expected_requests)) never rehashes mid-operation.
+// clear() and reserve() keep capacity, so a table sized before an
+// operation (BankArray::reset seeds its combinable addresses) never
+// rehashes mid-operation.
 // ~0ULL is a valid key (held out of band, not as the empty sentinel's
 // victim).
 
@@ -19,6 +20,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace dxbsp::util {
@@ -57,6 +59,10 @@ class FlatMap64 {
       if (k == kEmpty) return nullptr;
       i = (i + 1) & mask_;
     }
+  }
+  /// Mutable form: the value may be updated in place through it.
+  [[nodiscard]] std::uint64_t* find(std::uint64_t key) noexcept {
+    return const_cast<std::uint64_t*>(std::as_const(*this).find(key));
   }
 
   /// Increments the value of `key` (inserting it at 0 first) and returns

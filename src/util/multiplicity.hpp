@@ -33,7 +33,16 @@
 //   3. each partition is counted in one small table of 16-byte
 //      {hash, epoch, count} slots. A partition invalidates the table by
 //      bumping a 32-bit epoch instead of clearing it (the table is only
-//      wiped when the epoch wraps).
+//      wiped when the epoch wraps). A hash's slot is a multiplicative
+//      remix of the hash bits below the partition bits, not those bits
+//      themselves: keys whose hashes share them (a crafted key set)
+//      would otherwise all probe one chain.
+// A caller may also ask for the repeated keys: every key whose
+// multiplicity reaches 2, appended once, at the tally's 1 -> 2 step (the
+// key is the hash times kMultiplier's inverse). Only those keys can
+// meet another request for the same location, so they are what the
+// simulator's combining table holds (sim::BankArray). Uniform traffic
+// never takes that step.
 // The partition count follows from n alone: one partition up to
 // kPartitionKeys keys; beyond that, the smallest power of two that
 // leaves at most kPartitionKeys/2 keys per partition on average. The
@@ -74,6 +83,9 @@ class MultiplicityCounter {
  public:
   /// Fibonacci-hash multiplier (2^64 / golden ratio, odd).
   static constexpr std::uint64_t kMultiplier = 0x9E3779B97F4A7C15ULL;
+  /// kMultiplier's multiplicative inverse mod 2^64: key = hash · kInverse.
+  static constexpr std::uint64_t kInverse = 0xF1DE83E19937733DULL;
+  static_assert(kMultiplier * kInverse == 1);
   /// Keys the table is sized for, and table slots per key (the inverse
   /// of the maximum load factor); both chosen from a measured sweep
   /// (docs/performance.md). Spans up to kPartitionKeys form one
@@ -91,9 +103,15 @@ class MultiplicityCounter {
   static constexpr std::size_t kMaxKeys = 0xFFFFFFFEU;
 
   /// Exact {max multiplicity, distinct} over `keys` ({0, 0} for an empty
-  /// span). Each call is an independent count. Throws Error(kConfig) on
-  /// a span of more than kMaxKeys keys.
-  [[nodiscard]] Multiplicity count(std::span<const std::uint64_t> keys) {
+  /// span). Each call is an independent count. When `repeated` is given,
+  /// it is cleared and receives every key of multiplicity 2 or more, each
+  /// once, in no particular order. Throws Error(kConfig) on a span of
+  /// more than kMaxKeys keys.
+  [[nodiscard]] Multiplicity count(
+      std::span<const std::uint64_t> keys,
+      std::vector<std::uint64_t>* repeated = nullptr) {
+    if (repeated != nullptr) repeated->clear();
+    repeated_ = repeated;
     const std::size_t n = keys.size();
     if (n == 0) return {};
     reserve(n);
@@ -221,11 +239,17 @@ class MultiplicityCounter {
     return kOversize * ((n >> top) + 1);
   }
 
-  /// Table slot of hash `h` inside its partition: the bits just below the
-  /// `bits` partition bits, which every key of the partition shares.
+  /// Odd multiplier of the slot remix.
+  static constexpr std::uint64_t kSlotMix = 0xD1B54A32D192ED03ULL;
+
+  /// Table slot of hash `h` inside its partition: the top bits of the
+  /// hash bits below the `bits` partition bits (which every key of the
+  /// partition shares) times kSlotMix. A product's top bits depend on
+  /// every bit of the multiplicand, so keys that differ only low in
+  /// their hashes still spread over the table.
   [[nodiscard]] std::size_t slot_of(std::uint64_t h,
                                     unsigned bits) const noexcept {
-    return static_cast<std::size_t>((h << bits) >> shift_);
+    return static_cast<std::size_t>(((h << bits) * kSlotMix) >> shift_);
   }
 
   /// Histograms the keys' hashes by their top `bits` bits into hist_ and
@@ -278,8 +302,9 @@ class MultiplicityCounter {
   }
 
   /// Counts the hashes [first, last), one partition whose keys share
-  /// their top `bits` hash bits, and folds its largest multiplicity and
-  /// distinct count into `m`.
+  /// their top `bits` hash bits, folds its largest multiplicity and
+  /// distinct count into `m`, and appends each key whose tally reaches 2
+  /// to repeated_ when the caller asked for them.
   void count_partition(const std::uint64_t* first, const std::uint64_t* last,
                        unsigned bits, Multiplicity& m) {
     const std::uint32_t cur = next_epoch();
@@ -297,7 +322,10 @@ class MultiplicityCounter {
           break;
         }
         if (s.hash == h) {
-          max = std::max<std::uint64_t>(max, ++s.count);
+          const std::uint32_t c = ++s.count;
+          max = std::max<std::uint64_t>(max, c);
+          if (c == 2 && repeated_ != nullptr)
+            repeated_->push_back(h * kInverse);
           break;
         }
         j = (j + 1) & mask_;
@@ -341,6 +369,7 @@ class MultiplicityCounter {
   std::vector<std::uint32_t> bounds_;   // level-1 partition bounds
   std::vector<std::uint32_t> cursor_;   // scatter write positions
   std::vector<Slot> slots_;
+  std::vector<std::uint64_t>* repeated_ = nullptr;  // this call's output
   std::size_t mask_ = 0;
   unsigned shift_ = 63;
   std::uint32_t epoch_ = 0;

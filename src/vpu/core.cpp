@@ -1,6 +1,7 @@
 #include "vpu/core.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace dxbsp::vpu {
@@ -61,7 +62,16 @@ void Core::store(std::uint64_t addr, std::uint64_t value) {
 }
 
 RunResult Core::run(const Program& program, std::uint64_t trips) {
-  banks_.reset();
+  if (config_.combine_requests) {
+    // A run is one op to the bank array, and any word of memory may be
+    // requested again by a later element, instruction or trip, so every
+    // word is combinable.
+    std::vector<std::uint64_t> words(memory_.size());
+    std::iota(words.begin(), words.end(), std::uint64_t{0});
+    banks_.reset(words);
+  } else {
+    banks_.reset();
+  }
   for (auto& r : reg_ready_) r = 0;
   pipe_free_ = 0;
   last_drain_ = 0;

@@ -7,8 +7,12 @@
 // exactly on seeded random traces at every size where the partition
 // count or the number of scatter passes changes, on repeat-heavy key
 // spaces, on the sentinel keys 0 and ~0, on a trace whose keys all land
-// in one partition and on one whose keys all land in one level-1
-// partition of a two-pass span.
+// in one partition, on one whose keys all land in one level-1
+// partition of a two-pass span, and on one whose hashes share the bits
+// below the partition bits (the table slot's input). The repeated keys
+// the counter can list (every key of multiplicity 2 or more, which seed
+// the simulator's combining table) are diffed against the oracle's runs
+// of length 2 or more on the same kinds of traces.
 // mem::analyze_banks maps through bank_of_batch in chunks; it is diffed
 // against a per-element bank_of tally for every mapping make_mapping
 // builds. The access profile a simulated op returns (Machine::run's one
@@ -192,6 +196,84 @@ TEST(LocationCounterDiff, OversizedFirstLevelPartitionCountsExactly) {
                          : (rng() >> MultiplicityCounter::kFanBits) * inv;
   }
   expect_matches_oracle(keys, "one oversized level-1 partition");
+}
+
+TEST(LocationCounterDiff, KeysSharingTheirSlotBitsCountExactly) {
+  // Hashes that share every bit below the partition bits but the lowest
+  // few: if the table slot were those bits themselves, every key would
+  // probe one chain and the count would take quadratic time (seconds at
+  // 2^16 keys, minutes here). The slot remix spreads them.
+  const std::uint64_t inv = inverse_of(MultiplicityCounter::kMultiplier);
+  const std::size_t n = std::size_t{1} << 19;
+  util::SplitMix64 rng(17);
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i)
+    keys[i] = i % 4 == 3 ? keys[i / 2] : (rng() >> 17) * inv;
+  expect_matches_oracle(keys, "shared slot bits");
+}
+
+/// The counter's repeated-key list, sorted, must be exactly the keys the
+/// sort oracle sees two or more times, each once.
+void expect_repeated_match(MultiplicityCounter& mc,
+                           std::span<const std::uint64_t> keys,
+                           const std::string& what) {
+  std::vector<std::uint64_t> sorted(keys.begin(), keys.end());
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::uint64_t> want;
+  for (std::size_t i = 1; i < sorted.size(); ++i)
+    if (sorted[i] == sorted[i - 1] && (want.empty() || want.back() != sorted[i]))
+      want.push_back(sorted[i]);
+  std::vector<std::uint64_t> got{1, 2, 3};  // count() must clear it
+  const util::Multiplicity m = mc.count(keys, &got);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want) << what;
+  EXPECT_EQ(m.max > 1, !want.empty()) << what;
+}
+
+TEST(LocationCounterDiff, RepeatedKeysMatchSortOracle) {
+  MultiplicityCounter mc;  // reused: no call may leak into the next list
+  std::uint64_t seed = 900;
+  for (const std::size_t n : trace_sizes()) {
+    // A mix of singletons and repeats, and every key ~64 times.
+    for (const std::uint64_t space : {std::uint64_t{n} + 1, n / 64 + 1}) {
+      const auto keys = random_keys(n, space, seed++);
+      expect_repeated_match(mc, keys, "n=" + std::to_string(n) +
+                                          " space=" + std::to_string(space));
+    }
+  }
+  // Distinct keys: an empty list.
+  expect_repeated_match(mc, random_keys(kOnePassKeys + 1, 0, seed++),
+                        "distinct");
+  // The sentinels 0 and ~0 repeat like any other key.
+  for (const std::size_t n : {std::size_t{3}, std::size_t{5000},
+                              (std::size_t{1} << 16) + 1}) {
+    auto keys = random_keys(n, n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 3 == 0) keys[i] = 0;
+      if (i % 5 == 0) keys[i] = ~std::uint64_t{0};
+    }
+    expect_repeated_match(mc, keys, "sentinels n=" + std::to_string(n));
+  }
+  // One oversized level-1 partition, split in place.
+  const std::uint64_t inv = inverse_of(MultiplicityCounter::kMultiplier);
+  {
+    const std::size_t n = 2 * kOnePassKeys;
+    util::SplitMix64 rng(7);
+    std::vector<std::uint64_t> keys(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      keys[i] = i % 4 == 3 ? keys[i / 2]
+                           : (rng() >> MultiplicityCounter::kFanBits) * inv;
+    }
+    expect_repeated_match(mc, keys, "one oversized level-1 partition");
+  }
+  // fig4's heavy hot spots (n/16 and n/4 of a two-pass span at one key)
+  // over a space that also repeats other keys.
+  const std::size_t n = 4 * kOnePassKeys;
+  for (const std::size_t hot : {n / 16, n / 4}) {
+    auto keys = random_keys(n, 4 * n, hot);
+    for (std::size_t i = 0; i < hot; ++i) keys[i * (n / hot)] = 42;
+    expect_repeated_match(mc, keys, "hot=" + std::to_string(hot));
+  }
 }
 
 TEST(LocationCounterDiff, UniformTraceKeepsTheTableInBudget) {

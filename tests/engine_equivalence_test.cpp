@@ -224,6 +224,21 @@ TEST(EngineEquivalence, CombiningMachine) {
   check_equivalent(cfg, workload::k_hot(6000, 3000, 1 << 16, 9));
 }
 
+TEST(EngineEquivalence, CombiningMachineManyPartitions) {
+  // 2^17 requests: the location count runs over many partitions, so the
+  // repeated addresses that seed the combining table are collected
+  // across all of them (the hot spot and the random addresses that
+  // repeat in a 2^18-word space).
+  auto cfg = base_config(sim::Distribution::kCyclic);
+  cfg.combine_requests = true;
+  cfg.slackness = 64;
+  const std::uint64_t n = std::uint64_t{1} << 17;
+  const auto addrs = workload::k_hot(n, n / 32, 1 << 18, 21);
+  check_equivalent(cfg, addrs);
+  sim::Machine m(cfg);
+  EXPECT_GT(m.scatter(addrs).combined, n / 64);
+}
+
 TEST(EngineEquivalence, CachingMachine) {
   auto cfg = base_config(sim::Distribution::kBlock);
   cfg.bank_cache_lines = 4;

@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "mem/contention.hpp"
 #include "sim/bank_array.hpp"
 #include "sim/machine.hpp"
+#include "util/rng.hpp"
 #include "workload/patterns.hpp"
 
 namespace dxbsp {
@@ -56,6 +60,8 @@ TEST(BankCache, ValidationRejectsBadConfigs) {
 
 TEST(Combining, MergesInFlightRequests) {
   sim::BankArray banks(1, 10, {}, /*combining=*/true);
+  const std::uint64_t combinable[] = {42};
+  banks.reset(combinable);
   const auto first = banks.serve_addr(0, 0, 42);
   EXPECT_EQ(first, 10u);
   // Arrives while the first is in service: rides it, no extra occupancy.
@@ -69,9 +75,86 @@ TEST(Combining, MergesInFlightRequests) {
 
 TEST(Combining, DifferentAddressesDoNotMerge) {
   sim::BankArray banks(1, 10, {}, true);
+  const std::uint64_t combinable[] = {1, 2};
+  banks.reset(combinable);
   (void)banks.serve_addr(0, 0, 1);
   EXPECT_EQ(banks.serve_addr(0, 0, 2), 20u);  // queued, not merged
   EXPECT_EQ(banks.combined(), 0u);
+}
+
+TEST(Combining, OnlySeededAddressesCombine) {
+  sim::BankArray banks(1, 10, {}, true);
+  (void)banks.serve_addr(0, 0, 7);
+  EXPECT_EQ(banks.serve_addr(0, 5, 7), 20u);  // not seeded: queues
+  EXPECT_EQ(banks.combined(), 0u);
+  const std::uint64_t combinable[] = {7};
+  banks.reset(combinable);
+  (void)banks.serve_addr(0, 0, 7);
+  EXPECT_EQ(banks.serve_addr(0, 5, 7), 10u);
+  EXPECT_EQ(banks.combined(), 1u);
+  banks.reset();  // a reset drops the seeds with the rest of the op
+  (void)banks.serve_addr(0, 0, 7);
+  EXPECT_EQ(banks.serve_addr(0, 5, 7), 20u);
+  EXPECT_EQ(banks.combined(), 0u);
+}
+
+// Seeding only the addresses a stream requests twice or more must serve
+// it exactly as seeding every address it requests: an address requested
+// once never finds a pending request of its own. Random streams over
+// small address spaces (an address lives in one bank, arrivals are
+// nondecreasing per bank), with and without a bank cache and slow
+// banks, on single- and multi-port arrays.
+TEST(Combining, SeedingRepeatedAddressesMatchesSeedingAll) {
+  util::SplitMix64 rng(2024);
+  for (int round = 0; round < 200; ++round) {
+    const std::uint64_t nbanks = 1 + rng() % 8;
+    const std::uint64_t delay = 1 + rng() % 10;
+    const std::uint64_t ports = round % 3 == 0 ? 1 + rng() % 4 : 1;
+    const sim::BankCacheConfig cache =
+        round % 4 == 1 ? sim::BankCacheConfig{1 + rng() % 3, 1 + rng() % 4, 1}
+                       : sim::BankCacheConfig{};
+    const std::uint64_t space = 1 + rng() % 64;
+    const std::size_t n = 1 + rng() % 400;
+    struct Req {
+      std::uint64_t bank, arrival, addr, scale;
+    };
+    std::vector<Req> reqs(n);
+    std::vector<std::uint64_t> clock(nbanks, 0);
+    std::map<std::uint64_t, std::uint64_t> mult;
+    for (Req& r : reqs) {
+      r.addr = rng() % space;
+      r.bank = r.addr % nbanks;
+      clock[r.bank] += rng() % (2 * delay);
+      r.arrival = clock[r.bank];
+      r.scale = rng() % 8 == 0 ? 1 + rng() % 4 : 1;
+      ++mult[r.addr];
+    }
+    std::vector<std::uint64_t> all;
+    std::vector<std::uint64_t> repeated;
+    for (const auto& [addr, count] : mult) {
+      all.push_back(addr);
+      if (count > 1) repeated.push_back(addr);
+    }
+    sim::BankArray want(nbanks, delay, cache, true, ports);
+    sim::BankArray got(nbanks, delay, cache, true, ports);
+    want.reset(all);
+    got.reset(repeated);
+    const std::string what = "round " + std::to_string(round);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Req& r = reqs[i];
+      ASSERT_EQ(got.serve_addr(r.bank, r.arrival, r.addr, r.scale),
+                want.serve_addr(r.bank, r.arrival, r.addr, r.scale))
+          << what << " request " << i;
+      ASSERT_EQ(got.last_start(), want.last_start()) << what;
+      ASSERT_EQ(got.last_combined(), want.last_combined()) << what;
+    }
+    EXPECT_EQ(got.combined(), want.combined()) << what;
+    EXPECT_EQ(got.total_served(), want.total_served()) << what;
+    EXPECT_EQ(got.max_load(), want.max_load()) << what;
+    EXPECT_EQ(got.loads(), want.loads()) << what;
+    EXPECT_EQ(got.cache_hits(), want.cache_hits()) << what;
+    EXPECT_EQ(got.degraded_cycles(), want.degraded_cycles()) << what;
+  }
 }
 
 TEST(Machine, CombiningNeutralizesHotLocation) {

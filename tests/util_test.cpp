@@ -275,6 +275,45 @@ TEST(Cli, RejectUnreadNamesTheFirstUnreadFlagOrArgument) {
   }
 }
 
+TEST(Cli, BooleanFlagDoesNotSwallowAStrayArgument) {
+  // "--quiet stray": the parser cannot know --quiet is boolean, so it
+  // takes "stray" as its value; reject_unread() knows the flag was only
+  // read by has() and refuses the stray token by name.
+  const char* argv[] = {"prog", "--quiet", "stray", "--dir=D"};
+  const util::Cli cli(4, argv);
+  EXPECT_TRUE(cli.has("quiet"));
+  EXPECT_EQ(cli.get("dir", ""), "D");
+  try {
+    cli.reject_unread();
+    FAIL() << "expected Error";
+  } catch (const dxbsp::Error& e) {
+    EXPECT_EQ(e.code(), dxbsp::ErrorCode::kParse);
+    EXPECT_NE(std::string(e.what()).find("unexpected argument 'stray'"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // A boolean value after a boolean flag is its value, and --name=value
+  // is never a stray argument.
+  for (const char* value : {"true", "false", "1", "0"}) {
+    const char* spaced[] = {"prog", "--quiet", value};
+    const util::Cli ok(3, spaced);
+    (void)ok.has("quiet");
+    ok.reject_unread();
+  }
+  const char* eq[] = {"prog", "--quiet=stray"};
+  const util::Cli with_eq(2, eq);
+  (void)with_eq.has("quiet");
+  with_eq.reject_unread();
+
+  // A flag read for its value takes any next token.
+  const char* valued[] = {"prog", "--dir", "out", "--quiet"};
+  const util::Cli dir(4, valued);
+  EXPECT_EQ(dir.get("dir", ""), "out");
+  EXPECT_TRUE(dir.has("quiet"));
+  dir.reject_unread();
+}
+
 TEST(Cli, BareTrailingFlagIsBoolean) {
   const char* argv[] = {"prog", "--csv"};
   const util::Cli cli(2, argv);
