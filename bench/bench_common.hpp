@@ -86,7 +86,7 @@ inline std::optional<obs::EngineChoice> engine_from_cli(
 class Obs {
  public:
   Obs(const util::Cli& cli, const std::string& id, const std::string& what)
-      : trace_path_(cli.get("trace", "")),
+      : trace_file_(cli.get("trace", "")),
         report_path_(cli.get("report", "")),
         report_csv_path_(cli.get("report-csv", "")),
         metrics_path_(cli.get("metrics", "")),
@@ -99,7 +99,7 @@ class Obs {
     info_.seed = cli.get_uint("seed", 0);
     for (const auto& [name, value] : cli.flags())
       if (!is_execution_flag(name)) info_.flags.emplace_back(name, value);
-    if (!trace_path_.empty())
+    if (!trace_file_.empty())
       tracer_ = std::make_unique<obs::Tracer>(static_cast<std::size_t>(
           cli.get_uint("trace-capacity", std::uint64_t{1} << 16)));
     // A bench invocation reports from zero even if the process (a test
@@ -110,29 +110,15 @@ class Obs {
   /// Routes the machine's trace events into this run's tracer under
   /// `track` (use the sweep-point key), applies the --engine selection,
   /// and wires the machine's cost attribution, drift samples and
-  /// selector rows into this run's aggregates. Without --trace, a fleet
-  /// worker's flight-recorder tracer (svc/worker.hpp) stands in — in
-  /// PASSIVE mode, so engine selection (and thus every deterministic
-  /// report section, selector log included) stays byte-identical to an
-  /// untraced serial run; the ring sees whatever the chosen engine
-  /// emits, at minimum each point's superstep span.
+  /// selector rows into this run's aggregates.
   void attach(sim::Machine& machine, std::uint64_t track = 0) {
-    if (tracer_) {
-      machine.set_tracer(&tracer_->track(track));
-    } else if (flight_tracer_ != nullptr) {
-      machine.set_tracer(&flight_tracer_->track(track), /*passive=*/true);
-    }
+    if (tracer_) machine.set_tracer(&tracer_->track(track));
     machine.selector().force(engine_);
     machine.set_attribution(&attribution_);
     machine.set_drift(&drift_, track);
     machine.set_selector(&selector_, track);
   }
 
-  /// Fleet-worker hook (apply_sharding): the flight ring's private
-  /// tracer, used only when the run has no --trace tracer of its own.
-  void set_flight_tracer(obs::Tracer* t) noexcept { flight_tracer_ = t; }
-
-  [[nodiscard]] obs::Tracer* tracer() noexcept { return tracer_.get(); }
   [[nodiscard]] obs::AttributionAggregate& attribution() noexcept {
     return attribution_;
   }
@@ -144,8 +130,8 @@ class Obs {
   /// Writes the requested artifacts and passes `rc` through.
   int finish(int rc = 0) {
     const auto& reg = obs::MetricsRegistry::global();
-    if (!trace_path_.empty())
-      obs::write_file(trace_path_, [&](std::ostream& os) {
+    if (!trace_file_.empty())
+      obs::write_file(trace_file_, [&](std::ostream& os) {
         tracer_->write_chrome_json(os);
       });
     if (!report_path_.empty())
@@ -167,12 +153,11 @@ class Obs {
 
  private:
   obs::RunInfo info_;
-  std::string trace_path_;
+  std::string trace_file_;
   std::string report_path_;
   std::string report_csv_path_;
   std::string metrics_path_;
   std::unique_ptr<obs::Tracer> tracer_;
-  obs::Tracer* flight_tracer_ = nullptr;
   obs::AttributionAggregate attribution_;
   obs::DriftDetector drift_;
   obs::SelectorLog selector_;
@@ -248,13 +233,6 @@ inline std::uint64_t apply_sharding(svc::WorkerContext& worker,
   const std::string lease = cli.get("svc-lease", "");
   if (!lease.empty()) {
     worker.init(lease);
-    // Flight-tail source: an explicit --trace tracer when present,
-    // otherwise the worker's own small ring via attach().
-    if (obs.tracer() != nullptr) {
-      worker.set_trace_source(obs.tracer());
-    } else {
-      obs.set_flight_tracer(worker.flight_tracer());
-    }
     return worker.prepare(id, keys, opt, &obs.attribution(), &obs.drift(),
                           &obs.selector());
   }

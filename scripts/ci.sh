@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, plain and sanitized.
 #
-# 1. Configure + build + ctest with the default toolchain flags, then
+# 1. Configure + build + ctest with the default toolchain flags plus
+#    DXBSP_WERROR=ON (any compiler warning fails the build), then
 #    the parallel-isolation leg: the suites that write files (svc,
 #    stream, flight, resilience; ctest label "writes-files") rerun under
 #    `ctest -j` ten times over (--repeat until-fail:10). Each test
@@ -81,8 +82,10 @@
 #     reports cmp equal to the serial run's; the final fleet.status
 #     holds the lifecycle counters, a chaos-killed worker's flight ring
 #     surfaces as the fleet directory's post_mortem.json (last protocol
-#     phase + trace tail), the stitched fleet timeline is valid Chrome
-#     JSON, sweep_top renders a live fleet, exits 0 on a fleet that
+#     phase + selector records), the fleet timeline fleet.trace.json is
+#     valid Chrome JSON with the killed attempt's lane drawn from its
+#     ring and no worker event before its grant, sweep_top renders a
+#     live fleet, exits 0 on a fleet that
 #     ended degraded and refuses an empty dir or an unknown flag,
 #     sweep_coordinator refuses an unknown flag and a stray argument
 #     after a boolean flag, and the trend reader
@@ -107,7 +110,7 @@ run_filtered() {
 }
 
 echo "== tier-1 (plain) =="
-cmake -B build-ci -S . >/dev/null
+cmake -B build-ci -S . -DDXBSP_WERROR=ON >/dev/null
 cmake --build build-ci -j"$JOBS"
 ctest --test-dir build-ci -j"$JOBS" --output-on-failure
 
@@ -554,7 +557,8 @@ echo "chaos harness is sanitizer-clean"
 echo "== fleet observability smoke (docs/observability.md §fleet) =="
 # The chaos-kill fleet above harvested the dead attempt's flight ring
 # into post_mortem.json in its directory: it must name the dying shard's
-# last protocol phase and carry trace-event tails.
+# last protocol phase and carry its engine-selector records (each one's
+# n and measured makespan).
 python3 - "$SMOKE/fleet-kill/post_mortem.json" <<'EOF'
 import json, sys
 
@@ -564,24 +568,47 @@ deaths = [d for d in pm["deaths"] if d["shard"] == "1/4"]
 assert deaths, f"no harvest for the killed shard: {pm}"
 d = deaths[0]
 assert d["last_phase"] == "point", d
-assert any(e["kind"] == "trace" for e in d["events"]), \
-    f"flight tail carries no trace events: {d['events']}"
+assert any(e["kind"] == "selector" for e in d["events"]), \
+    f"flight tail carries no selector events: {d['events']}"
 print(f"post_mortem: shard 1/4 died at phase '{d['last_phase']}' with "
       f"{len(d['events'])} flight events ({d['records']} records, "
       f"{d['torn']} torn)")
 EOF
 
 # The standalone flight reader must decode the harvested ring, and the
-# stitch manifest must merge coordinator + worker traces (the killed
-# attempt rendered from its flight ring) into valid Chrome JSON.
+# coordinator's fleet timeline must be valid Chrome JSON whose lane for
+# the killed attempt (drawn from its flight ring) holds at least one
+# point span and no worker event before that lane's lease grant.
 ./build-ci/tools/flight_reader "$SMOKE/fleet-kill/shard-1.attempt-0.flight" \
   > "$SMOKE/flight.txt"
 grep -q "phase point" "$SMOKE/flight.txt"
-./build-ci/tools/trace_stitch "$SMOKE/fleet-kill/stitch.json" \
-  --out="$SMOKE/stitched.json"
-python3 -m json.tool "$SMOKE/stitched.json" > /dev/null
-python3 -m json.tool "$SMOKE/fleet-kill/coordinator.trace.json" > /dev/null
-echo "flight ring decodes standalone; stitched timeline is valid JSON"
+python3 -m json.tool "$SMOKE/fleet-kill/fleet.trace.json" > /dev/null
+python3 - "$SMOKE/fleet-kill/fleet.trace.json" <<'EOF'
+import json, sys
+
+events = json.load(open(sys.argv[1]))["traceEvents"]
+lanes = {e["tid"]: e["args"]["name"] for e in events
+         if e["ph"] == "M" and e["name"] == "thread_name"}
+tid = [t for t, name in lanes.items() if name == "shard 1/4 attempt 0"]
+assert len(tid) == 1, f"no lane for the killed attempt: {lanes}"
+lane = [e for e in events if e["ph"] != "M" and e["tid"] == tid[0]]
+grants = [e["ts"] for e in lane if e["name"] == "grant"]
+assert len(grants) == 1, lane
+worker = [e for e in lane if "seq" in e.get("args", {})]
+points = [e for e in worker if e["name"] == "point" and e["ph"] == "X"]
+assert points, f"the killed attempt's lane has no point span: {lane}"
+early = [e for e in worker if e["ts"] < grants[0]]
+assert not early, f"worker events before the lease grant: {early}"
+print(f"fleet.trace.json: shard 1/4 attempt 0 lane holds {len(points)} "
+      f"point span(s), {len(worker)} worker events, none before its grant")
+EOF
+for stale in stitch.json coordinator.trace.json; do
+  if [[ -e "$SMOKE/fleet-kill/$stale" ]]; then
+    echo "the fleet directory holds $stale" >&2
+    exit 1
+  fi
+done
+echo "flight ring decodes standalone; fleet timeline is valid JSON"
 
 # Live telemetry: sweep_top --once must render a running fleet and exit
 # 0. The fleet runs in the background; fleet.status appears on the

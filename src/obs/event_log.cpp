@@ -41,6 +41,11 @@ void EventLog::counter(std::string name, std::uint64_t ts_us,
   events_.push_back(std::move(ev));
 }
 
+void EventLog::name_lane(std::uint64_t tid, std::string name) {
+  std::lock_guard lock(mu_);
+  lanes_.emplace_back(tid, std::move(name));
+}
+
 std::size_t EventLog::size() const {
   std::lock_guard lock(mu_);
   return events_.size();
@@ -51,6 +56,9 @@ void EventLog::write_chrome_json(std::ostream& os) const {
   os << "{\n\"traceEvents\": [\n";
   os << R"({"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":")"
      << json_escape(process_name_) << "\"}}";
+  for (const auto& [tid, name] : lanes_)
+    os << ",\n" << R"({"ph":"M","name":"thread_name","pid":0,"tid":)" << tid
+       << R"(,"args":{"name":")" << json_escape(name) << "\"}}";
   for (const Event& ev : events_) {
     os << ",\n{\"name\":\"" << json_escape(ev.name) << "\",\"ph\":\"" << ev.ph
        << "\",\"pid\":0,\"tid\":" << ev.tid << ",\"ts\":" << ev.ts;

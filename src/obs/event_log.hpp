@@ -9,14 +9,13 @@
 // stamped in µs since a caller-chosen monotonic epoch, written out as
 // Chrome trace_event JSON (loadable in Perfetto, like the Tracer's).
 //
-// The coordinator keeps one (its own orchestration track) and each
-// worker keeps one (per-point spans); tools/trace_stitch merges them
-// onto one timeline by shifting every worker's µs timestamps with the
-// clock offset estimated from heartbeat messages (obs/stitch.hpp).
+// The sweep coordinator keeps the one log of a fleet: its own
+// orchestration events plus, on one named lane per lease attempt, that
+// worker's flight ring shifted onto the coordinator's clock
+// (obs/flight.hpp append_flight_lane), written as fleet.trace.json.
 //
-// Thread-safety: appends take a mutex (the worker's heartbeat sampler
-// and main thread may interleave); timestamps are caller-provided so a
-// span's start can predate its append.
+// Thread-safety: appends take a mutex; timestamps are caller-provided
+// so a span's start can predate its append.
 
 #include <chrono>
 #include <cstdint>
@@ -60,13 +59,17 @@ class EventLog {
   void counter(std::string name, std::uint64_t ts_us, std::uint64_t tid,
                std::uint64_t value);
 
+  /// Names lane `tid` (a Chrome "thread_name" metadata event).
+  void name_lane(std::uint64_t tid, std::string name);
+
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const std::string& process_name() const noexcept {
     return process_name_;
   }
 
-  /// Chrome trace_event JSON (object form): the process_name metadata
-  /// event, then every record in append order, all under pid 0.
+  /// Chrome trace_event JSON (object form): the process_name and lane
+  /// name metadata events, then every record in append order, all under
+  /// pid 0.
   void write_chrome_json(std::ostream& os) const;
 
  private:
@@ -83,6 +86,7 @@ class EventLog {
   std::string process_name_;
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
+  std::vector<std::pair<std::uint64_t, std::string>> lanes_;
   std::vector<Event> events_;
 };
 

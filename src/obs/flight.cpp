@@ -10,9 +10,9 @@
 #include <span>
 #include <sstream>
 
+#include "obs/event_log.hpp"
 #include "obs/json.hpp"
 #include "obs/selector.hpp"
-#include "obs/trace.hpp"
 #include "resilience/framed_file.hpp"
 
 namespace dxbsp::obs {
@@ -33,12 +33,20 @@ constexpr std::size_t kBodyOffset = 4;  // crc covers [kBodyOffset, 64)
 using resilience::load_le;
 using resilience::store_le;
 
+bool known_kind(unsigned char kind) {
+  switch (static_cast<FlightKind>(kind)) {
+    case FlightKind::kPhase:
+    case FlightKind::kSelector:
+    case FlightKind::kNote: return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 const char* flight_kind_name(FlightKind k) noexcept {
   switch (k) {
     case FlightKind::kPhase: return "phase";
-    case FlightKind::kTrace: return "trace";
     case FlightKind::kSelector: return "selector";
     case FlightKind::kNote: return "note";
   }
@@ -172,7 +180,7 @@ Expected<FlightTail> flight_parse(std::span<const unsigned char> bytes,
                     [](unsigned char b) { return b == 0; }))
       continue;  // never written
     const unsigned char kind = slot[kBodyOffset];
-    if (kind >= kFlightKinds ||
+    if (!known_kind(kind) ||
         !resilience::crc_mismatch({slot, kFlightRecordBytes}, kCrcOffset)
              .empty()) {
       ++tail.torn;
@@ -203,10 +211,6 @@ std::string flight_record_name(const FlightRecord& r) {
       return r.sub < kFlightPhases
                  ? flight_phase_name(static_cast<FlightPhase>(r.sub))
                  : "?";
-    case FlightKind::kTrace:
-      return r.sub < kTraceKinds
-                 ? trace_kind_name(static_cast<TraceKind>(r.sub))
-                 : "?";
     case FlightKind::kSelector:
       return r.sub < kEngineChoices
                  ? engine_choice_name(static_cast<EngineChoice>(r.sub))
@@ -232,9 +236,6 @@ std::string flight_describe(const FlightRecord& r) {
       }
       os << " attempt=" << r.d;
       break;
-    case FlightKind::kTrace:
-      os << " ts=" << r.a << " dur=" << r.b << " a=" << r.c << " b=" << r.d;
-      break;
     case FlightKind::kSelector:
       os << " step=" << r.a << " n=" << r.b << " measured=" << r.d;
       break;
@@ -243,6 +244,34 @@ std::string flight_describe(const FlightRecord& r) {
       break;
   }
   return std::move(os).str();
+}
+
+void append_flight_lane(EventLog& log, std::uint64_t tid,
+                        const Expected<FlightTail>& tail,
+                        std::uint64_t offset_us) {
+  if (!tail.ok() || tail.value().records.empty()) return;
+  const std::vector<FlightRecord>& records = tail.value().records;
+  const FlightRecord& oldest = records.front();
+  if (oldest.seq > 0)
+    log.instant("ring wrapped", offset_us + oldest.t_us, tid,
+                {{"first_seq", std::to_string(oldest.seq)}});
+  std::uint64_t phase_us = oldest.t_us;  // where the next point span starts
+  for (const FlightRecord& r : records) {
+    EventLog::Args args{{"seq", std::to_string(r.seq)},
+                        {"detail", flight_describe(r)}};
+    const bool phase = r.kind == FlightKind::kPhase;
+    if (phase && r.sub == static_cast<std::uint8_t>(FlightPhase::kPoint)) {
+      log.span("point", offset_us + phase_us,
+               r.t_us > phase_us ? r.t_us - phase_us : 0, tid,
+               std::move(args));
+    } else {
+      log.instant(r.kind == FlightKind::kSelector
+                      ? "selector " + flight_record_name(r)
+                      : flight_record_name(r),
+                  offset_us + r.t_us, tid, std::move(args));
+    }
+    if (phase) phase_us = r.t_us;
+  }
 }
 
 void write_json(JsonWriter& w, const PostMortemInfo& pm) {

@@ -1,10 +1,10 @@
 #pragma once
 // Crash-safe flight recorder (docs/observability.md §fleet): a
 // fixed-size mmap'd ring file each fleet worker continuously writes with
-// its most recent protocol-phase transitions, trace-event tails and
-// engine-selector decisions, so a worker that dies by SIGKILL — the one
-// failure mode that leaves no log line, no report and no result message
-// — still leaves a forensically useful tail on disk.
+// its protocol-phase transitions and engine-selector decisions. It is
+// the only record a worker keeps of itself, so a worker that dies by
+// SIGKILL — the one failure mode that leaves no log line, no report and
+// no result message — leaves the same record as one that finished.
 //
 // Why mmap: the writer never buffers. Every append lands in the page
 // cache immediately, and dirty pages belong to the kernel, not the
@@ -25,14 +25,15 @@
 // record half-written at the instant of death fails its CRC and is
 // skipped and counted, never trusted and never fatal. Records carry a
 // monotone sequence number and a host-monotonic timestamp in µs since
-// the worker's epoch (the same clock its heartbeat `mono_us` carries,
-// so flight tails line up with the stitched fleet timeline).
+// the worker's epoch (the same clock its heartbeat `mono_us` carries, so
+// the coordinator can shift a ring onto its own clock).
 //
 // The reader (flight_read = read_file + flight_parse) is the harvesting
-// side: the coordinator runs it after any revocation/SIGKILL/poison and
-// summarises the decoded tails as PostMortemInfo, which it writes to the
-// fleet directory as post_mortem.json; tools/flight_reader is the
-// standalone CLI over the same decoder.
+// side: the coordinator reads every attempt's ring once when its lease
+// ends, draws it as that attempt's lane of the fleet timeline
+// (append_flight_lane) and, for an attempt that died, summarises it as
+// PostMortemInfo, written to the fleet directory as post_mortem.json;
+// tools/flight_reader is the standalone CLI over the same decoder.
 
 #include <chrono>
 #include <cstdint>
@@ -44,22 +45,24 @@
 
 namespace dxbsp::obs {
 
+class EventLog;
 class JsonWriter;
 
 inline constexpr std::uint32_t kFlightVersion = 1;
 inline constexpr std::size_t kFlightHeaderBytes = 64;
 inline constexpr std::size_t kFlightRecordBytes = 64;
-/// Default ring file size (header + slots); 64 KiB holds ~1000 records.
+/// Default ring file size (header + slots): 1023 records, two per sweep
+/// point (selector + point phase), many times the largest fleet grid.
 inline constexpr std::size_t kFlightDefaultBytes = 64 * 1024;
 
+/// Record kinds. Value 1 once held trace-event tails and is retired: the
+/// reader counts a slot naming it, like any unknown kind, as torn.
 enum class FlightKind : std::uint8_t {
   kPhase = 0,     ///< protocol-phase transition; sub = FlightPhase
-  kTrace = 1,     ///< trace-event tail entry; sub = obs::TraceKind
   kSelector = 2,  ///< engine decision; sub = obs::EngineChoice, a = step,
                   ///< b = n, c = 0 (unused), d = measured cycles
   kNote = 3,      ///< free-form marker
 };
-inline constexpr std::size_t kFlightKinds = 4;
 
 /// Worker protocol phases, mirroring svc::ChaosPhase plus the chaos
 /// marker itself (recorded immediately before injected faults execute,
@@ -139,13 +142,27 @@ struct FlightTail {
 [[nodiscard]] Expected<FlightTail> flight_read(const std::string& path);
 
 /// One-line human rendering of a record ("phase point completed=3/16
-/// attempt=0", "trace bank_busy ts=120 dur=4 ..."), shared by
-/// tools/flight_reader and the post-mortem harvester.
+/// attempt=0", "selector soa step=2 n=16384 measured=..."), shared by
+/// tools/flight_reader and the fleet timeline.
 [[nodiscard]] std::string flight_describe(const FlightRecord& r);
 
 /// The record's display name: the phase name for kPhase records, the
-/// trace-kind name for kTrace, the engine name for kSelector.
+/// engine name for kSelector.
 [[nodiscard]] std::string flight_record_name(const FlightRecord& r);
+
+/// Draws one attempt's harvested ring on lane `tid` of the fleet
+/// timeline, each record shifted by `offset_us` onto the log's clock:
+/// a kPoint phase record becomes a "point" span from the previous phase
+/// record (from the oldest surviving record for the first), every other
+/// record an instant named by flight_record_name ("selector <engine>"
+/// for decisions). Each event's args carry the record's seq and its
+/// flight_describe line. A ring that wrapped (oldest surviving seq > 0)
+/// says so with one "ring wrapped" instant at its oldest record; an
+/// unreadable ring adds nothing, leaving the lane to the coordinator's
+/// own events.
+void append_flight_lane(EventLog& log, std::uint64_t tid,
+                        const Expected<FlightTail>& tail,
+                        std::uint64_t offset_us);
 
 /// post_mortem.json: schema of the PostMortemInfo document.
 inline constexpr std::uint64_t kPostMortemSchemaVersion = 1;
@@ -156,8 +173,8 @@ inline constexpr std::uint64_t kPostMortemSchemaVersion = 1;
 /// fleet directory as post_mortem.json, never in the run report.
 struct PostMortemInfo {
   struct Event {
-    std::string kind;   ///< flight_kind_name: phase/trace/selector/note
-    std::string name;   ///< flight_record_name: e.g. "point", "arrive"
+    std::string kind;   ///< flight_kind_name: phase/selector/note
+    std::string name;   ///< flight_record_name: e.g. "point", "soa"
     std::uint64_t seq = 0;
     std::uint64_t t_us = 0;  ///< µs since the worker's epoch
     std::uint64_t a = 0, b = 0, c = 0, d = 0;

@@ -2,7 +2,7 @@
 // Minimal recursive-descent JSON reader, the inverse of obs/json.hpp.
 //
 // Scope: just enough to load what this repo's own JsonWriter emits —
-// run reports, fleet stitch manifests and svc wire payloads. It is a
+// run reports and svc wire payloads. It is a
 // full parser for standard JSON values, but deliberately small: no
 // streaming, no SAX, no comments/trailing-comma extensions.
 //

@@ -33,7 +33,8 @@ struct EngineFeatures {
   /// No plan and the window never binds: the dense fast path is exact.
   bool eligible_dense = false;
   /// Dense-eligible AND ideal network, no cache tier, no tracer, no
-  /// per-request timing: the SoA batched kernel is exact.
+  /// per-request timing, batchable banks (no combining, bank cache or
+  /// multi-port banks): the SoA batched kernel is exact.
   bool eligible_soa = false;
 };
 

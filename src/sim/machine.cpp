@@ -403,13 +403,13 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
   feat.window = std::min(config_.slackness, feat.h_proc);
   feat.plan_fingerprint = plan_ != nullptr ? plan_->fingerprint() : 0;
   feat.eligible_dense = plan_ == nullptr && config_.slackness >= feat.h_proc;
-  // A passive tracer (flight recorder) never steers selection; only an
-  // exact tracer forces the fully-traced engines.
+  // The fused kernel also needs banks whose service is the plain FIFO
+  // recurrence: combining, a bank cache or multi-port banks take the
+  // dense walk instead, so a kSoA row always names the fused kernel.
   feat.eligible_soa = feat.eligible_dense &&
                       network_.model() == NetworkModel::kIdeal &&
-                      tier_ == nullptr &&
-                      (trace_ == nullptr || trace_passive_) &&
-                      timing == nullptr;
+                      tier_ == nullptr && trace_ == nullptr &&
+                      timing == nullptr && banks_.batchable(!ids_are_banks);
 
   const obs::EngineChoice raw_choice = selector_.decide(feat);
   obs::EngineChoice choice = raw_choice;
@@ -912,11 +912,10 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
     return ack;
   };
 
-  if (choice == obs::EngineChoice::kSoA && banks_.batchable(!ids_are_banks))
+  if (choice == obs::EngineChoice::kSoA)
     return run_soa(route, res, max_count);
 
-  if (choice == obs::EngineChoice::kDense ||
-      choice == obs::EngineChoice::kSoA) {
+  if (choice == obs::EngineChoice::kDense) {
     // Dense walk. With no fault plan there are no retries, and with the
     // outstanding window never binding (S >= every per-proc count) every
     // issue departs exactly `gap` after the previous one, so
@@ -924,11 +923,6 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
     // scheduler itself — and the completion rings — can be skipped:
     // request j of a processor departs at j·g as attempt 0. Bit-identical
     // results, traces and cancellation cadence to the scheduled loops.
-    // The SoA choice lands here when its banks are not batchable
-    // (combining, a bank-side MRU cache or multi-port banks: per-request
-    // bank state transitions can't run as a free-chain). It runs with
-    // kNoObs, so it never feeds a passive ring; the dense walk feeds
-    // whatever ring is attached.
     const auto walk = [&](auto no_obs_c) {
       for_each_in_pop_order(block, n, p, cancel_,
                             [&](std::uint64_t elem, std::uint64_t proc,
@@ -939,16 +933,13 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
       res.last_issue = (max_count - 1) * g;
       return makespan;
     };
-    if (choice == obs::EngineChoice::kSoA ||
-        (tier == nullptr && trace_ == nullptr && timing == nullptr))
+    if (tier == nullptr && trace_ == nullptr && timing == nullptr)
       return walk(std::true_type{});
     return walk(std::false_type{});
   }
 
   // Specialization eligibility for the scheduled loop below.
-  const bool no_obs = tier == nullptr &&
-                      (trace_ == nullptr || trace_passive_) &&
-                      timing == nullptr;
+  const bool no_obs = tier == nullptr && trace_ == nullptr && timing == nullptr;
   const bool no_ring = no_obs && config_.slackness >= max_count;
 
   // Ring slot j % window is written at issue j and first read at issue
@@ -1043,9 +1034,9 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
 std::uint64_t Machine::run_soa(std::span<const std::uint64_t> route,
                                BulkResult& res, std::uint64_t max_count) {
   // SoA fused free-chain kernel (docs/performance.md §soa). Eligibility,
-  // checked by run() and run_calendar(): no fault plan, window never
-  // binds, ideal network, no cache tier, no tracer, no per-request
-  // timing, batchable banks. Under those conditions processor P's j-th
+  // checked by run() (EngineFeatures::eligible_soa): no fault plan,
+  // window never binds, ideal network, no cache tier, no tracer, no
+  // per-request timing, batchable banks. Under those conditions processor P's j-th
   // request departs at exactly j·g and arrives at j·g + L, and the FIFO
   // recurrence fin = max(arrival, free[b]) + d is bank-local, so one
   // pop-order pass over the route plane and the per-bank free-time array

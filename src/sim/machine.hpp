@@ -209,18 +209,9 @@ class Machine {
   /// tracing is compiled out (DXBSP_OBS_TRACE=0) this is accepted and
   /// ignored.
   ///
-  /// An *exact* tracer (the default) needs every event, so it disables
-  /// the batched engines that cannot emit them — the documented --trace
-  /// observer effect. A `passive` tracer inverts that trade: engine
-  /// selection is untouched (the run stays byte-identical to an
-  /// untraced one, selector log included) and the ring receives only
-  /// the events the chosen engine happens to emit — at minimum the
-  /// per-op superstep span, everything under the unspecialized loop.
-  /// The fleet flight recorder (svc/worker.hpp) uses passive mode.
-  void set_tracer(obs::TraceRing* ring, bool passive = false) noexcept {
-    trace_ = ring;
-    trace_passive_ = passive && ring != nullptr;
-  }
+  /// A tracer needs every event, so it disables the batched engines
+  /// that cannot emit them — the documented --trace observer effect.
+  void set_tracer(obs::TraceRing* ring) noexcept { trace_ = ring; }
   [[nodiscard]] obs::TraceRing* tracer() const noexcept { return trace_; }
 
   /// Attaches run-level attribution aggregation (non-owning; nullptr
@@ -336,8 +327,8 @@ class Machine {
 
   /// Batched-routing engine over profile()'s `route`: one request step
   /// driven by the scheduled loops (calendar wheel or binary heap, per
-  /// `choice`) or by the dense pop-order walk (kDense; kSoA on banks
-  /// that are not batchable).
+  /// `choice`), by the dense pop-order walk (kDense) or by the fused SoA
+  /// kernel (kSoA).
   std::uint64_t run_calendar(std::span<const std::uint64_t> ids,
                              std::span<const std::uint64_t> route,
                              bool ids_are_banks, RequestTiming* timing,
@@ -345,7 +336,7 @@ class Machine {
                              obs::EngineChoice choice);
 
   /// The fused free-chain SoA kernel (docs/performance.md §soa);
-  /// exact only under EngineFeatures::eligible_soa with batchable banks.
+  /// exact only under EngineFeatures::eligible_soa.
   /// `route` is the per-element bank plane profile() computed, with
   /// its per-bank counts in the workspace count plane.
   std::uint64_t run_soa(std::span<const std::uint64_t> route,
@@ -370,7 +361,6 @@ class Machine {
   std::shared_ptr<const fault::FaultPlan> plan_;
   const resilience::CancelToken* cancel_ = nullptr;
   obs::TraceRing* trace_ = nullptr;
-  bool trace_passive_ = false;  ///< tracer observes, never steers engines
   obs::AttributionAggregate* attr_agg_ = nullptr;
   obs::DriftDetector* drift_ = nullptr;
   std::uint64_t drift_track_ = 0;

@@ -20,7 +20,6 @@
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stitch.hpp"
 #include "svc/wire.hpp"
 
 extern char** environ;
@@ -40,11 +39,6 @@ std::string join_argv(const std::vector<std::string>& argv) {
     out += a;
   }
   return out;
-}
-
-std::string basename_of(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
 }  // namespace
@@ -95,9 +89,10 @@ struct Coordinator::ShardState {
 
   std::string lease_path, hb_path, agg_path, res_path, snap_path;
 
-  // Observability bookkeeping. flight/trace paths are per-attempt so a
-  // dead attempt's artifacts survive its retry.
-  std::string flight_path, trace_path;
+  // Observability bookkeeping. The flight path is per-attempt so a dead
+  // attempt's ring survives its retry.
+  std::string flight_path;
+  std::uint64_t lane = 0;       ///< the attempt's fleet-timeline lane
   std::uint64_t grant_us = 0;   ///< coordinator clock at the grant
   std::uint64_t offset_us = 0;  ///< min(rx − mono_us) over new beats
   bool saw_offset = false;
@@ -154,16 +149,16 @@ void Coordinator::grant(ShardState& s) {
   lease.heartbeat_path = s.hb_path;
   lease.aggregates_path = s.agg_path;
   lease.result_path = s.res_path;
-  lease.deadline_seconds = opt_.attempt_deadline_seconds;
-  lease.hb_interval_seconds = opt_.heartbeat_interval_seconds;
+  // Eight beats per stall window: a live worker is never revoked for
+  // one late beat.
+  lease.hb_interval_seconds =
+      std::min(0.05, opt_.heartbeat_timeout_seconds / 8);
   lease.chaos = opt_.chaos;
   const std::string astem = opt_.dir + "/shard-" +
                             std::to_string(s.spec.index) + ".attempt-" +
                             std::to_string(s.attempt);
   lease.flight_path = astem + ".flight";
-  lease.trace_path = astem + ".trace.json";
   s.flight_path = lease.flight_path;
-  s.trace_path = lease.trace_path;
   wire_write_file(s.lease_path, kMsgLease, encode_lease(lease));
   s.resume_base = s.banked;
 
@@ -195,10 +190,9 @@ void Coordinator::grant(ShardState& s) {
   s.last_beat = 0;
   ++fleet_.leases_granted;
   ++s.grants;
-  // The grant timestamp doubles as the stitch offset fallback for
-  // attempts that die before their first heartbeat: a worker's epoch
-  // necessarily postdates its grant, so stitched worker events mapped
-  // with it can never precede the grant span (obs/stitch.hpp).
+  // The grant timestamp doubles as the clock offset of attempts that die
+  // before their first heartbeat: a worker's epoch necessarily postdates
+  // its grant, so its ring shifted by it never precedes the grant.
   s.grant_us = now_us();
   s.saw_offset = false;
   s.offset_us = s.grant_us;
@@ -209,9 +203,11 @@ void Coordinator::grant(ShardState& s) {
   // its first heartbeat in a way waitpid cannot see (e.g. before exec)
   // is revoked like one that stops beating later.
   s.updated_us = s.grant_us;
-  elog_->instant("grant shard " + s.spec.str(), s.grant_us, s.spec.index + 1,
-                 {{"attempt", std::to_string(s.attempt)},
-                  {"resume_points", std::to_string(s.banked)},
+  s.lane = ++lanes_;
+  elog_->name_lane(s.lane, "shard " + s.spec.str() + " attempt " +
+                               std::to_string(s.attempt));
+  elog_->instant("grant", s.grant_us, s.lane,
+                 {{"resume_points", std::to_string(s.banked)},
                   {"pid", std::to_string(pid)}});
   log_line("grant shard " + s.spec.str() + " attempt " +
            std::to_string(s.attempt) + " resume_points " +
@@ -238,8 +234,7 @@ void Coordinator::fail_attempt(ShardState& s, const std::string& why) {
   s.last_error = why;
   // Harvest BEFORE the retry machinery runs: the next grant uses fresh
   // per-attempt paths, but the post_mortem must name THIS attempt.
-  harvest(s, why);
-  end_lease_obs(s, "failed");
+  harvest(s, why, end_lease_obs(s, "failed"));
 
   const std::uint64_t before = s.banked;
   bank_partial(s);
@@ -338,8 +333,8 @@ void Coordinator::reap() {
     } else if (WIFEXITED(status) &&
                WEXITSTATUS(status) ==
                    dxbsp::exit_code(ErrorCode::kInterrupted)) {
-      // Clean self-interruption (per-attempt deadline): resumable, not a
-      // death.
+      // Clean self-interruption (the worker command's own --deadline or
+      // --stall-timeout): resumable, not a death.
       fail_attempt(s, "attempt interrupted (exit 75)");
     } else if (WIFEXITED(status)) {
       ++fleet_.worker_deaths;
@@ -368,10 +363,10 @@ void Coordinator::check_stalls() {
         if (!s.saw_beat || hb.value().beat != s.last_beat) {
           s.saw_beat = true;
           s.last_beat = hb.value().beat;
-          // Clock-offset estimate for trace stitching: (receive −
-          // worker mono) is the true epoch offset plus message latency,
-          // so the minimum over new beats tightens toward — and never
-          // crosses below — the true offset (obs/stitch.hpp).
+          // Clock offset of the worker's flight ring: (receive − worker
+          // mono) is the true epoch offset plus message latency, so the
+          // minimum over new beats tightens toward — and never crosses
+          // below — the true offset.
           const std::uint64_t rx = now_us();
           const std::uint64_t mono = hb.value().mono_us;
           if (mono > 0 && rx > mono) {
@@ -385,8 +380,8 @@ void Coordinator::check_stalls() {
           s.last_events = hb.value().events;
           s.last_beat_us = mono;
           s.updated_us = rx;
-          elog_->counter("shard " + s.spec.str() + " completed", rx,
-                         s.spec.index + 1, hb.value().completed);
+          elog_->counter("shard " + s.spec.str() + " completed", rx, s.lane,
+                         hb.value().completed);
         }
       }
     }
@@ -404,8 +399,7 @@ void Coordinator::check_stalls() {
 void Coordinator::revoke(ShardState& s, const std::string& why,
                          bool already_dead) {
   ++fleet_.revocations;
-  elog_->instant("revoke shard " + s.spec.str(), now_us(), s.spec.index + 1,
-                 {{"why", why}});
+  elog_->instant("revoke", now_us(), s.lane, {{"why", why}});
   if (!already_dead && s.pid > 0) {
     ::kill(s.pid, SIGKILL);
     int status = 0;
@@ -415,12 +409,12 @@ void Coordinator::revoke(ShardState& s, const std::string& why,
   fail_attempt(s, why);
 }
 
-void Coordinator::harvest(ShardState& s, const std::string& why) {
+void Coordinator::harvest(ShardState& s, const std::string& why,
+                          const Expected<obs::FlightTail>& tail) {
   obs::PostMortemInfo::Harvest h;
   h.shard = s.spec.str();
   h.attempt = s.attempt;
   h.why = why;
-  auto tail = obs::flight_read(s.flight_path);
   if (!tail.ok()) {
     h.why += " (flight ring unreadable: " +
              std::string(tail.error().what()) + ")";
@@ -465,15 +459,15 @@ void Coordinator::harvest(ShardState& s, const std::string& why) {
   fleet_.post_mortem.harvests.push_back(std::move(h));
 }
 
-void Coordinator::end_lease_obs(ShardState& s, const char* outcome) {
-  const std::uint64_t offset = s.saw_offset ? s.offset_us : s.grant_us;
-  stitch_.push_back(StitchEntry{
-      "shard " + s.spec.str() + " attempt " + std::to_string(s.attempt),
-      basename_of(s.trace_path), basename_of(s.flight_path), offset});
+Expected<obs::FlightTail> Coordinator::end_lease_obs(ShardState& s,
+                                                     const char* outcome) {
   const std::uint64_t nowu = now_us();
-  elog_->span("lease shard " + s.spec.str(), s.grant_us,
-              nowu > s.grant_us ? nowu - s.grant_us : 0, s.spec.index + 1,
-              {{"attempt", std::to_string(s.attempt)}, {"outcome", outcome}});
+  elog_->span("lease", s.grant_us, nowu > s.grant_us ? nowu - s.grant_us : 0,
+              s.lane, {{"outcome", outcome}});
+  Expected<obs::FlightTail> tail = obs::flight_read(s.flight_path);
+  // offset_us is the grant time until the first heartbeat lowers it.
+  obs::append_flight_lane(*elog_, s.lane, tail, s.offset_us);
+  return tail;
 }
 
 void Coordinator::publish_fleet_status(bool ended) {
@@ -526,7 +520,7 @@ void Coordinator::publish_fleet_status(bool ended) {
 void Coordinator::write_observability_outputs() {
   publish_fleet_status(/*ended=*/true);
   try {
-    obs::write_file(opt_.dir + "/coordinator.trace.json",
+    obs::write_file(opt_.dir + "/fleet.trace.json",
                     [this](std::ostream& os) { elog_->write_chrome_json(os); });
   } catch (const Error&) {
   }
@@ -542,31 +536,6 @@ void Coordinator::write_observability_outputs() {
     } catch (const Error&) {
     }
   }
-  try {
-    obs::write_file(opt_.dir + "/stitch.json", [this](std::ostream& os) {
-      obs::JsonWriter w(os);
-      w.begin_object();
-      w.member("stitch_version", obs::kStitchVersion);
-      w.key("processes").begin_array();
-      w.begin_object();
-      w.member("label", "coordinator");
-      w.member("trace", "coordinator.trace.json");
-      w.member("offset_us", std::uint64_t{0});
-      w.end_object();
-      for (const StitchEntry& e : stitch_) {
-        w.begin_object();
-        w.member("label", e.label);
-        w.member("trace", e.trace);
-        w.member("offset_us", e.offset_us);
-        w.member("flight", e.flight);
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-      os << '\n';
-    });
-  } catch (const Error&) {
-  }
 }
 
 void Coordinator::kill_all() {
@@ -580,6 +549,7 @@ void Coordinator::kill_all() {
     }
     s.pid = -1;
     s.phase = ShardState::Phase::kQueued;
+    end_lease_obs(s, "interrupted");
   }
 }
 
@@ -592,9 +562,10 @@ FleetReport Coordinator::run() {
   states_.clear();
   fleet_ = FleetReport{};
   fleet_.shards = opt_.shards;
-  stitch_.clear();
+  lanes_ = 0;
   last_status_pub_ = -1;
-  elog_ = std::make_unique<obs::EventLog>("coordinator", epoch_);
+  elog_ = std::make_unique<obs::EventLog>("sweep fleet", epoch_);
+  elog_->name_lane(0, "coordinator");
   for (std::uint64_t i = 0; i < opt_.shards; ++i) {
     auto s = std::make_unique<ShardState>();
     s->spec = resilience::ShardSpec{i, opt_.shards};

@@ -7,9 +7,9 @@
 // started with --svc-lease=FILE (svc/worker.hpp). Every shard is
 // governed by a *lease*: the coordinator grants it, watches the
 // worker's heartbeat file, and revokes it — SIGKILL plus requeue — when
-// the worker dies, wedges (no new heartbeat for the stall window,
+// the worker dies or wedges (no new heartbeat for the stall window,
 // measured on the coordinator's own poll clock: the `age` sweep_top
-// shows) or blows its per-attempt deadline.
+// shows).
 //
 // Partial results survive revocation: workers republish cumulative
 // aggregates after every completed point (checkpoint first, aggregates
@@ -33,10 +33,15 @@
 //
 // Fleet observability (docs/observability.md §fleet) is always on, and
 // everything it records is host-time, so it lives in the working
-// directory, never in the report: per-attempt flight rings and traces,
-// the live fleet.status (whose final copy holds the lifecycle counters),
-// the stitch manifest, the coordinator's own trace, and post_mortem.json
-// when an attempt died.
+// directory, never in the report: per-attempt flight rings, the live
+// fleet.status (whose final copy holds the lifecycle counters), the
+// fleet timeline fleet.trace.json, and post_mortem.json when an attempt
+// died. The coordinator reads each attempt's ring once, when its lease
+// ends, and draws it on that attempt's lane of the timeline, shifted by
+// the clock offset estimated from the attempt's heartbeats: the minimum
+// of (receive time − worker mono_us) over new beats, which never falls
+// below the true offset, so no worker event lands before its grant (an
+// attempt that never beat is shifted by its grant time).
 
 #include <chrono>
 #include <cstdint>
@@ -62,9 +67,8 @@ struct CoordinatorOptions {
   std::string dir;  ///< working directory for protocol files (created)
   std::uint64_t workers = 2;  ///< concurrent leases
   std::uint64_t shards = 0;   ///< grid partitions (0 = 2 * workers)
-  double heartbeat_interval_seconds = 0.05;  ///< worker publication cadence
-  double heartbeat_timeout_seconds = 5.0;    ///< stall window per lease
-  double attempt_deadline_seconds = 0;  ///< per-attempt budget (0 = none)
+  /// Stall window per lease; workers beat every min(0.05 s, window / 8).
+  double heartbeat_timeout_seconds = 5.0;
   double deadline_seconds = 0;       ///< whole-fleet budget (0 = none)
   std::uint64_t max_strikes = 3;     ///< no-progress failures before poison
   double backoff_base_seconds = 0.1;  ///< requeue delay, doubling per strike
@@ -134,8 +138,11 @@ class Coordinator {
   void fail_attempt(ShardState& s, const std::string& why);
   void kill_all();
   void write_merged_reports();
-  void harvest(ShardState& s, const std::string& why);
-  void end_lease_obs(ShardState& s, const char* outcome);
+  void harvest(ShardState& s, const std::string& why,
+               const Expected<obs::FlightTail>& tail);
+  /// Closes the attempt's lane of the fleet timeline: its lease span,
+  /// then its flight ring, read once here and returned for harvest().
+  Expected<obs::FlightTail> end_lease_obs(ShardState& s, const char* outcome);
   /// Writes fleet.status, at most every 0.25 s while the fleet runs; the
   /// publication once it has `ended` is unthrottled and names its status.
   void publish_fleet_status(bool ended);
@@ -151,14 +158,8 @@ class Coordinator {
   std::chrono::steady_clock::time_point epoch_{};
 
   // Fleet observability.
-  struct StitchEntry {
-    std::string label;
-    std::string trace;   ///< file name relative to opt_.dir
-    std::string flight;  ///< file name relative to opt_.dir
-    std::uint64_t offset_us = 0;
-  };
-  std::unique_ptr<obs::EventLog> elog_;  ///< coordinator's own track
-  std::vector<StitchEntry> stitch_;      ///< one entry per finished lease
+  std::unique_ptr<obs::EventLog> elog_;  ///< the fleet timeline
+  std::uint64_t lanes_ = 0;              ///< attempt lanes named so far
   double last_status_pub_ = -1;          ///< fleet.status throttle
 };
 

@@ -25,11 +25,9 @@ static void write_json(JsonWriter& w, const LeaseMsg& m) {
   w.member("heartbeat_path", m.heartbeat_path);
   w.member("aggregates_path", m.aggregates_path);
   w.member("result_path", m.result_path);
-  w.member("deadline_seconds", m.deadline_seconds);
   w.member("hb_interval_seconds", m.hb_interval_seconds);
   w.member("chaos", m.chaos);
   w.member("flight_path", m.flight_path);
-  w.member("trace_path", m.trace_path);
 }
 
 static void read_json(JsonDecoder& d, LeaseMsg& m) {
@@ -40,15 +38,12 @@ static void read_json(JsonDecoder& d, LeaseMsg& m) {
   m.heartbeat_path = d.str("heartbeat_path");
   m.aggregates_path = d.str("aggregates_path");
   m.result_path = d.str("result_path");
-  m.deadline_seconds = d.dbl("deadline_seconds");
   m.hb_interval_seconds = d.dbl("hb_interval_seconds");
   m.chaos = d.str("chaos");
-  // Observability fields arrived with report v3; read them tolerantly so
-  // a lease written before they existed still decodes (feature off).
+  // The flight ring arrived with report v3; read it tolerantly so a
+  // lease written before it existed still decodes (feature off).
   if (const JsonValue* fp = d.opt("flight_path"))
     m.flight_path = fp->is_string() ? fp->as_string() : "";
-  if (const JsonValue* tp = d.opt("trace_path"))
-    m.trace_path = tp->is_string() ? tp->as_string() : "";
 }
 
 static void write_json(JsonWriter& w, const HeartbeatMsg& m) {

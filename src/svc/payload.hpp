@@ -65,13 +65,13 @@ struct LeaseMsg {
   std::string heartbeat_path;
   std::string aggregates_path;
   std::string result_path;
-  double deadline_seconds = 0;     ///< per-attempt budget (<= 0 = none)
-  double hb_interval_seconds = 0;  ///< heartbeat publication cadence
-  std::string chaos;               ///< forwarded ChaosPlan spec ("" = none)
-  // Observability outputs, both optional ("" = feature off). Decoded
-  // tolerantly so a lease written without them still decodes.
-  std::string flight_path;  ///< crash-safe flight ring (obs/flight.hpp)
-  std::string trace_path;   ///< host-time Chrome trace (obs/event_log.hpp)
+  /// Heartbeat publication cadence: min(0.05 s, stall window / 8).
+  double hb_interval_seconds = 0;
+  std::string chaos;  ///< forwarded ChaosPlan spec ("" = none)
+  /// Crash-safe flight ring (obs/flight.hpp), the worker's one record of
+  /// itself; optional ("" = off) and decoded tolerantly, so a lease
+  /// written without it still decodes.
+  std::string flight_path;
 };
 
 struct HeartbeatMsg {
@@ -81,8 +81,9 @@ struct HeartbeatMsg {
   std::uint64_t completed = 0;  ///< points done (resumed + computed)
   std::uint64_t total = 0;      ///< points in the shard slice
   /// µs on the worker's monotonic clock when the beat was taken; the
-  /// coordinator estimates clock offsets from it for trace stitching
-  /// (obs/stitch.hpp). Tolerant: 0 from older workers.
+  /// coordinator estimates the clock offset of the worker's flight ring
+  /// from it for the fleet timeline (svc/coordinator.hpp). Tolerant: 0
+  /// from older workers.
   std::uint64_t mono_us = 0;
   /// Cumulative simulated events (sim.requests) this attempt — the
   /// events/sec numerator for sweep_top. Tolerant: 0 when absent.

@@ -1,6 +1,5 @@
 #include "svc/worker.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <span>
 #include <utility>
@@ -35,26 +34,17 @@ void WorkerContext::init(const std::string& lease_path) {
   started_ = std::chrono::steady_clock::now();
   active_ = true;
 
-  // Observability sinks are best-effort: a worker that cannot open its
-  // flight ring still computes its shard (the ring's absence is itself
-  // visible to the coordinator's harvest).
+  // The flight ring is best-effort: a worker that cannot open it still
+  // computes its shard (the ring's absence is itself visible to the
+  // coordinator, as an empty lane and an unreadable-ring post-mortem).
   if (!lease_.flight_path.empty()) {
     try {
       flight_ = std::make_unique<obs::FlightRecorder>(lease_.flight_path,
                                                       started_);
-      // A small private tracer: the ring only ever keeps the last few
-      // events per point, so a deep buffer would be wasted memory.
-      flight_tracer_ = std::make_unique<obs::Tracer>(/*ring_capacity=*/64);
     } catch (const Error&) {
       flight_.reset();
-      flight_tracer_.reset();
     }
   }
-  if (!lease_.trace_path.empty())
-    elog_ = std::make_unique<obs::EventLog>(
-        "worker shard " + lease_.shard + " attempt " +
-            std::to_string(lease_.attempt),
-        started_);
 }
 
 std::uint64_t WorkerContext::now_us() const {
@@ -69,26 +59,6 @@ std::uint64_t WorkerContext::sim_events_now() {
        obs::MetricsRegistry::global().snapshot(/*include_host=*/false))
     if (e.name == "sim.requests") return e.value;
   return 0;
-}
-
-void WorkerContext::flight_trace_tail(std::size_t limit) {
-  const obs::Tracer* src =
-      trace_source_ != nullptr ? trace_source_ : flight_tracer_.get();
-  if (flight_ == nullptr || src == nullptr) return;
-  const std::vector<std::uint64_t> ids = src->track_ids();
-  if (ids.empty()) return;
-  // The newest track is the point that just ran; its freshest events are
-  // the ones worth keeping when the process dies mid-shard.
-  const obs::TraceRing* ring = src->find(ids.back());
-  if (ring == nullptr) return;
-  const std::vector<obs::TraceEvent> events = ring->drain();
-  const std::size_t n = std::min(limit, events.size());
-  for (std::size_t i = events.size() - n; i < events.size(); ++i) {
-    const obs::TraceEvent& ev = events[i];
-    flight_->append(obs::FlightKind::kTrace,
-                    static_cast<std::uint8_t>(ev.kind), ev.ts, ev.dur, ev.a,
-                    ev.b);
-  }
 }
 
 std::uint64_t WorkerContext::prepare(std::uint64_t base_id,
@@ -111,7 +81,6 @@ std::uint64_t WorkerContext::prepare(std::uint64_t base_id,
   // accounting below depends on.
   opt.threads = 0;
   opt.checkpoint_path = lease_.checkpoint_path;
-  opt.deadline_seconds = lease_.deadline_seconds;
 
   if (lease_.resume_points > 0) {
     // Prior attempts banked the aggregates of the first resume_points
@@ -159,13 +128,6 @@ std::uint64_t WorkerContext::prepare(std::uint64_t base_id,
     flight_->append(obs::FlightKind::kPhase,
                     static_cast<std::uint8_t>(obs::FlightPhase::kLease),
                     lease_.resume_points, 0, keys_.size(), lease_.attempt);
-  if (elog_ != nullptr) {
-    last_point_us_ = now_us();
-    elog_->instant("lease", last_point_us_, 0,
-                   {{"shard", lease_.shard},
-                    {"attempt", std::to_string(lease_.attempt)},
-                    {"resume_points", std::to_string(lease_.resume_points)}});
-  }
 
   maybe_chaos(ChaosPhase::kLease);
   return id;
@@ -243,16 +205,7 @@ void WorkerContext::on_point(std::uint64_t done, std::uint64_t /*total*/) {
   // invariant "checkpoint >= banked aggregates" holds at every kill
   // point in between the two writes.
   const std::uint64_t covered = done - lease_.resume_points;
-  if (elog_ != nullptr) {
-    const std::uint64_t now = now_us();
-    elog_->span("point", last_point_us_,
-                now > last_point_us_ ? now - last_point_us_ : 0, 0,
-                {{"completed", std::to_string(done)},
-                 {"covered", std::to_string(covered)}});
-    last_point_us_ = now;
-  }
   if (flight_ != nullptr) {
-    flight_trace_tail(/*limit=*/4);
     if (selector_ != nullptr) {
       const std::vector<obs::SelectorRow> rows = selector_->snapshot().rows;
       if (!rows.empty()) {
@@ -282,19 +235,6 @@ int WorkerContext::finish(const resilience::SweepReport& report,
                     static_cast<std::uint8_t>(obs::FlightPhase::kResult),
                     report.completed, report.resumed, report.total,
                     lease_.attempt);
-  if (elog_ != nullptr) {
-    elog_->instant("result", now_us(), 0,
-                   {{"status", resilience::sweep_status_name(report.status)},
-                    {"completed", std::to_string(report.completed)}});
-    // Written before result-phase chaos: a worker killed at kResult
-    // still leaves its trace for the stitched timeline.
-    try {
-      obs::write_file(lease_.trace_path, [this](std::ostream& os) {
-        elog_->write_chrome_json(os);
-      });
-    } catch (const Error&) {
-    }
-  }
   maybe_chaos(ChaosPhase::kResult);
 
   ResultMsg res;

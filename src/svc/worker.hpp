@@ -43,10 +43,8 @@
 
 #include "obs/attribution.hpp"
 #include "obs/drift.hpp"
-#include "obs/event_log.hpp"
 #include "obs/flight.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "resilience/cancel.hpp"
 #include "resilience/shard.hpp"
 #include "resilience/sweep.hpp"
@@ -76,8 +74,8 @@ class WorkerContext {
   }
 
   /// Applies the lease to the sweep about to run: slices `keys` to the
-  /// shard, rewrites `opt` (serial, per-point checkpoints, lease paths
-  /// and deadline), truncates the checkpoint to the banked prefix,
+  /// shard, rewrites `opt` (serial, per-point checkpoints at the lease's
+  /// path), truncates the checkpoint to the banked prefix,
   /// installs the partial-aggregates on_progress hook, and fires any
   /// lease-phase chaos. Returns the shard-scoped sweep id (or `base_id`
   /// unchanged when inactive). `attribution`/`drift`/`selector` are the
@@ -101,25 +99,12 @@ class WorkerContext {
   [[nodiscard]] int finish(const resilience::SweepReport& report,
                            const obs::RunInfo& info);
 
-  /// Flight-recorder tracer: non-null when the lease enabled the flight
-  /// ring and the run has no tracer of its own. bench::Obs attaches it
-  /// to the machine so the ring captures recent trace events even
-  /// without --trace; it never contributes a report timeline section.
-  [[nodiscard]] obs::Tracer* flight_tracer() noexcept {
-    return flight_tracer_.get();
-  }
-
-  /// When the run traces anyway (--trace), the flight tail reads from
-  /// that tracer instead of the private one.
-  void set_trace_source(const obs::Tracer* t) noexcept { trace_source_ = t; }
-
  private:
   void on_point(std::uint64_t done, std::uint64_t total);
   [[nodiscard]] AggregatesMsg aggregates_now(std::uint64_t covered) const;
   void maybe_chaos(ChaosPhase phase, std::uint64_t point = 0);
   void stop_heartbeat();
   void heartbeat_loop();
-  void flight_trace_tail(std::size_t limit);
   [[nodiscard]] std::uint64_t now_us() const;
   [[nodiscard]] static std::uint64_t sim_events_now();
 
@@ -133,12 +118,10 @@ class WorkerContext {
   const obs::SelectorLog* selector_ = nullptr;
   std::chrono::steady_clock::time_point started_{};
 
-  // Fleet observability (docs/observability.md §fleet), all optional.
+  // The worker's one record of itself (docs/observability.md §fleet):
+  // its phase transitions and selector decisions, crash-safe on disk.
+  // Null when the lease names no ring or it cannot be opened.
   std::unique_ptr<obs::FlightRecorder> flight_;
-  std::unique_ptr<obs::Tracer> flight_tracer_;
-  const obs::Tracer* trace_source_ = nullptr;
-  std::unique_ptr<obs::EventLog> elog_;
-  std::uint64_t last_point_us_ = 0;
 
   // Heartbeat sampler state.
   resilience::CancelToken* token_ = nullptr;

@@ -55,7 +55,9 @@
 // count against it, so the table only grows on a partition with far
 // more distinct keys than average (a crafted key set, as hashes are
 // near-uniform otherwise). Buffers are kept across calls and never
-// shrink, so a counter reused across a sweep stops allocating.
+// shrink, so a counter reused across a sweep stops allocating — except
+// a table such a partition grew, which the call shrinks back to its
+// budget before returning.
 //
 // Counts and partition offsets are 32-bit: a span of more than kMaxKeys
 // keys raises ErrorCode::kConfig.
@@ -115,6 +117,62 @@ class MultiplicityCounter {
     const std::size_t n = keys.size();
     if (n == 0) return {};
     reserve(n);
+    const std::size_t entry = slots_.size();
+    const Multiplicity m = count_spans(keys);
+    // A skewed partition grew the table: give the memory back, so one
+    // crafted call does not leave every later call probing (and the
+    // process holding) a table many times the cache-sized budget.
+    if (slots_.size() > entry) {
+      const std::size_t budget = table_budget(n);
+      slots_ = std::vector<Slot>(budget);
+      set_mask(budget);
+      epoch_ = 0;
+    }
+    return m;
+  }
+
+  /// Max multiplicity over `keys` (0 for an empty span).
+  [[nodiscard]] std::uint64_t max_multiplicity(
+      std::span<const std::uint64_t> keys) {
+    return count(keys).max;
+  }
+
+  /// Sizes the buffers so a span of `n` keys counts without allocating
+  /// (unless one partition outgrows the table). Never shrinks. Throws
+  /// Error(kConfig) when n > kMaxKeys.
+  void reserve(std::size_t n) {
+    if (n > kMaxKeys)
+      raise(ErrorCode::kConfig,
+            "MultiplicityCounter: " + std::to_string(n) +
+                " keys exceed the 32-bit count limit of " +
+                std::to_string(kMaxKeys));
+    if (scratch_.size() < n) scratch_.resize(n);
+    const unsigned bits = partition_bits(n);
+    const unsigned top = level1_bits(bits);
+    if (bits > top && second_.size() < second_buffer_words(n, top))
+      second_.resize(second_buffer_words(n, top));
+    const std::size_t want = table_budget(n);
+    if (slots_.size() < want) {
+      slots_.assign(want, Slot{});
+      set_mask(want);
+      epoch_ = 0;
+    }
+  }
+
+  /// Keys a call can take without growing the scratch buffer.
+  [[nodiscard]] std::size_t capacity() const noexcept { return scratch_.size(); }
+  /// Slots in the count table: kSlotsPerKey·kPartitionKeys once a call
+  /// has counted that many keys (a call whose skewed partition grew the
+  /// table shrinks it back to its budget before returning).
+  [[nodiscard]] std::size_t table_slots() const noexcept {
+    return slots_.size();
+  }
+
+ private:
+  /// The count() body: partitions `keys` (reserved) and counts each
+  /// partition.
+  [[nodiscard]] Multiplicity count_spans(std::span<const std::uint64_t> keys) {
+    const std::size_t n = keys.size();
     const unsigned bits = partition_bits(n);
     std::uint64_t* const buf = scratch_.data();
     Multiplicity m{1, 0};
@@ -163,44 +221,11 @@ class MultiplicityCounter {
     return m;
   }
 
-  /// Max multiplicity over `keys` (0 for an empty span).
-  [[nodiscard]] std::uint64_t max_multiplicity(
-      std::span<const std::uint64_t> keys) {
-    return count(keys).max;
+  /// Table slots a span of `n` keys is sized for.
+  [[nodiscard]] static std::size_t table_budget(std::size_t n) noexcept {
+    return std::bit_ceil(kSlotsPerKey * std::min(n, kPartitionKeys));
   }
 
-  /// Sizes the buffers so a span of `n` keys counts without allocating
-  /// (unless one partition outgrows the table). Never shrinks. Throws
-  /// Error(kConfig) when n > kMaxKeys.
-  void reserve(std::size_t n) {
-    if (n > kMaxKeys)
-      raise(ErrorCode::kConfig,
-            "MultiplicityCounter: " + std::to_string(n) +
-                " keys exceed the 32-bit count limit of " +
-                std::to_string(kMaxKeys));
-    if (scratch_.size() < n) scratch_.resize(n);
-    const unsigned bits = partition_bits(n);
-    const unsigned top = level1_bits(bits);
-    if (bits > top && second_.size() < second_buffer_words(n, top))
-      second_.resize(second_buffer_words(n, top));
-    const std::size_t want =
-        std::bit_ceil(kSlotsPerKey * std::min(n, kPartitionKeys));
-    if (slots_.size() < want) {
-      slots_.assign(want, Slot{});
-      set_mask(want);
-      epoch_ = 0;
-    }
-  }
-
-  /// Keys a call can take without growing the scratch buffer.
-  [[nodiscard]] std::size_t capacity() const noexcept { return scratch_.size(); }
-  /// Slots in the count table (kSlotsPerKey·kPartitionKeys unless a
-  /// skewed partition made it grow).
-  [[nodiscard]] std::size_t table_slots() const noexcept {
-    return slots_.size();
-  }
-
- private:
   /// A level-1 partition longer than kOversize times the average is
   /// split in place instead of scattered into the second buffer.
   static constexpr std::size_t kOversize = 2;

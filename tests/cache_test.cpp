@@ -360,8 +360,9 @@ TEST(CacheMachine, TierMetricsPublishOnlyWhenTierExists) {
   (void)off.scatter(addrs);
   for (const auto& e : reg.snapshot(/*include_host=*/false)) {
     if (e.name == "bank.cache_hits" || e.name == "bank.cache_misses" ||
-        e.name == "bank.cache_evictions")
+        e.name == "bank.cache_evictions") {
       EXPECT_EQ(e.value, 0u) << e.name;
+    }
   }
 
   reg.reset();

@@ -101,18 +101,28 @@ std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t space,
 constexpr std::size_t kOnePassKeys = (MultiplicityCounter::kPartitionKeys / 2)
                                      << (MultiplicityCounter::kFanBits + 1);
 
-/// 0, 1, 2^16+1, and every size (±1) at which the partition count, the
-/// number of scatter passes or a pass's fan-out changes, up to 2^22: each
-/// power of two from kPartitionKeys on (the one-pass limit kOnePassKeys
-/// is one of them).
-std::vector<std::size_t> trace_sizes() {
-  std::vector<std::size_t> sizes{0, 1, (std::size_t{1} << 16) + 1};
-  for (std::size_t t = MultiplicityCounter::kPartitionKeys;
-       t <= (std::size_t{1} << 22); t *= 2) {
+/// t - 1, t and t + 1 for every power of two t in [from, to].
+std::vector<std::size_t> threshold_sizes(std::size_t from, std::size_t to) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t t = from; t <= to; t *= 2) {
     sizes.push_back(t - 1);
     sizes.push_back(t);
     sizes.push_back(t + 1);
   }
+  return sizes;
+}
+
+/// 0, 1, 2^16+1, and every size (±1) at which the partition count, the
+/// number of scatter passes or a pass's fan-out changes, up to 2^20: each
+/// power of two from kPartitionKeys on (the one-pass limit kOnePassKeys
+/// is one of them). The thresholds at 2^21 and 2^22 run as cases of
+/// their own (the ...At2To21 / ...At2To22 tests), so `ctest -j` spreads
+/// the largest traces over several processes.
+std::vector<std::size_t> trace_sizes() {
+  std::vector<std::size_t> sizes{0, 1, (std::size_t{1} << 16) + 1};
+  for (const std::size_t n : threshold_sizes(
+           MultiplicityCounter::kPartitionKeys, std::size_t{1} << 20))
+    sizes.push_back(n);
   return sizes;
 }
 
@@ -124,11 +134,12 @@ std::uint64_t inverse_of(std::uint64_t a) {
   return x;
 }
 
-TEST(LocationCounterDiff, MatchesSortOracleAcrossPartitionThresholds) {
-  std::uint64_t seed = 1;
-  for (const std::size_t n : trace_sizes()) {
-    // Mostly distinct keys, then key spaces small enough to force
-    // repeats (every key ~64 times; a handful of keys).
+/// Diffs the counts against the oracle at every size in `sizes`: mostly
+/// distinct keys, then key spaces small enough to force repeats (every
+/// key ~64 times; a handful of keys).
+void expect_oracle_at_sizes(const std::vector<std::size_t>& sizes,
+                            std::uint64_t seed) {
+  for (const std::size_t n : sizes) {
     for (const std::uint64_t space : {std::uint64_t{0}, n / 64 + 1,
                                       std::uint64_t{7}}) {
       const auto keys = random_keys(n, space, seed++);
@@ -136,6 +147,20 @@ TEST(LocationCounterDiff, MatchesSortOracleAcrossPartitionThresholds) {
                                       " space=" + std::to_string(space));
     }
   }
+}
+
+TEST(LocationCounterDiff, MatchesSortOracleAcrossPartitionThresholds) {
+  expect_oracle_at_sizes(trace_sizes(), 1);
+}
+
+TEST(LocationCounterDiff, MatchesSortOracleAt2To21) {
+  expect_oracle_at_sizes(
+      threshold_sizes(std::size_t{1} << 21, std::size_t{1} << 21), 2100);
+}
+
+TEST(LocationCounterDiff, MatchesSortOracleAt2To22) {
+  expect_oracle_at_sizes(
+      threshold_sizes(std::size_t{1} << 22, std::size_t{1} << 22), 2200);
 }
 
 TEST(LocationCounterDiff, SentinelKeysCountLikeAnyOther) {
@@ -230,19 +255,38 @@ void expect_repeated_match(MultiplicityCounter& mc,
   EXPECT_EQ(m.max > 1, !want.empty()) << what;
 }
 
-TEST(LocationCounterDiff, RepeatedKeysMatchSortOracle) {
-  MultiplicityCounter mc;  // reused: no call may leak into the next list
-  std::uint64_t seed = 900;
-  for (const std::size_t n : trace_sizes()) {
-    // A mix of singletons and repeats, and every key ~64 times.
+/// Diffs the repeated-key lists against the oracle at every size in
+/// `sizes`, through one reused counter: a mix of singletons and repeats,
+/// and every key ~64 times.
+void expect_repeated_at_sizes(MultiplicityCounter& mc,
+                              const std::vector<std::size_t>& sizes,
+                              std::uint64_t seed) {
+  for (const std::size_t n : sizes) {
     for (const std::uint64_t space : {std::uint64_t{n} + 1, n / 64 + 1}) {
       const auto keys = random_keys(n, space, seed++);
       expect_repeated_match(mc, keys, "n=" + std::to_string(n) +
                                           " space=" + std::to_string(space));
     }
   }
+}
+
+TEST(LocationCounterDiff, RepeatedKeysMatchSortOracleAt2To21) {
+  MultiplicityCounter mc;
+  expect_repeated_at_sizes(
+      mc, threshold_sizes(std::size_t{1} << 21, std::size_t{1} << 21), 2900);
+}
+
+TEST(LocationCounterDiff, RepeatedKeysMatchSortOracleAt2To22) {
+  MultiplicityCounter mc;
+  expect_repeated_at_sizes(
+      mc, threshold_sizes(std::size_t{1} << 22, std::size_t{1} << 22), 3000);
+}
+
+TEST(LocationCounterDiff, RepeatedKeysMatchSortOracle) {
+  MultiplicityCounter mc;  // reused: no call may leak into the next list
+  expect_repeated_at_sizes(mc, trace_sizes(), 900);
   // Distinct keys: an empty list.
-  expect_repeated_match(mc, random_keys(kOnePassKeys + 1, 0, seed++),
+  expect_repeated_match(mc, random_keys(kOnePassKeys + 1, 0, 1900),
                         "distinct");
   // The sentinels 0 and ~0 repeat like any other key.
   for (const std::size_t n : {std::size_t{3}, std::size_t{5000},
@@ -311,6 +355,26 @@ TEST(LocationCounterDiff, HeavyHotSpotKeepsTheTableInBudget) {
   }
   EXPECT_EQ(mc.count(random_keys(n, 0, 3)).distinct, n);
   EXPECT_EQ(mc.table_slots(), budget);
+
+  // A crafted key set whose hashes share their top 17 bits puts 2^19
+  // distinct keys in one partition: the table grows to hold them (a
+  // 32 MiB table), and the call gives it back before returning, so the
+  // following uniform call counts in a budget-sized table again.
+  const std::size_t crafted_n = std::size_t{1} << 19;
+  util::SplitMix64 rng(17);
+  std::vector<std::uint64_t> crafted(crafted_n);
+  for (auto& k : crafted) k = (rng() >> 17) * MultiplicityCounter::kInverse;
+  const auto want = sort_count(crafted);
+  const util::Multiplicity m = mc.count(crafted);
+  EXPECT_EQ(m.max, want.max_contention);
+  EXPECT_EQ(m.distinct, want.distinct);
+  EXPECT_EQ(mc.table_slots(), budget) << "the grown table was kept";
+  const auto uniform = random_keys(n, 0, 5);
+  const auto want_uniform = sort_count(uniform);
+  const util::Multiplicity mu = mc.count(uniform);
+  EXPECT_EQ(mu.max, want_uniform.max_contention);
+  EXPECT_EQ(mu.distinct, want_uniform.distinct);
+  EXPECT_EQ(mc.table_slots(), 32768u);
 }
 
 TEST(LocationCounterDiff, ReusedCounterStaysExactAcrossSizes) {

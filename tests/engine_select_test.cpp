@@ -172,24 +172,27 @@ TEST(EngineSelect, SoaPathScatterBanks) {
 
 TEST(EngineSelect, SoaPerElementLegCombiningCachedAndMultiPort) {
   // Machines whose banks are not batchable (combining, bank cache,
-  // multi-port): the SoA kernel must take its per-element serve leg (or
-  // the selector must avoid SoA) and still match the reference exactly.
+  // multi-port): the selector must avoid the fused kernel, run the
+  // dense walk's per-element serve leg, and still match the reference
+  // exactly.
   const auto hot = workload::k_hot(12000, 3000, 1 << 16, 9);
 
   auto combining = base_config(sim::Distribution::kBlock);
   combining.combine_requests = true;
-  check_auto_vs_reference(combining, hot);
-
   auto cached = base_config(sim::Distribution::kBlock);
   cached.bank_cache_lines = 4;
   cached.cache_line_words = 8;
   cached.cached_delay = 1;
-  check_auto_vs_reference(cached, workload::strided(12000, 1, 0));
-
   auto ported = base_config(sim::Distribution::kCyclic);
   ported.bank_ports = 2;
-  check_auto_vs_reference(ported, workload::uniform_random(12000, 1 << 18,
-                                                           13));
+  for (const auto& row :
+       {check_auto_vs_reference(combining, hot),
+        check_auto_vs_reference(cached, workload::strided(12000, 1, 0)),
+        check_auto_vs_reference(
+            ported, workload::uniform_random(12000, 1 << 18, 13))}) {
+    EXPECT_FALSE(row.eligible_soa);
+    EXPECT_EQ(row.choice, obs::EngineChoice::kDense);
+  }
 }
 
 TEST(EngineSelect, FaultyDropRetryMatchesReference) {
@@ -226,10 +229,11 @@ TEST(EngineSelect, AttributionIdentityHoldsOnSoaPath) {
 }
 
 TEST(EngineSelect, PassiveTracerNeverSteersSelection) {
-  // set_tracer(ring, /*passive=*/true), the fleet flight recorder's
-  // mode: on every pin, healthy (SoA-eligible) and faulty, the run is
-  // byte-identical to an untraced one, selector row included, and the
-  // ring still receives the op's one superstep span.
+  // A fleet worker attaches no tracer (its flight ring records selector
+  // rows, not trace events), so its rows are the serial run's. Only a
+  // tracer while attached steers selection: on every pin, healthy
+  // (SoA-eligible) and faulty, a machine whose tracer was detached runs
+  // byte-identical to one never traced, selector row included.
   const auto addrs = workload::uniform_random(6000, 1 << 18, 61);
   const auto cfg = base_config(sim::Distribution::kBlock);
   fault::FaultConfig fc;
@@ -242,69 +246,90 @@ TEST(EngineSelect, PassiveTracerNeverSteersSelection) {
     for (const auto pin : testing_pins::kPins) {
       SCOPED_TRACE(testing_pins::pin_name(pin));
       sim::Machine untraced(cfg);
-      sim::Machine passive(cfg);
+      sim::Machine detached(cfg);
       obs::SelectorLog untraced_log;
-      obs::SelectorLog passive_log;
+      obs::SelectorLog detached_log;
       untraced.set_selector(&untraced_log);
-      passive.set_selector(&passive_log);
+      detached.set_selector(&detached_log);
       obs::TraceRing ring(1 << 18);
-      passive.set_tracer(&ring, /*passive=*/true);
-      for (sim::Machine* m : {&untraced, &passive}) {
+      detached.set_tracer(&ring);
+      for (sim::Machine* m : {&untraced, &detached}) {
         m->selector().force(pin);
         m->inject(fault_plan);
       }
+      (void)detached.scatter_faulty(addrs);  // traced: row 0
+      detached.set_tracer(nullptr);
 
       const auto want = untraced.scatter_faulty(addrs);
-      const auto got = passive.scatter_faulty(addrs);
+      const auto got = detached.scatter_faulty(addrs);
       expect_same_bulk(got.bulk, want.bulk);
       EXPECT_EQ(got.degraded.has_value(), want.degraded.has_value());
       const auto want_rows = untraced_log.snapshot().rows;
-      const auto got_rows = passive_log.snapshot().rows;
+      const auto got_rows = detached_log.snapshot().rows;
       ASSERT_EQ(want_rows.size(), 1u);
-      ASSERT_EQ(got_rows.size(), 1u);
-      EXPECT_EQ(got_rows[0].choice, want_rows[0].choice);
-      EXPECT_EQ(got_rows[0].fallback, want_rows[0].fallback);
-
-      if constexpr (obs::kTraceCompiledIn) {
-        std::size_t supersteps = 0;
-        for (const auto& e : ring.drain()) {
-          if (e.kind != obs::TraceKind::kSuperstep) continue;
-          ++supersteps;
-          EXPECT_EQ(e.dur, got.bulk.cycles);
-        }
-        EXPECT_EQ(supersteps, 1u);
-      }
+      ASSERT_EQ(got_rows.size(), 2u);
+      EXPECT_EQ(got_rows[1].choice, want_rows[0].choice);
+      EXPECT_EQ(got_rows[1].fallback, want_rows[0].fallback);
+      EXPECT_EQ(got_rows[1].eligible_soa, want_rows[0].eligible_soa);
+      EXPECT_FALSE(got_rows[0].eligible_soa) << "the traced op";
     }
   }
 }
 
 TEST(EngineSelect, PassiveRingMatchesExactRingOnDenseAndReference) {
-  // The dense walk and the reference loop feed whatever ring is
-  // attached: a passive ring receives exactly the exact ring's events.
+  // A kSoA row always names the fused kernel: on banks it cannot batch
+  // (combining, a bank cache, multi-port banks) the op is not
+  // SoA-eligible, auto picks the dense walk, and a forced kSoA is
+  // demoted to it with a fallback flag. The dense walk feeds an
+  // attached ring the same events whichever way it was reached.
+  auto combining = base_config(sim::Distribution::kBlock);
+  combining.combine_requests = true;
+  auto cached = base_config(sim::Distribution::kCyclic);
+  cached.bank_cache_lines = 4;
+  cached.cache_line_words = 8;
+  cached.cached_delay = 1;
+  auto ported = base_config(sim::Distribution::kCyclic);
+  ported.bank_ports = 2;
   const auto addrs = workload::k_hot(6000, 1500, 1 << 16, 67);
-  const auto cfg = base_config(sim::Distribution::kCyclic);
-  for (const auto pin :
-       {obs::EngineChoice::kDense, obs::EngineChoice::kReference}) {
-    SCOPED_TRACE(obs::engine_choice_name(pin));
-    sim::Machine exact(cfg);
-    sim::Machine passive(cfg);
-    obs::TraceRing exact_ring(1 << 18);
-    obs::TraceRing passive_ring(1 << 18);
-    exact.set_tracer(&exact_ring);
-    passive.set_tracer(&passive_ring, /*passive=*/true);
-    exact.selector().force(pin);
-    passive.selector().force(pin);
-    expect_same_bulk(passive.scatter(addrs), exact.scatter(addrs));
+  for (const auto& cfg : {combining, cached, ported}) {
+    sim::Machine ref(cfg);
+    ref.selector().force(obs::EngineChoice::kReference);
+    const auto want = ref.scatter(addrs);
+    std::vector<obs::TraceEvent> first_ring;
+    for (const testing_pins::Pin pin :
+         {testing_pins::Pin{}, testing_pins::Pin{obs::EngineChoice::kSoA},
+          testing_pins::Pin{obs::EngineChoice::kDense}}) {
+      SCOPED_TRACE(testing_pins::pin_name(pin));
+      obs::SelectorLog log;
+      sim::Machine m(cfg);
+      m.set_selector(&log);
+      m.selector().force(pin);
+      expect_same_bulk(m.scatter(addrs), want);
+      const auto rows = log.snapshot().rows;
+      ASSERT_EQ(rows.size(), 1u);
+      EXPECT_FALSE(rows[0].eligible_soa);
+      EXPECT_TRUE(rows[0].eligible_dense);
+      EXPECT_EQ(rows[0].choice, obs::EngineChoice::kDense);
+      EXPECT_EQ(rows[0].fallback, pin == obs::EngineChoice::kSoA);
 
-    const auto want = exact_ring.drain();
-    const auto got = passive_ring.drain();
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].ts, want[i].ts) << "event " << i;
-      EXPECT_EQ(got[i].dur, want[i].dur) << "event " << i;
-      EXPECT_EQ(got[i].a, want[i].a) << "event " << i;
-      EXPECT_EQ(got[i].b, want[i].b) << "event " << i;
-      EXPECT_EQ(got[i].kind, want[i].kind) << "event " << i;
+      obs::TraceRing ring(1 << 18);
+      sim::Machine traced(cfg);
+      traced.set_tracer(&ring);
+      traced.selector().force(pin);
+      expect_same_bulk(traced.scatter(addrs), want);
+      const auto got = ring.drain();
+      if (!pin) {
+        first_ring = got;
+        continue;
+      }
+      ASSERT_EQ(got.size(), first_ring.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].ts, first_ring[i].ts) << "event " << i;
+        EXPECT_EQ(got[i].dur, first_ring[i].dur) << "event " << i;
+        EXPECT_EQ(got[i].a, first_ring[i].a) << "event " << i;
+        EXPECT_EQ(got[i].b, first_ring[i].b) << "event " << i;
+        EXPECT_EQ(got[i].kind, first_ring[i].kind) << "event " << i;
+      }
     }
   }
 }

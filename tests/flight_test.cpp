@@ -1,9 +1,11 @@
 // Fleet-observability unit tests (docs/observability.md §fleet): the
 // DXFDR1 crash-safe flight recorder (roundtrip, ring wraparound, torn
-// slots, header refusal), the wall-clock EventLog, cross-process trace
-// stitching (known clock offsets must order correctly, worker events
-// must never precede their lease grant, dead attempts fall back to
-// their flight ring) and the post_mortem.json writer.
+// slots, header refusal), the wall-clock EventLog, the fleet timeline's
+// attempt lanes drawn from flight rings (known clock offsets order
+// correctly, worker events never precede their lease grant, a dead
+// attempt's lane comes from its ring, a wrapped ring says so, an
+// unreadable ring leaves its lane empty) and the post_mortem.json
+// writer.
 
 #include <chrono>
 #include <cstdint>
@@ -21,7 +23,7 @@
 #include "obs/json_read.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/stitch.hpp"
+#include "obs/selector.hpp"
 #include "resilience/error.hpp"
 #include "test_tmp.hpp"
 
@@ -200,140 +202,199 @@ TEST(EventLog, WritesValidChromeJson) {
   EXPECT_EQ(events->items()[3].find("ph")->as_string(), "C");
 }
 
-// ---------------------------------------------------------------- stitch
+// -------------------------------------------------------- fleet timeline
 
-struct StitchedEvent {
+struct TimelineEvent {
   std::string name;
-  std::uint64_t ts = 0;
-  std::uint64_t pid = 0;
   std::string ph;
+  std::uint64_t ts = 0;
+  std::uint64_t dur = 0;
+  std::uint64_t tid = 0;
+  bool worker = false;  ///< drawn from a flight record (args carry its seq)
 };
 
-std::vector<StitchedEvent> parse_stitched(const std::string& json) {
-  const JsonValue doc = JsonValue::parse(json, "stitched").value();
-  const JsonValue* events = doc.find("traceEvents");
-  EXPECT_NE(events, nullptr);
-  std::vector<StitchedEvent> out;
-  for (const JsonValue& e : events->items()) {
-    StitchedEvent ev;
-    ev.ph = e.find("ph")->as_string();
-    if (ev.ph == "M") continue;
+struct Timeline {
+  std::vector<std::pair<std::uint64_t, std::string>> lanes;  // tid, name
+  std::vector<TimelineEvent> events;  // metadata aside, in file order
+};
+
+/// Writes `log` and parses it back: the file must be valid Chrome JSON.
+Timeline render(const obs::EventLog& log) {
+  std::ostringstream os;
+  log.write_chrome_json(os);
+  Timeline t;
+  const auto doc = JsonValue::parse(os.str(), "fleet.trace.json");
+  EXPECT_TRUE(doc.ok());
+  if (!doc.ok()) return t;
+  for (const JsonValue& e : doc.value().find("traceEvents")->items()) {
+    const std::string ph = e.find("ph")->as_string();
+    const std::uint64_t tid = e.find("tid")->as_u64();
+    const JsonValue* args = e.find("args");
+    if (ph == "M") {
+      if (e.find("name")->as_string() == "thread_name")
+        t.lanes.emplace_back(tid, args->find("name")->as_string());
+      continue;
+    }
+    TimelineEvent ev;
     ev.name = e.find("name")->as_string();
+    ev.ph = ph;
     ev.ts = e.find("ts")->as_u64();
-    ev.pid = e.find("pid")->as_u64();
-    out.push_back(std::move(ev));
+    ev.tid = tid;
+    if (const JsonValue* dur = e.find("dur")) ev.dur = dur->as_u64();
+    ev.worker = args != nullptr && args->find("seq") != nullptr;
+    t.events.push_back(std::move(ev));
   }
+  return t;
+}
+
+std::vector<TimelineEvent> worker_events(const Timeline& t,
+                                         std::uint64_t tid) {
+  std::vector<TimelineEvent> out;
+  for (const TimelineEvent& e : t.events)
+    if (e.tid == tid && e.worker) out.push_back(e);
   return out;
 }
 
+void append_phase(obs::FlightRecorder& rec, FlightPhase phase,
+                  std::uint64_t a = 0) {
+  rec.append(FlightKind::kPhase, static_cast<std::uint8_t>(phase), a, a, 16,
+             0);
+}
+
 TEST(Stitch, KnownOffsetsOrderTheMergedTimeline) {
-  const auto epoch = std::chrono::steady_clock::now();
-  const std::string coord_path = tmp_path("st.coord.json");
-  const std::string w_path = tmp_path("st.worker.json");
+  // The coordinator's grant and a live attempt's ring, shifted by the
+  // heartbeat offset, on one lane: every record lands at offset + t_us,
+  // in ring order, none before the grant; each point is a span from the
+  // previous phase record.
+  const std::string ring = tmp_path("live.flight");
+  {
+    obs::FlightRecorder rec(ring, std::chrono::steady_clock::now(),
+                            64 + 16 * 64);
+    append_phase(rec, FlightPhase::kLease);
+    for (std::uint64_t p = 1; p <= 2; ++p) {
+      rec.append(FlightKind::kSelector,
+                 static_cast<std::uint8_t>(obs::EngineChoice::kSoA), p, 4096,
+                 0, 900 + p);
+      append_phase(rec, FlightPhase::kPoint, p);
+    }
+    append_phase(rec, FlightPhase::kResult, 2);
+  }
+  const auto tail = obs::flight_read(ring);
+  ASSERT_TRUE(tail.ok());
+  const std::vector<obs::FlightRecord>& recs = tail.value().records;
+  ASSERT_EQ(recs.size(), 6u);
 
-  obs::EventLog coord("coordinator", epoch);
-  coord.instant("grant 0", 1000, 1);
-  coord.instant("merge", 9000, 0);
-  obs::write_file(coord_path, [&](std::ostream& os) {
-    coord.write_chrome_json(os);
-  });
+  constexpr std::uint64_t kGrant = 1000;
+  constexpr std::uint64_t kOffset = 1500;  // the worker's epoch, mapped
+  obs::EventLog log("sweep fleet");
+  log.name_lane(1, "shard 0/2 attempt 0");
+  log.instant("grant", kGrant, 1);
+  obs::append_flight_lane(log, 1, tail, kOffset);
+  log.instant("merge", kOffset + recs.back().t_us + 10, 0);
 
-  obs::EventLog worker("worker", epoch);
-  worker.span("point", 0, 400, 1);   // worker clock 0 = its own epoch
-  worker.span("point", 500, 400, 1);
-  obs::write_file(w_path, [&](std::ostream& os) {
-    worker.write_chrome_json(os);
-  });
-
-  const std::string manifest = tmp_path("st.manifest.json");
-  // Relative trace paths resolve against the manifest's directory.
-  write_raw(manifest,
-            "{\"stitch_version\": 1, \"processes\": [\n"
-            " {\"label\": \"coordinator\", \"trace\": \"dxbsp_flight_"
-            "st.coord.json\", \"offset_us\": 0},\n"
-            " {\"label\": \"shard 0/2 attempt 0\", \"trace\": "
-            "\"dxbsp_flight_st.worker.json\", \"offset_us\": 1500}]}");
-
-  std::ostringstream os;
-  const obs::StitchSummary sum = obs::stitch_traces(manifest, os);
-  EXPECT_EQ(sum.processes, 2u);
-  EXPECT_EQ(sum.events, 4u);
-  EXPECT_EQ(sum.skipped_traces, 0u);
-
-  const auto events = parse_stitched(os.str());
-  ASSERT_EQ(events.size(), 4u);
-  // Sorted by mapped timestamp: grant (1000), worker points (1500,
-  // 2000), merge (9000); worker events carry pid 1 (manifest index).
-  EXPECT_EQ(events[0].name, "grant 0");
-  EXPECT_EQ(events[1].name, "point");
-  EXPECT_EQ(events[1].ts, 1500u);
-  EXPECT_EQ(events[1].pid, 1u);
-  EXPECT_EQ(events[2].ts, 2000u);
-  EXPECT_EQ(events[3].name, "merge");
-
+  const Timeline t = render(log);
+  ASSERT_EQ(t.lanes.size(), 1u);
+  EXPECT_EQ(t.lanes[0].second, "shard 0/2 attempt 0");
+  const auto events = worker_events(t, 1);
+  ASSERT_EQ(events.size(), 6u);
+  EXPECT_EQ(events[0].name, "lease");
+  EXPECT_EQ(events[1].name, "selector soa");
+  EXPECT_EQ(events[2].name, "point");
+  EXPECT_EQ(events[2].ph, "X");
+  EXPECT_EQ(events[5].name, "result");
+  // Point spans run from the previous phase record to their own.
+  EXPECT_EQ(events[2].ts, kOffset + recs[0].t_us);
+  EXPECT_EQ(events[2].ts + events[2].dur, kOffset + recs[2].t_us);
+  EXPECT_EQ(events[4].ts, kOffset + recs[2].t_us);
+  EXPECT_EQ(events[4].ts + events[4].dur, kOffset + recs[4].t_us);
+  for (const std::size_t i : {0, 1, 3, 5})
+    EXPECT_EQ(events[i].ts, kOffset + recs[i].t_us) << events[i].name;
   // The ordering invariant the offset estimator guarantees: no worker
   // event precedes the grant that spawned it.
-  for (const auto& e : events) {
-    if (e.pid == 1) EXPECT_GE(e.ts, 1000u);
-  }
+  for (const TimelineEvent& e : events) EXPECT_GE(e.ts, kGrant) << e.name;
 }
 
 TEST(Stitch, MissingTraceFallsBackToFlightRing) {
-  const std::string ring = tmp_path("fb.flight");
+  // A dead attempt's lane comes from its ring like a live one's: a
+  // worker killed inside its second point leaves lease, two points and
+  // the chaos marker, and no result — the lane ends at its last point.
+  const std::string ring = tmp_path("dead.flight");
   {
     obs::FlightRecorder rec(ring, std::chrono::steady_clock::now(),
                             64 + 8 * 64);
+    append_phase(rec, FlightPhase::kLease);
+    append_phase(rec, FlightPhase::kPoint, 1);
+    append_phase(rec, FlightPhase::kPoint, 2);
     rec.append(FlightKind::kPhase,
-               static_cast<std::uint8_t>(FlightPhase::kLease), 0, 0, 16, 0);
-    rec.append(FlightKind::kPhase,
-               static_cast<std::uint8_t>(FlightPhase::kPoint), 1, 1, 16, 0);
+               static_cast<std::uint8_t>(FlightPhase::kChaos), 1, 2);
   }
-  const std::string manifest = tmp_path("fb.manifest.json");
-  write_raw(manifest,
-            "{\"stitch_version\": 1, \"processes\": [\n"
-            " {\"label\": \"shard 0/1 attempt 0\", \"trace\": "
-            "\"fb.does-not-exist.json\", \"offset_us\": 200, "
-            "\"flight\": \"dxbsp_flight_fb.flight\"}]}");
+  obs::EventLog log("sweep fleet");
+  obs::append_flight_lane(log, 3, obs::flight_read(ring), 200);
+  const Timeline t = render(log);
+  const auto events = worker_events(t, 3);
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[0].name, "lease");
+  EXPECT_EQ(events[1].name, "point");
+  EXPECT_EQ(events[2].name, "point");
+  EXPECT_EQ(events[3].name, "chaos");
+  for (const TimelineEvent& e : events) {
+    EXPECT_GE(e.ts, 200u);
+    EXPECT_NE(e.name, "result");
+  }
 
-  std::ostringstream os;
-  const obs::StitchSummary sum = obs::stitch_traces(manifest, os);
-  EXPECT_EQ(sum.processes, 1u);
-  EXPECT_EQ(sum.skipped_traces, 1u);
-  EXPECT_EQ(sum.flight_events, 2u);
+  // A ring that wrapped lost its oldest records and says so once, at
+  // its oldest surviving record; a point whose previous phase record
+  // was overwritten spans from that record.
+  const std::string wrapped = tmp_path("wrapped.flight");
+  {
+    obs::FlightRecorder rec(wrapped, std::chrono::steady_clock::now(),
+                            64 + 4 * 64);  // 4 slots, 6 records
+    append_phase(rec, FlightPhase::kLease);
+    for (std::uint64_t p = 1; p <= 5; ++p)
+      append_phase(rec, FlightPhase::kPoint, p);
+  }
+  const auto tail = obs::flight_read(wrapped);
+  ASSERT_TRUE(tail.ok());
+  ASSERT_EQ(tail.value().records.front().seq, 2u);
+  obs::EventLog wlog("sweep fleet");
+  obs::append_flight_lane(wlog, 1, tail, 0);
+  const Timeline wt = render(wlog);
+  ASSERT_EQ(wt.events.size(), 5u);
+  EXPECT_EQ(wt.events[0].name, "ring wrapped");
+  EXPECT_EQ(wt.events[0].ts, tail.value().records.front().t_us);
+  std::size_t points = 0;
+  for (const TimelineEvent& e : wt.events) points += e.name == "point";
+  EXPECT_EQ(points, 4u);
+  EXPECT_EQ(wt.events[1].ts, wt.events[0].ts);
+  EXPECT_EQ(wt.events[1].dur, 0u);
 
-  const auto events = parse_stitched(os.str());
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].ph, "i");
-  EXPECT_NE(events[0].name.find("lease"), std::string::npos);
-  EXPECT_NE(events[1].name.find("point"), std::string::npos);
-  for (const auto& e : events) EXPECT_GE(e.ts, 200u);
+  // An unwrapped ring draws no wrap instant.
+  for (const TimelineEvent& e : t.events) EXPECT_NE(e.name, "ring wrapped");
 }
 
 TEST(Stitch, ManifestErrorsAreStructured) {
-  std::ostringstream os;
-  try {
-    obs::stitch_traces(tmp_path("absent-manifest.json"), os);
-    FAIL() << "missing manifest stitched";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kIo);
-  }
+  // An unreadable ring — missing (kIo) or garbage (kCorruptInput) —
+  // leaves its lane empty of worker events and the timeline valid; the
+  // coordinator's own events on that lane stay.
+  const std::string garbage = tmp_path("garbage.flight");
+  write_raw(garbage, "not a flight ring");
+  const auto missing = obs::flight_read(tmp_path("absent.flight"));
+  const auto corrupt = obs::flight_read(garbage);
+  EXPECT_EQ(code_of(missing), ErrorCode::kIo);
+  EXPECT_EQ(code_of(corrupt), ErrorCode::kCorruptInput);
 
-  const std::string bad = tmp_path("bad.manifest.json");
-  write_raw(bad, "{\"stitch_version\": 1}");  // no processes
-  try {
-    obs::stitch_traces(bad, os);
-    FAIL() << "malformed manifest stitched";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kCorruptInput);
-  }
-
-  write_raw(bad, "not json at all");
-  try {
-    obs::stitch_traces(bad, os);
-    FAIL() << "non-JSON manifest stitched";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kCorruptInput);
-  }
+  obs::EventLog log("sweep fleet");
+  log.name_lane(1, "shard 0/2 attempt 0");
+  log.name_lane(2, "shard 1/2 attempt 0");
+  log.instant("grant", 10, 1);
+  log.instant("grant", 20, 2);
+  obs::append_flight_lane(log, 1, missing, 100);
+  obs::append_flight_lane(log, 2, corrupt, 100);
+  const Timeline t = render(log);
+  EXPECT_EQ(t.lanes.size(), 2u);
+  ASSERT_EQ(t.events.size(), 2u);
+  EXPECT_TRUE(worker_events(t, 1).empty());
+  EXPECT_TRUE(worker_events(t, 2).empty());
 }
 
 // -------------------------------------------------------- report v3
@@ -351,7 +412,7 @@ TEST(ReportV3, FleetAndPostMortemSectionsRender) {
   h.last_point = 3;
   h.records = 12;
   h.torn = 1;
-  h.events.push_back({"trace", "arrive", 10, 900, 120, 4, 0, 0});
+  h.events.push_back({"selector", "soa", 10, 900, 2, 4096, 0, 1300});
   h.events.push_back({"phase", "point", 11, 950, 3, 3, 16, 0});
   pm.harvests.push_back(std::move(h));
 
@@ -373,7 +434,7 @@ TEST(ReportV3, FleetAndPostMortemSectionsRender) {
   EXPECT_EQ(death.find("torn")->as_u64(), 1u);
   ASSERT_EQ(death.find("events")->items().size(), 2u);
   EXPECT_EQ(death.find("events")->items()[0].find("kind")->as_string(),
-            "trace");
+            "selector");
 
   // Neither report writer emits a fleet or post_mortem section.
   obs::RunInfo info;

@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/json_read.hpp"
-#include "obs/trace.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/payload.hpp"
 #include "svc/wire.hpp"
@@ -68,6 +67,59 @@ svc::FleetReport run_fleet(svc::CoordinatorOptions opt) {
 
 bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
+}
+
+/// One attempt's lane of a fleet's fleet.trace.json: the coordinator's
+/// grant, then the worker events drawn from the attempt's flight ring
+/// (those whose args carry a ring seq), in file order.
+struct Lane {
+  bool found = false;
+  bool has_grant = false;
+  std::uint64_t grant_ts = 0;
+  std::vector<std::pair<std::string, std::uint64_t>> worker;  // name, ts
+};
+
+Lane read_lane(const std::string& name, const std::string& lane) {
+  Lane out;
+  const auto doc = obs::JsonValue::parse(
+      slurp(tmp_dir(name) + "/fleet.trace.json"), "fleet.trace.json");
+  EXPECT_TRUE(doc.ok()) << name << ": fleet.trace.json is not valid JSON";
+  if (!doc.ok()) return out;
+  const auto& events = doc.value().find("traceEvents")->items();
+  std::uint64_t tid = 0;
+  for (const obs::JsonValue& e : events)
+    if (e.find("name")->as_string() == "thread_name" &&
+        e.find("args")->find("name")->as_string() == lane) {
+      out.found = true;
+      tid = e.find("tid")->as_u64();
+    }
+  if (!out.found) return out;
+  for (const obs::JsonValue& e : events) {
+    if (e.find("ph")->as_string() == "M" || e.find("tid")->as_u64() != tid)
+      continue;
+    const std::string ev = e.find("name")->as_string();
+    const std::uint64_t ts = e.find("ts")->as_u64();
+    const obs::JsonValue* args = e.find("args");
+    if (args != nullptr && args->find("seq") != nullptr) {
+      out.worker.emplace_back(ev, ts);
+    } else if (ev == "grant") {
+      out.has_grant = true;
+      out.grant_ts = ts;
+    }
+  }
+  return out;
+}
+
+/// The fleet directory holds the timeline and none of the files it
+/// replaced (a stitch manifest, separate coordinator and worker traces).
+void expect_one_timeline(const std::string& name) {
+  const std::string dir = tmp_dir(name);
+  EXPECT_TRUE(file_exists(dir + "/fleet.trace.json"));
+  EXPECT_FALSE(file_exists(dir + "/stitch.json"));
+  EXPECT_FALSE(file_exists(dir + "/coordinator.trace.json"));
+  for (std::uint64_t shard = 0; shard < 4; ++shard)
+    EXPECT_FALSE(file_exists(dir + "/shard-" + std::to_string(shard) +
+                             ".attempt-0.trace.json"));
 }
 
 // The final fleet.status the coordinator leaves in `name`'s directory:
@@ -164,8 +216,7 @@ TEST(SvcChaos, NonZeroExitsStrikeAndCleanTempfailDoesNotCountAsDeath) {
 
 TEST(SvcChaos, WedgedWorkerIsStalledRevokedAndRecovered) {
   auto opt = fleet_options("hang");
-  opt.heartbeat_interval_seconds = 0.02;
-  opt.heartbeat_timeout_seconds = 0.4;
+  opt.heartbeat_timeout_seconds = 0.4;  // workers beat every 0.05 s
   // Shard 2 wedges mid-shard, after beating; shard 0 wedges at the lease,
   // before its first heartbeat — the stall clock starting at the grant
   // must revoke it all the same.
@@ -240,8 +291,10 @@ TEST(SvcChaos, FleetDeadlineInterruptsAWedgedFleetInBoundedTime) {
 // bytes however many workers died.
 TEST(SvcChaos, ObservabilityKillHarvestsFlightTailIntoPostMortem) {
   // SIGKILL a worker mid-shard: the fleet's post_mortem.json must name
-  // the protocol phase it died in and carry trace events from its
-  // crash-safe flight ring, while the report stays the baseline's bytes.
+  // the protocol phase it died in and carry the selector records of its
+  // crash-safe flight ring, the fleet timeline must draw the dead
+  // attempt's lane from that ring, and the report stays the baseline's
+  // bytes.
   auto opt = fleet_options("obskill");
   opt.chaos = "shard=1,attempt=0,phase=point:1,action=kill";
   const auto fleet = run_fleet(std::move(opt));
@@ -255,13 +308,11 @@ TEST(SvcChaos, ObservabilityKillHarvestsFlightTailIntoPostMortem) {
   EXPECT_EQ(h.last_phase, "point") << "the kill fired INSIDE point 1";
   EXPECT_GE(h.last_point, 1u);
   EXPECT_GE(h.records, 1u);
-  std::uint64_t trace_events = 0;
+  std::uint64_t selector_events = 0;
   for (const auto& e : h.events)
-    if (e.kind == "trace") ++trace_events;
-  if constexpr (obs::kTraceCompiledIn) {
-    EXPECT_GE(trace_events, 1u)
-        << "the flight tail must carry the dead attempt's trace records";
-  }
+    if (e.kind == "selector") ++selector_events;
+  EXPECT_GE(selector_events, 1u)
+      << "the flight tail must carry the dead attempt's engine decisions";
 
   const std::string dir = tmp_dir("obskill");
   const auto pm = obs::JsonValue::parse(slurp(dir + "/post_mortem.json"),
@@ -273,22 +324,36 @@ TEST(SvcChaos, ObservabilityKillHarvestsFlightTailIntoPostMortem) {
   const obs::JsonValue& death = deaths->items()[0];
   EXPECT_EQ(death.find("shard")->as_string(), "1/4");
   EXPECT_EQ(death.find("last_phase")->as_string(), "point");
-  std::uint64_t trace_records = 0;
+  std::uint64_t selector_records = 0;
   for (const obs::JsonValue& e : death.find("events")->items())
-    if (e.find("kind")->as_string() == "trace") ++trace_records;
-  if constexpr (obs::kTraceCompiledIn) {
-    EXPECT_GE(trace_records, 1u);
-  }
+    if (e.find("kind")->as_string() == "selector") ++selector_records;
+  EXPECT_GE(selector_records, 1u);
 
   const std::string report = slurp(tmp_dir("obskill") + ".report.json");
   EXPECT_EQ(report.find("\"post_mortem\""), std::string::npos);
   EXPECT_EQ(report, baseline_report())
       << "a death must not change the merged report";
 
-  // The artifacts flight_reader / trace_stitch consume are on disk.
-  EXPECT_TRUE(file_exists(dir + "/stitch.json"));
-  EXPECT_TRUE(file_exists(dir + "/coordinator.trace.json"));
+  // The dead attempt's ring stays on disk for flight_reader, and its
+  // lane of the timeline ends at its last point: a point span, then
+  // only the chaos marker, never a result; no worker event precedes
+  // the lane's grant.
   EXPECT_TRUE(file_exists(dir + "/shard-1.attempt-0.flight"));
+  expect_one_timeline("obskill");
+  const Lane dead = read_lane("obskill", "shard 1/4 attempt 0");
+  ASSERT_TRUE(dead.found);
+  ASSERT_TRUE(dead.has_grant);
+  ASSERT_GE(dead.worker.size(), 2u);
+  EXPECT_EQ(dead.worker.back().first, "chaos");
+  EXPECT_EQ(dead.worker[dead.worker.size() - 2].first, "point");
+  for (const auto& [ev, ts] : dead.worker) {
+    EXPECT_GE(ts, dead.grant_ts) << ev;
+    EXPECT_NE(ev, "result");
+  }
+  const Lane retry = read_lane("obskill", "shard 1/4 attempt 1");
+  ASSERT_TRUE(retry.found);
+  ASSERT_FALSE(retry.worker.empty());
+  EXPECT_EQ(retry.worker.back().first, "result");
 
   // sweep_top's one input: the retried shard's row carries the point the
   // dead attempt banked as the current attempt's resume base.
@@ -310,9 +375,21 @@ TEST(SvcChaos, ObservabilityOnHealthyFleetStripsToTheBaselineReport) {
   EXPECT_EQ(report, baseline_report());
 
   const std::string dir = tmp_dir("obson");
-  EXPECT_TRUE(file_exists(dir + "/stitch.json"));
+  expect_one_timeline("obson");
   EXPECT_FALSE(file_exists(dir + "/post_mortem.json"))
       << "no deaths, no post_mortem.json";
+  // Every attempt's lane runs from its lease to its result, no worker
+  // event before the grant.
+  for (const char* lane : {"shard 0/4 attempt 0", "shard 1/4 attempt 0",
+                           "shard 2/4 attempt 0", "shard 3/4 attempt 0"}) {
+    const Lane l = read_lane("obson", lane);
+    ASSERT_TRUE(l.found) << lane;
+    ASSERT_TRUE(l.has_grant) << lane;
+    ASSERT_FALSE(l.worker.empty()) << lane;
+    EXPECT_EQ(l.worker.front().first, "lease") << lane;
+    EXPECT_EQ(l.worker.back().first, "result") << lane;
+    for (const auto& [ev, ts] : l.worker) EXPECT_GE(ts, l.grant_ts) << lane;
+  }
 
   // The lifecycle counters live in the final fleet.status.
   const svc::FleetStatusMsg st = final_status("obson");

@@ -90,7 +90,9 @@ TEST(ShardSpec, SlicesPartitionTheGridExactly) {
         joined.insert(joined.end(), slice.begin(), slice.end());
       }
       EXPECT_EQ(joined, keys) << "n=" << n << " count=" << count;
-      if (n > 0) EXPECT_LE(largest - smallest, 1u);
+      if (n > 0) {
+        EXPECT_LE(largest - smallest, 1u);
+      }
     }
   }
 }
@@ -244,7 +246,6 @@ TEST(Payload, LeaseRoundTrips) {
   m.heartbeat_path = "dir/shard-3.hb";
   m.aggregates_path = "dir/shard-3.agg";
   m.result_path = "dir/shard-3.res";
-  m.deadline_seconds = 1.5;
   m.hb_interval_seconds = 0.05;
   m.chaos = "shard=3,phase=lease,action=kill";
   const auto r = reencode<svc::LeaseMsg>(svc::kMsgLease, svc::encode_lease(m),
@@ -256,7 +257,6 @@ TEST(Payload, LeaseRoundTrips) {
   EXPECT_EQ(r.heartbeat_path, m.heartbeat_path);
   EXPECT_EQ(r.aggregates_path, m.aggregates_path);
   EXPECT_EQ(r.result_path, m.result_path);
-  EXPECT_EQ(r.deadline_seconds, m.deadline_seconds);
   EXPECT_EQ(r.hb_interval_seconds, m.hb_interval_seconds);
   EXPECT_EQ(r.chaos, m.chaos);
 }
@@ -542,14 +542,13 @@ TEST(Payload, LeaseCarriesObservabilityPathsAndTolerateTheirAbsence) {
   m.aggregates_path = "d/s.agg";
   m.result_path = "d/s.res";
   m.flight_path = "d/s.flight";
-  m.trace_path = "d/s.trace.json";
   const auto r = reencode<svc::LeaseMsg>(svc::kMsgLease, svc::encode_lease(m),
                                          svc::decode_lease);
   EXPECT_EQ(r.flight_path, "d/s.flight");
-  EXPECT_EQ(r.trace_path, "d/s.trace.json");
 
-  // A pre-observability lease (no flight/trace members) must still
-  // decode, with the features reading as off.
+  // A pre-observability lease (no flight member) must still decode, with
+  // the ring reading as off; members leases no longer carry (a
+  // per-attempt deadline) are ignored.
   const auto old = reencode<svc::LeaseMsg>(
       svc::kMsgLease,
       "{\"shard\":\"1/2\",\"attempt\":0,\"resume_points\":0,"

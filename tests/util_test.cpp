@@ -574,7 +574,9 @@ TEST(FlatMap, MatchesUnorderedMapUnderRandomOps) {
         const std::uint64_t* got = fm.find(key);
         const auto it = ref.find(key);
         ASSERT_EQ(got != nullptr, it != ref.end());
-        if (got != nullptr) ASSERT_EQ(*got, it->second);
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second);
+        }
         break;
       }
       default: {

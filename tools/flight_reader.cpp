@@ -4,10 +4,10 @@
 //   ./flight_reader RING.flight [RING.flight ...]
 //
 // Prints each ring's header (writer pid, slot count) and every valid
-// record oldest-first in the same one-line rendering the post-mortem
-// harvester embeds in merged run reports, so an operator staring at a
-// dead worker's tail and a reviewer staring at its report read the
-// same text. Torn slots (CRC failures from a record half-written at
+// record oldest-first in the same one-line rendering each record's
+// `detail` carries on the fleet timeline (fleet.trace.json), so an
+// operator staring at a dead worker's ring and one browsing the
+// timeline read the same text. Torn slots (CRC failures from a record half-written at
 // the instant of death) are counted, never fatal.
 //
 // Exit codes: 0 when every ring decoded (torn slots included — they are

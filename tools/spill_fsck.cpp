@@ -72,8 +72,13 @@ int main(int argc, char** argv) {
         continue;
       }
       const stream::SpillChunk& c = parsed.value();
-      const std::string expect_name = "p" + std::to_string(c.partition) +
-                                      "-c" + std::to_string(c.chunk) + ".spl";
+      // Appended, not "p" + ...: GCC 12's -Wrestrict misreads the
+      // inlined insert-at-front of const char* + std::string&&.
+      const std::string expect_name = std::string("p")
+                                          .append(std::to_string(c.partition))
+                                          .append("-c")
+                                          .append(std::to_string(c.chunk))
+                                          .append(".spl");
       if (path.filename().string() != expect_name) {
         std::cout << "BAD " << path.string() << ": labelled " << expect_name
                   << " inside\n";

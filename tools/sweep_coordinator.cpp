@@ -1,6 +1,6 @@
 // Fault-tolerant multi-process sweep driver (docs/resilience.md §fleet
 // mode): shards one bench's sweep grid across worker subprocesses,
-// survives their crashes/wedges/deadline blowouts, and merges the
+// survives their crashes and wedges, and merges the
 // per-shard partial results into one run report that — whenever no shard
 // ends up poisoned — is byte-identical to the serial run's.
 //
@@ -13,12 +13,11 @@
 //   --dir=PATH            protocol working directory (default svc-run)
 //   --workers=W           concurrent worker processes (default 2)
 //   --shards=S            grid partitions (default 2*W)
-//   --hb-interval=SEC     worker heartbeat cadence (default 0.05)
 //   --hb-timeout=SEC      stall window: a lease whose worker sends no new
 //                         heartbeat for SEC is revoked (default 5); the
 //                         coordinator measures it on its own clock, as the
-//                         `age` column sweep_top shows
-//   --attempt-deadline=S  per-attempt wall-clock budget (default none)
+//                         `age` column sweep_top shows. Workers beat every
+//                         min(0.05, SEC/8) seconds
 //   --deadline=SEC        whole-fleet budget (default none)
 //   --max-strikes=N       no-progress failures before poisoning (default 3)
 //   --backoff=SEC         requeue backoff base, doubling per strike (0.1)
@@ -29,10 +28,11 @@
 //   --quiet               suppress per-lease progress lines
 //
 // Fleet observability (docs/observability.md §fleet) is always on and
-// writes only into --dir: per-attempt flight rings and traces, the live
+// writes only into --dir: per-attempt flight rings, the live
 // fleet.status (its final copy holds the lease/retry/death/stall
-// counters), stitch.json, coordinator.trace.json and, when an attempt
-// died, post_mortem.json. The merged report carries none of it.
+// counters), the fleet timeline fleet.trace.json (one lane per attempt,
+// drawn from its flight ring) and, when an attempt died,
+// post_mortem.json. The merged report carries none of it.
 //
 // Exit codes: 0 all shards completed; 69 (EX_UNAVAILABLE) completed
 // degraded — poisoned shards recorded in the report's "degraded"
@@ -62,9 +62,7 @@ int main(int argc, char** argv) {
     opt.dir = cli.get("dir", "svc-run");
     opt.workers = cli.get_uint("workers", 2);
     opt.shards = cli.get_uint("shards", 0);
-    opt.heartbeat_interval_seconds = cli.get_double("hb-interval", 0.05);
     opt.heartbeat_timeout_seconds = cli.get_double("hb-timeout", 5.0);
-    opt.attempt_deadline_seconds = cli.get_double("attempt-deadline", 0.0);
     opt.deadline_seconds = cli.get_double("deadline", 0.0);
     opt.max_strikes = cli.get_uint("max-strikes", 3);
     opt.backoff_base_seconds = cli.get_double("backoff", 0.1);
