@@ -225,7 +225,7 @@ inline int finish_sweep(const resilience::SweepReport& report) {
 ///                     sweep id, no coordinator (the poisoned-shard
 ///                     repro path).
 /// After runner.run(), worker-mode benches must return through
-/// `worker.finish(report, obs.info())` instead of printing tables.
+/// `worker.finish(report)` instead of printing tables.
 inline std::uint64_t apply_sharding(svc::WorkerContext& worker,
                                     const util::Cli& cli, std::uint64_t id,
                                     std::vector<std::uint64_t>& keys,
@@ -233,8 +233,8 @@ inline std::uint64_t apply_sharding(svc::WorkerContext& worker,
   const std::string lease = cli.get("svc-lease", "");
   if (!lease.empty()) {
     worker.init(lease);
-    return worker.prepare(id, keys, opt, &obs.attribution(), &obs.drift(),
-                          &obs.selector());
+    return worker.prepare(id, keys, opt, obs.info(), &obs.attribution(),
+                          &obs.drift(), &obs.selector());
   }
   const std::string shard = cli.get("shard", "");
   if (!shard.empty()) {

@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
       return rec;
     });
     if (worker.active())
-      return obs.finish(worker.finish(report, obs.info()));
+      return obs.finish(worker.finish(report));
     if (!report.ok()) return obs.finish(bench::finish_sweep(report));
 
     util::Table t({"pattern", "d", "x", "C", "cycles", "hit%", "bank_svc",

@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
       return rec;
     });
     if (worker.active())
-      return obs.finish(worker.finish(report, obs.info()));
+      return obs.finish(worker.finish(report));
     if (!report.ok()) return obs.finish(bench::finish_sweep(report));
 
     const std::vector<std::string> first_col = {"slow banks", "dead banks",

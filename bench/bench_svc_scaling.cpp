@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
         return rec;
       });
       if (worker.active())
-        return obs.finish(worker.finish(report, obs.info()));
+        return obs.finish(worker.finish(report));
       return obs.finish(bench::finish_sweep(report));
     }
 

@@ -31,7 +31,9 @@
 #    `python3 -m json.tool` accepts (Chrome trace + run report), its CSV
 #    twin must hold one row per leaf of the JSON report with equal
 #    values, and the report, CSV and trace must be byte-identical
-#    between --threads=1 and --threads=4 (docs/observability.md).
+#    between --threads=1 and --threads=4 (docs/observability.md). A
+#    bench's --csv tables, whose labels hold commas, must parse with
+#    Python's csv module into rows of their header's width.
 # 5. Attribution & drift smoke (docs/observability.md): the healthy
 #    fig4 report from step 4 and a seeded faulty r1 sweep must both
 #    carry schema-versioned "attribution"/"drift" sections whose cost
@@ -84,7 +86,9 @@
 #     surfaces as the fleet directory's post_mortem.json (last protocol
 #     phase + selector records), the fleet timeline fleet.trace.json is
 #     valid Chrome JSON with the killed attempt's lane drawn from its
-#     ring and no worker event before its grant, sweep_top renders a
+#     ring and no worker event before its grant, the healthy and kill
+#     fleet directories hold no *.res file and every done shard's last
+#     aggregates message says "completed", sweep_top renders a
 #     live fleet, exits 0 on a fleet that
 #     ended degraded and refuses an empty dir or an unknown flag,
 #     sweep_coordinator refuses an unknown flag and a stray argument
@@ -255,6 +259,24 @@ cmp "$SMOKE/report1.json" "$SMOKE/report4.json"
 cmp "$SMOKE/report1.csv" "$SMOKE/report4.csv"
 cmp "$SMOKE/t1.trace.json" "$SMOKE/t4.trace.json"
 echo "report, CSV twin and trace are byte-identical across --threads=1/4"
+
+# Bench --csv tables quote their cells: "x=4, 1 port" is one field. Each
+# blank-line-separated block whose first line holds a comma is a table.
+./build-ci/bench/bench_a9_bank_ports --csv > "$SMOKE/a9.csv"
+python3 - "$SMOKE/a9.csv" <<'EOF'
+import csv, sys
+
+tables = 0
+for block in open(sys.argv[1]).read().split("\n\n"):
+    lines = block.strip("\n").splitlines()
+    if not lines or "," not in lines[0]:
+        continue
+    rows = list(csv.reader(lines))
+    assert all(len(r) == len(rows[0]) for r in rows), rows
+    tables += 1
+assert tables >= 2, f"found {tables} CSV tables"
+print(f"bench_a9 --csv: {tables} tables, every row the header's width")
+EOF
 
 # Reconciliation + registry stress under the sanitizers.
 run_filtered ./build-ci-san/tests/obs_test \
@@ -488,6 +510,30 @@ echo "healthy 4-worker fleet report is byte-identical to the serial run"
 grep -q "deaths=1" "$SMOKE/fleet-kill.txt"
 cmp "$SMOKE/serial.json" "$SMOKE/fleet-kill.json"
 echo "fleet survives a mid-shard SIGKILL with byte-identical output"
+
+# An attempt's outcome is its last aggregates message: no fleet writes a
+# separate result file, and every done shard's completing attempt left
+# one whose status is "completed".
+python3 - "$SMOKE/fleet" "$SMOKE/fleet-kill" <<'EOF'
+import glob, json, sys
+
+def frame(path):
+    header, payload = open(path, "rb").read().split(b"\n", 1)
+    return header.decode().split(" ")[1], json.loads(payload)
+
+for d in sys.argv[1:]:
+    assert not glob.glob(f"{d}/*.res"), f"{d} holds a result file"
+    kind, st = frame(f"{d}/fleet.status")
+    done = [r for r in st["rows"] if r["phase"] == "done"]
+    assert len(done) == 4, st["rows"]
+    for r in done:
+        shard = r["shard"].split("/")[0]
+        kind, agg = frame(f"{d}/shard-{shard}.attempt-{r['attempt']}.agg")
+        assert kind == "aggregates", kind
+        assert agg["status"] == "completed", (d, r["shard"], agg["status"])
+    print(f"{d}: no *.res file, {len(done)} done shards' last aggregates "
+          "say completed")
+EOF
 
 # Wedge recovery: one worker hangs mid-shard and stops heartbeating; the
 # coordinator must revoke it once its heartbeat age reaches --hb-timeout

@@ -4,7 +4,8 @@
 // its protocol-phase transitions and engine-selector decisions. It is
 // the only record a worker keeps of itself, so a worker that dies by
 // SIGKILL — the one failure mode that leaves no log line, no report and
-// no result message — leaves the same record as one that finished.
+// no final aggregates message — leaves the same record as one that
+// finished.
 //
 // Why mmap: the writer never buffers. Every append lands in the page
 // cache immediately, and dirty pages belong to the kernel, not the
@@ -70,7 +71,7 @@ enum class FlightKind : std::uint8_t {
 enum class FlightPhase : std::uint8_t {
   kLease = 0,   ///< lease accepted; a = resume_points, c = total, d = attempt
   kPoint = 1,   ///< point completed; a = covered, b = completed, c = total
-  kResult = 2,  ///< result published; a = completed, b = resumed, c = total
+  kResult = 2,  ///< sweep done; a = completed, b = resumed, c = total
   kChaos = 3,   ///< injected fault firing; a = phase, b = point
 };
 inline constexpr std::size_t kFlightPhases = 4;

@@ -45,21 +45,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-std::string csv_escape(std::string_view s) {
-  const bool needs_quotes =
-      s.find_first_of(",\"\r\n") != std::string_view::npos;
-  if (!needs_quotes) return std::string(s);
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[64];

@@ -24,12 +24,6 @@ namespace dxbsp::obs {
 /// Returns `s` with JSON string escaping applied (no surrounding quotes).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
-/// RFC 4180 CSV field escaping: a field containing a comma, double
-/// quote, CR or LF is wrapped in double quotes with inner quotes
-/// doubled; anything else passes through unchanged. Metric names are
-/// caller-chosen strings, so every CSV writer must route them here.
-[[nodiscard]] std::string csv_escape(std::string_view s);
-
 /// Formats a double per the NaN/Inf policy above ("null" when not finite).
 [[nodiscard]] std::string json_number(double v);
 

@@ -192,14 +192,6 @@ void MetricsRegistry::write_json(std::ostream& os, bool include_host) const {
   os << '\n';
 }
 
-void MetricsRegistry::write_csv(std::ostream& os, bool include_host) const {
-  os << "name,kind,stability,value\n";
-  for (const Entry& e : snapshot(include_host)) {
-    os << csv_escape(e.name) << ',' << metric_kind_name(e.kind) << ','
-       << stability_name(e.stability) << ',' << e.value << '\n';
-  }
-}
-
 void MetricsRegistry::reset() {
   std::lock_guard lock(mu_);
   for (auto& [name, sl] : slots_) {

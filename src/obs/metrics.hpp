@@ -150,10 +150,9 @@ class MetricsRegistry {
   /// process running all shards would have published.
   void merge(const Entry& e);
 
-  /// Full JSON / CSV dumps (used by --metrics=PATH; include host metrics
-  /// so they see everything).
+  /// Full JSON dump (used by --metrics=PATH; include host metrics so it
+  /// sees everything).
   void write_json(std::ostream& os, bool include_host) const;
-  void write_csv(std::ostream& os, bool include_host) const;
 
   /// Zeroes every metric value (registrations stay). Test/bench setup.
   void reset();

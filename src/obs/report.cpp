@@ -7,6 +7,7 @@
 #include "obs/json.hpp"
 #include "obs/json_read.hpp"
 #include "resilience/error.hpp"
+#include "util/table.hpp"
 
 #ifndef DXBSP_GIT_DESCRIBE
 #define DXBSP_GIT_DESCRIBE "unknown"
@@ -77,8 +78,8 @@ void write_csv_rows(std::ostream& os, const std::string& section,
       value = v.as_string();
       break;
   }
-  os << csv_escape(section) << ',' << csv_escape(key) << ','
-     << csv_escape(value) << '\n';
+  os << util::csv_escape(section) << ',' << util::csv_escape(key) << ','
+     << util::csv_escape(value) << '\n';
 }
 
 }  // namespace

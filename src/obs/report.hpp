@@ -55,8 +55,8 @@ struct RunInfo {
 };
 
 /// The report header's members: bench, description, machine, seed and
-/// the flags object. The svc result message carries the same members as
-/// its "info" object.
+/// the flags object. The svc aggregates message carries the same members
+/// as its "info" object.
 void write_json(JsonWriter& w, const RunInfo& info);
 void read_json(JsonDecoder& d, RunInfo& info);
 
@@ -96,9 +96,9 @@ void write_report_json(std::ostream& os, const RunInfo& info,
 /// key, or "run" for a top-level scalar; the key is the '.'-joined path
 /// below it, with array items named by index (`shards.0.repro`);
 /// the value is the JSON text of a number, bool or null, or the string
-/// itself. Every field is RFC 4180-escaped (csv_escape), so caller-chosen
-/// names with commas or quotes cannot shear a row. An empty object or
-/// array has no leaf and so no row.
+/// itself. Every field is RFC 4180-escaped (util::csv_escape), so
+/// caller-chosen names with commas or quotes cannot shear a row. An empty
+/// object or array has no leaf and so no row.
 void write_report_csv(std::ostream& os, const RunInfo& info,
                       const MetricsRegistry& metrics, const Tracer* tracer,
                       const AttributionAggregate* attribution = nullptr,

@@ -32,6 +32,10 @@ namespace {
 /// and grants. It bounds how late a stall is noticed.
 constexpr auto kPoll = std::chrono::milliseconds(20);
 
+/// Backoff ceiling as a multiple of the base: 0.1 s doubles to at most
+/// 2 s. It binds only beyond five strikes.
+constexpr double kBackoffCap = 20;
+
 std::string join_argv(const std::vector<std::string>& argv) {
   std::string out;
   for (const std::string& a : argv) {
@@ -84,14 +88,11 @@ struct Coordinator::ShardState {
 
   // Captured partials, in banking order; disjoint point ranges.
   std::vector<AggregatesMsg> banked_aggs;
-  std::optional<ResultMsg> result;
   double elapsed = 0;  ///< completing attempt's wall clock
 
-  std::string lease_path, hb_path, agg_path, res_path, snap_path;
+  AttemptFiles files;  ///< the current attempt's
 
-  // Observability bookkeeping. The flight path is per-attempt so a dead
-  // attempt's ring survives its retry.
-  std::string flight_path;
+  // Observability bookkeeping.
   std::uint64_t lane = 0;       ///< the attempt's fleet-timeline lane
   std::uint64_t grant_us = 0;   ///< coordinator clock at the grant
   std::uint64_t offset_us = 0;  ///< min(rx − mono_us) over new beats
@@ -135,36 +136,26 @@ void Coordinator::log_line(const std::string& line) const {
 }
 
 void Coordinator::grant(ShardState& s) {
-  // Stale messages from the previous attempt must not be mistaken for
-  // this one's: remove them before the worker can possibly run.
-  std::remove(s.hb_path.c_str());
-  std::remove(s.agg_path.c_str());
-  std::remove(s.res_path.c_str());
+  s.files = attempt_files(opt_.dir, s.spec.index, s.attempt);
+  // Messages a previous fleet left in the same directory must not be
+  // mistaken for this attempt's: remove them before the worker can run.
+  std::remove(s.files.heartbeat.c_str());
+  std::remove(s.files.aggregates.c_str());
 
   LeaseMsg lease;
   lease.shard = s.spec.str();
   lease.attempt = s.attempt;
   lease.resume_points = s.banked;
-  lease.checkpoint_path = s.snap_path;
-  lease.heartbeat_path = s.hb_path;
-  lease.aggregates_path = s.agg_path;
-  lease.result_path = s.res_path;
   // Eight beats per stall window: a live worker is never revoked for
   // one late beat.
   lease.hb_interval_seconds =
       std::min(0.05, opt_.heartbeat_timeout_seconds / 8);
   lease.chaos = opt_.chaos;
-  const std::string astem = opt_.dir + "/shard-" +
-                            std::to_string(s.spec.index) + ".attempt-" +
-                            std::to_string(s.attempt);
-  lease.flight_path = astem + ".flight";
-  s.flight_path = lease.flight_path;
-  wire_write_file(s.lease_path, kMsgLease, encode_lease(lease));
+  wire_write_file(s.files.lease, kMsgLease, encode_lease(lease));
   s.resume_base = s.banked;
 
-  const std::string log_path = astem + ".log";
   std::vector<std::string> argv = opt_.worker_argv;
-  argv.push_back("--svc-lease=" + s.lease_path);
+  argv.push_back("--svc-lease=" + s.files.lease);
   std::vector<char*> cargv;
   cargv.reserve(argv.size() + 1);
   for (std::string& a : argv) cargv.push_back(a.data());
@@ -172,7 +163,7 @@ void Coordinator::grant(ShardState& s) {
 
   posix_spawn_file_actions_t fa;
   posix_spawn_file_actions_init(&fa);
-  posix_spawn_file_actions_addopen(&fa, 1, log_path.c_str(),
+  posix_spawn_file_actions_addopen(&fa, 1, s.files.log.c_str(),
                                    O_WRONLY | O_CREAT | O_TRUNC, 0644);
   posix_spawn_file_actions_adddup2(&fa, 1, 2);
   pid_t pid = -1;
@@ -214,14 +205,26 @@ void Coordinator::grant(ShardState& s) {
            std::to_string(s.banked) + " pid " + std::to_string(pid));
 }
 
-void Coordinator::bank_partial(ShardState& s) {
-  auto msg = wire_read_file(s.agg_path, kMsgAggregates);
-  if (!msg.ok()) return;
+Expected<AggregatesMsg> Coordinator::read_aggregates(
+    const ShardState& s) const {
+  auto msg = wire_read_file(s.files.aggregates, kMsgAggregates);
+  if (!msg.ok()) return msg.error();
   auto agg = decode_aggregates(msg.value());
-  if (!agg.ok()) return;  // torn/corrupt partials: retry covers the gap
+  if (!agg.ok()) return agg.error();
   const AggregatesMsg& a = agg.value();
-  if (a.shard != s.spec.str() || a.attempt != s.attempt) return;
-  if (a.covered == 0) return;
+  if (a.shard != s.spec.str() || a.attempt != s.attempt)
+    return Error(ErrorCode::kCorruptInput,
+                 "aggregates identify " + a.shard + " attempt " +
+                     std::to_string(a.attempt) + ", expected " +
+                     s.spec.str() + " attempt " + std::to_string(s.attempt));
+  return agg;
+}
+
+void Coordinator::bank_partial(ShardState& s) {
+  auto agg = read_aggregates(s);
+  // Missing, torn or foreign partials: the retry covers the gap.
+  if (!agg.ok() || agg.value().covered == 0) return;
+  const AggregatesMsg& a = agg.value();
   s.banked = s.resume_base + a.covered;
   s.banked_aggs.push_back(std::move(agg).value());
   log_line("banked shard " + s.spec.str() + " attempt " +
@@ -262,7 +265,7 @@ void Coordinator::fail_attempt(ShardState& s, const std::string& why) {
   }
 
   const double backoff = std::min(
-      opt_.backoff_cap_seconds,
+      kBackoffCap * opt_.backoff_base_seconds,
       opt_.backoff_base_seconds *
           static_cast<double>(std::uint64_t{1} << std::min<std::uint64_t>(
                                   s.strikes > 0 ? s.strikes - 1 : 0, 20)));
@@ -276,38 +279,25 @@ void Coordinator::fail_attempt(ShardState& s, const std::string& why) {
 }
 
 void Coordinator::on_result(ShardState& s) {
-  auto msg = wire_read_file(s.res_path, kMsgResult);
-  if (!msg.ok()) {
-    fail_attempt(s, std::string("exited 0 without a result message: ") +
-                        msg.error().what());
+  auto agg = read_aggregates(s);
+  if (!agg.ok()) {
+    fail_attempt(s, std::string("exited 0 without its aggregates: ") +
+                        agg.error().what());
     return;
   }
-  auto decoded = decode_result(msg.value());
-  if (!decoded.ok()) {
-    fail_attempt(s, std::string("result decode: ") + decoded.error().what());
-    return;
-  }
-  ResultMsg res = std::move(decoded).value();
-  if (res.shard != s.spec.str() || res.attempt != s.attempt) {
-    fail_attempt(s, "result identifies " + res.shard + " attempt " +
-                        std::to_string(res.attempt) + ", expected " +
-                        s.spec.str() + " attempt " +
-                        std::to_string(s.attempt));
-    return;
-  }
-  if (res.status != "completed") {
-    fail_attempt(s, "exited 0 with status '" + res.status + "'");
+  AggregatesMsg a = std::move(agg).value();
+  if (a.status != "completed") {
+    fail_attempt(s, "exited 0 with status '" + a.status + "'");
     return;
   }
 
   s.pid = -1;
   end_lease_obs(s, "completed");
-  s.total = res.total;
-  s.banked = res.total;
-  s.elapsed = res.elapsed_seconds;
-  if (res.aggregates.covered > 0 || s.banked_aggs.empty())
-    s.banked_aggs.push_back(res.aggregates);
-  s.result = std::move(res);
+  s.total = a.total;
+  s.banked = a.total;
+  s.elapsed = a.elapsed_seconds;
+  if (a.covered > 0 || s.banked_aggs.empty())
+    s.banked_aggs.push_back(std::move(a));
   s.phase = ShardState::Phase::kDone;
   ++fleet_.completed_shards;
   log_line("done shard " + s.spec.str() + " attempt " +
@@ -354,7 +344,7 @@ void Coordinator::check_stalls() {
   for (auto& sp : states_) {
     ShardState& s = *sp;
     if (s.phase != ShardState::Phase::kRunning) continue;
-    auto msg = wire_read_file(s.hb_path, kMsgHeartbeat);
+    auto msg = wire_read_file(s.files.heartbeat, kMsgHeartbeat);
     if (msg.ok()) {
       auto hb = decode_heartbeat(msg.value());
       if (hb.ok() && hb.value().shard == s.spec.str() &&
@@ -464,7 +454,7 @@ Expected<obs::FlightTail> Coordinator::end_lease_obs(ShardState& s,
   const std::uint64_t nowu = now_us();
   elog_->span("lease", s.grant_us, nowu > s.grant_us ? nowu - s.grant_us : 0,
               s.lane, {{"outcome", outcome}});
-  Expected<obs::FlightTail> tail = obs::flight_read(s.flight_path);
+  Expected<obs::FlightTail> tail = obs::flight_read(s.files.flight);
   // offset_us is the grant time until the first heartbeat lowers it.
   obs::append_flight_lane(*elog_, s.lane, tail, s.offset_us);
   return tail;
@@ -569,12 +559,6 @@ FleetReport Coordinator::run() {
   for (std::uint64_t i = 0; i < opt_.shards; ++i) {
     auto s = std::make_unique<ShardState>();
     s->spec = resilience::ShardSpec{i, opt_.shards};
-    const std::string stem = opt_.dir + "/shard-" + std::to_string(i);
-    s->lease_path = stem + ".lease";
-    s->hb_path = stem + ".hb";
-    s->agg_path = stem + ".agg";
-    s->res_path = stem + ".res";
-    s->snap_path = stem + ".snap";
     states_.push_back(std::move(s));
   }
 
@@ -668,10 +652,12 @@ void Coordinator::write_merged_reports() {
   obs::AttributionAggregate attribution;
   std::optional<obs::DriftDetector> drift;
   obs::SelectorLog selector;
-  obs::RunInfo info;
-  bool have_info = false;
+  // Every message carries the run identity, the same in all of them (all
+  // workers run one command); a completed shard banked at least one.
+  const obs::RunInfo* info = nullptr;
   for (const auto& sp : states_) {
     for (const AggregatesMsg& a : sp->banked_aggs) {
+      if (info == nullptr) info = &a.info;
       for (const obs::MetricsRegistry::Entry& e : a.metrics) merged.merge(e);
       attribution.merge(a.attribution);
       if (a.has_drift) {
@@ -680,10 +666,6 @@ void Coordinator::write_merged_reports() {
         drift->merge(a.drift);
       }
       selector.merge(a.selector);
-    }
-    if (!have_info && sp->result && sp->result->has_info) {
-      info = sp->result->info;
-      have_info = true;
     }
   }
   // The per-run() progress counters are synthesized fleet-wide (workers
@@ -700,12 +682,12 @@ void Coordinator::write_merged_reports() {
 
   if (!opt_.report_path.empty())
     obs::write_file(opt_.report_path, [&](std::ostream& os) {
-      obs::write_report_json(os, info, merged, nullptr, &attribution,
+      obs::write_report_json(os, *info, merged, nullptr, &attribution,
                              drift_ptr, &selector, degraded);
     });
   if (!opt_.report_csv_path.empty())
     obs::write_file(opt_.report_csv_path, [&](std::ostream& os) {
-      obs::write_report_csv(os, info, merged, nullptr, &attribution,
+      obs::write_report_csv(os, *info, merged, nullptr, &attribution,
                             drift_ptr, &selector, degraded);
     });
 }

@@ -14,7 +14,12 @@
 // Partial results survive revocation: workers republish cumulative
 // aggregates after every completed point (checkpoint first, aggregates
 // second), so on revocation the coordinator banks whatever consistent
-// prefix the attempt covered and re-leases only the remainder. A shard
+// prefix the attempt covered and re-leases only the remainder. The last
+// aggregates message is the attempt's outcome: a worker that exits 0
+// must have left one saying "completed", read through the same code as
+// a partial, or the attempt fails like a death. Coordinator and worker
+// name the attempt's files with one function, attempt_files
+// (svc/payload.hpp), so the lease carries no paths. A shard
 // whose attempts repeatedly fail *without banking any new progress*
 // accumulates strikes, with bounded exponential backoff between grants;
 // at max_strikes it is quarantined as poisoned, with the exact repro
@@ -71,8 +76,8 @@ struct CoordinatorOptions {
   double heartbeat_timeout_seconds = 5.0;
   double deadline_seconds = 0;       ///< whole-fleet budget (0 = none)
   std::uint64_t max_strikes = 3;     ///< no-progress failures before poison
-  double backoff_base_seconds = 0.1;  ///< requeue delay, doubling per strike
-  double backoff_cap_seconds = 2.0;   ///< backoff ceiling
+  /// Requeue delay, doubling per strike up to 20x itself.
+  double backoff_base_seconds = 0.1;
   std::string chaos;        ///< fault-injection spec forwarded to workers
   std::string report_path;  ///< merged JSON run report ("" = none)
   std::string report_csv_path;  ///< merged CSV run report ("" = none)
@@ -133,7 +138,12 @@ class Coordinator {
   void reap();
   void check_stalls();
   void revoke(ShardState& s, const std::string& why, bool already_dead);
+  /// The attempt's last aggregates message, if it is its own.
+  [[nodiscard]] Expected<AggregatesMsg> read_aggregates(
+      const ShardState& s) const;
   void bank_partial(ShardState& s);
+  /// Exit 0: the last aggregates message must say "completed", or the
+  /// attempt fails like any other.
   void on_result(ShardState& s);
   void fail_attempt(ShardState& s, const std::string& why);
   void kill_all();

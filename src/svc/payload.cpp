@@ -21,29 +21,16 @@ static void write_json(JsonWriter& w, const LeaseMsg& m) {
   w.member("shard", m.shard);
   w.member("attempt", m.attempt);
   w.member("resume_points", m.resume_points);
-  w.member("checkpoint_path", m.checkpoint_path);
-  w.member("heartbeat_path", m.heartbeat_path);
-  w.member("aggregates_path", m.aggregates_path);
-  w.member("result_path", m.result_path);
   w.member("hb_interval_seconds", m.hb_interval_seconds);
   w.member("chaos", m.chaos);
-  w.member("flight_path", m.flight_path);
 }
 
 static void read_json(JsonDecoder& d, LeaseMsg& m) {
   m.shard = d.str("shard");
   m.attempt = d.u64("attempt");
   m.resume_points = d.u64("resume_points");
-  m.checkpoint_path = d.str("checkpoint_path");
-  m.heartbeat_path = d.str("heartbeat_path");
-  m.aggregates_path = d.str("aggregates_path");
-  m.result_path = d.str("result_path");
   m.hb_interval_seconds = d.dbl("hb_interval_seconds");
   m.chaos = d.str("chaos");
-  // The flight ring arrived with report v3; read it tolerantly so a
-  // lease written before it existed still decodes (feature off).
-  if (const JsonValue* fp = d.opt("flight_path"))
-    m.flight_path = fp->is_string() ? fp->as_string() : "";
 }
 
 static void write_json(JsonWriter& w, const HeartbeatMsg& m) {
@@ -62,10 +49,8 @@ static void read_json(JsonDecoder& d, HeartbeatMsg& m) {
   m.beat = d.u64("beat");
   m.completed = d.u64("completed");
   m.total = d.u64("total");
-  if (const JsonValue* mu = d.opt("mono_us"))
-    m.mono_us = mu->is_number() ? mu->as_u64() : 0;
-  if (const JsonValue* ev = d.opt("events"))
-    m.events = ev->is_number() ? ev->as_u64() : 0;
+  m.mono_us = d.u64("mono_us");
+  m.events = d.u64("events");
 }
 
 static void write_json(JsonWriter& w, const FleetStatusMsg::Shard& s) {
@@ -137,7 +122,12 @@ static void read_json(JsonDecoder& d, FleetStatusMsg& m) {
 static void write_json(JsonWriter& w, const AggregatesMsg& m) {
   w.member("shard", m.shard);
   w.member("attempt", m.attempt);
+  w.member("status", m.status);
+  w.member("cause", m.cause);
+  w.member("total", m.total);
   w.member("covered", m.covered);
+  w.member("elapsed_seconds", m.elapsed_seconds);
+  obs::write_object(w, "info", m.info);
   obs::write_object(w, "metrics", m.metrics);
   obs::write_object(w, "attribution", m.attribution);
   if (m.has_drift) {
@@ -151,41 +141,16 @@ static void write_json(JsonWriter& w, const AggregatesMsg& m) {
 static void read_json(JsonDecoder& d, AggregatesMsg& m) {
   m.shard = d.str("shard");
   m.attempt = d.u64("attempt");
+  m.status = d.str("status");
+  m.cause = d.str("cause");
+  m.total = d.u64("total");
   m.covered = d.u64("covered");
+  m.elapsed_seconds = d.dbl("elapsed_seconds");
+  d.read("info", m.info);
   d.read("metrics", m.metrics);
   d.read("attribution", m.attribution);
   m.has_drift = d.read_opt("drift", m.drift);
   d.read("selector", m.selector);
-}
-
-static void write_json(JsonWriter& w, const ResultMsg& m) {
-  w.member("shard", m.shard);
-  w.member("attempt", m.attempt);
-  w.member("status", m.status);
-  w.member("cause", m.cause);
-  w.member("total", m.total);
-  w.member("completed", m.completed);
-  w.member("resumed", m.resumed);
-  w.member("elapsed_seconds", m.elapsed_seconds);
-  if (m.has_info) {
-    obs::write_object(w, "info", m.info);
-  } else {
-    w.key("info").null_value();
-  }
-  obs::write_object(w, "aggregates", m.aggregates);
-}
-
-static void read_json(JsonDecoder& d, ResultMsg& m) {
-  m.shard = d.str("shard");
-  m.attempt = d.u64("attempt");
-  m.status = d.str("status");
-  m.cause = d.str("cause");
-  m.total = d.u64("total");
-  m.completed = d.u64("completed");
-  m.resumed = d.u64("resumed");
-  m.elapsed_seconds = d.dbl("elapsed_seconds");
-  m.has_info = d.read_opt("info", m.info);
-  d.read("aggregates", m.aggregates);
 }
 
 namespace {
@@ -211,10 +176,17 @@ Expected<Msg> decode(const JsonValue& v, const char* origin) {
 
 }  // namespace
 
+AttemptFiles attempt_files(const std::string& dir, std::uint64_t shard,
+                           std::uint64_t attempt) {
+  const std::string stem = dir + "/shard-" + std::to_string(shard);
+  const std::string astem = stem + ".attempt-" + std::to_string(attempt);
+  return {astem + ".lease", astem + ".hb",     astem + ".agg",
+          stem + ".snap",   astem + ".flight", astem + ".log"};
+}
+
 std::string encode_lease(const LeaseMsg& m) { return encode(m); }
 std::string encode_heartbeat(const HeartbeatMsg& m) { return encode(m); }
 std::string encode_aggregates(const AggregatesMsg& m) { return encode(m); }
-std::string encode_result(const ResultMsg& m) { return encode(m); }
 std::string encode_fleet_status(const FleetStatusMsg& m) { return encode(m); }
 
 Expected<LeaseMsg> decode_lease(const JsonValue& v) {
@@ -225,9 +197,6 @@ Expected<HeartbeatMsg> decode_heartbeat(const JsonValue& v) {
 }
 Expected<AggregatesMsg> decode_aggregates(const JsonValue& v) {
   return decode<AggregatesMsg>(v, kMsgAggregates);
-}
-Expected<ResultMsg> decode_result(const JsonValue& v) {
-  return decode<ResultMsg>(v, kMsgResult);
 }
 Expected<FleetStatusMsg> decode_fleet_status(const JsonValue& v) {
   return decode<FleetStatusMsg>(v, kMsgFleetStatus);

@@ -1,23 +1,24 @@
 #pragma once
-// Typed payloads for the five sweep-coordinator protocol messages, with
-// JSON codecs over the framed wire format (svc/wire.hpp):
+// Typed payloads for the four sweep-coordinator protocol messages, with
+// JSON codecs over the framed wire format (svc/wire.hpp), and the one
+// function that names every file of an attempt (attempt_files):
 //
 //   lease       coordinator -> worker: your shard, attempt number, how
-//               many points prior attempts already covered, where to put
-//               checkpoint/heartbeat/aggregates/result, timing knobs and
-//               the (test-only) chaos spec.
+//               many points prior attempts already covered, the heartbeat
+//               cadence and the (test-only) chaos spec. The worker names
+//               its files itself, from the lease's directory.
 //   heartbeat   worker -> coordinator: liveness + progress. Republished
 //               every interval; the coordinator only cares that `beat`
 //               keeps changing.
 //   aggregates  worker -> coordinator: cumulative partial results of the
 //               CURRENT attempt — the metric/attribution/drift state for
-//               every point this attempt has completed. Republished after
-//               every point, atomically, so whatever the coordinator
-//               captures after revoking a dead lease is a consistent
-//               prefix it can bank before re-leasing the remainder.
-//   result      worker -> coordinator: final outcome — the SweepReport,
-//               the run identity (for the merged report header) and the
-//               attempt's final aggregates.
+//               every point this attempt has completed, plus the run
+//               identity. Republished after every point, atomically, so
+//               whatever the coordinator captures after revoking a dead
+//               lease is a consistent prefix it can bank before
+//               re-leasing the remainder. The attempt's last publication
+//               is its outcome: `status` turns from empty to "completed"
+//               or "interrupted".
 //   fleet_status
 //               coordinator -> sweep_top: the live view of every shard,
 //               built from the heartbeats the coordinator already reads.
@@ -30,7 +31,8 @@
 // report's bare numbers, because a merge must know each entry's kind
 // (add or max) and stability. Decoders return Expected (never throw): a
 // half-dead worker writing garbage must read as a strike, not a
-// coordinator crash.
+// coordinator crash. Coordinator and worker are one build, so every
+// member is required.
 
 #include <cstdint>
 #include <string>
@@ -49,10 +51,26 @@ namespace dxbsp::svc {
 inline constexpr const char* kMsgLease = "lease";
 inline constexpr const char* kMsgHeartbeat = "heartbeat";
 inline constexpr const char* kMsgAggregates = "aggregates";
-inline constexpr const char* kMsgResult = "result";
 /// Fleet observability (docs/observability.md §fleet): the coordinator's
 /// live view of every shard, the one file tools/sweep_top reads.
 inline constexpr const char* kMsgFleetStatus = "fleet_status";
+
+/// Every file of one attempt of one shard, all in the fleet directory.
+/// The checkpoint is the shard's, shared by its attempts (a retry resumes
+/// from it); the rest are the attempt's own, so a dead attempt's flight
+/// ring, log and last aggregates survive its retry.
+struct AttemptFiles {
+  std::string lease;       ///< LeaseMsg, coordinator -> worker
+  std::string heartbeat;   ///< HeartbeatMsg, worker -> coordinator
+  std::string aggregates;  ///< AggregatesMsg, worker -> coordinator
+  std::string checkpoint;  ///< resilience snapshot, per shard
+  std::string flight;      ///< crash-safe flight ring (obs/flight.hpp)
+  std::string log;         ///< the worker's stdout and stderr
+};
+
+[[nodiscard]] AttemptFiles attempt_files(const std::string& dir,
+                                         std::uint64_t shard,
+                                         std::uint64_t attempt);
 
 struct LeaseMsg {
   std::string shard;  ///< "index/count" (resilience::ShardSpec::str)
@@ -61,17 +79,9 @@ struct LeaseMsg {
   /// worker resumes from exactly this checkpoint prefix (truncating any
   /// uncaptured tail) so every point is aggregated exactly once.
   std::uint64_t resume_points = 0;
-  std::string checkpoint_path;
-  std::string heartbeat_path;
-  std::string aggregates_path;
-  std::string result_path;
   /// Heartbeat publication cadence: min(0.05 s, stall window / 8).
   double hb_interval_seconds = 0;
   std::string chaos;  ///< forwarded ChaosPlan spec ("" = none)
-  /// Crash-safe flight ring (obs/flight.hpp), the worker's one record of
-  /// itself; optional ("" = off) and decoded tolerantly, so a lease
-  /// written without it still decodes.
-  std::string flight_path;
 };
 
 struct HeartbeatMsg {
@@ -82,11 +92,10 @@ struct HeartbeatMsg {
   std::uint64_t total = 0;      ///< points in the shard slice
   /// µs on the worker's monotonic clock when the beat was taken; the
   /// coordinator estimates the clock offset of the worker's flight ring
-  /// from it for the fleet timeline (svc/coordinator.hpp). Tolerant: 0
-  /// from older workers.
+  /// from it for the fleet timeline (svc/coordinator.hpp).
   std::uint64_t mono_us = 0;
   /// Cumulative simulated events (sim.requests) this attempt — the
-  /// events/sec numerator for sweep_top. Tolerant: 0 when absent.
+  /// events/sec numerator for sweep_top.
   std::uint64_t events = 0;
 };
 
@@ -128,10 +137,17 @@ struct FleetStatusMsg {
 struct AggregatesMsg {
   std::string shard;
   std::uint64_t attempt = 0;
+  /// Empty while the attempt runs; its last message sets it to
+  /// sweep_status_name: "completed" or "interrupted".
+  std::string status;
+  std::string cause;  ///< cancel_cause_name, set with `status`
+  std::uint64_t total = 0;  ///< points in the shard slice
   /// Points this attempt has newly covered (and whose contributions are
   /// fully contained in the snapshots below). Excludes resumed points —
   /// their contributions were banked from earlier attempts.
   std::uint64_t covered = 0;
+  double elapsed_seconds = 0;  ///< host-only; scaling bench input
+  obs::RunInfo info;  ///< run identity for the merged report header
   std::vector<obs::MetricsRegistry::Entry> metrics;
   obs::AttributionAggregate::Snapshot attribution;
   bool has_drift = false;
@@ -141,31 +157,15 @@ struct AggregatesMsg {
   obs::SelectorLog::Snapshot selector;
 };
 
-struct ResultMsg {
-  std::string shard;
-  std::uint64_t attempt = 0;
-  std::string status;  ///< sweep_status_name: "completed"/"interrupted"
-  std::string cause;   ///< cancel_cause_name when interrupted
-  std::uint64_t total = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t resumed = 0;
-  double elapsed_seconds = 0;  ///< host-only; scaling bench input
-  bool has_info = false;
-  obs::RunInfo info;  ///< run identity for the merged report header
-  AggregatesMsg aggregates;
-};
-
 [[nodiscard]] std::string encode_lease(const LeaseMsg& m);
 [[nodiscard]] std::string encode_heartbeat(const HeartbeatMsg& m);
 [[nodiscard]] std::string encode_aggregates(const AggregatesMsg& m);
-[[nodiscard]] std::string encode_result(const ResultMsg& m);
 [[nodiscard]] std::string encode_fleet_status(const FleetStatusMsg& m);
 
 [[nodiscard]] Expected<LeaseMsg> decode_lease(const obs::JsonValue& v);
 [[nodiscard]] Expected<HeartbeatMsg> decode_heartbeat(const obs::JsonValue& v);
 [[nodiscard]] Expected<AggregatesMsg> decode_aggregates(
     const obs::JsonValue& v);
-[[nodiscard]] Expected<ResultMsg> decode_result(const obs::JsonValue& v);
 [[nodiscard]] Expected<FleetStatusMsg> decode_fleet_status(
     const obs::JsonValue& v);
 

@@ -31,19 +31,20 @@ void WorkerContext::init(const std::string& lease_path) {
   lease_ = std::move(decoded).value();
   shard_ = resilience::ShardSpec::parse(lease_.shard);
   chaos_ = ChaosPlan::parse(lease_.chaos);
+  const std::size_t slash = lease_path.rfind('/');
+  files_ = attempt_files(
+      slash == std::string::npos ? "." : lease_path.substr(0, slash),
+      shard_.index, lease_.attempt);
   started_ = std::chrono::steady_clock::now();
   active_ = true;
 
   // The flight ring is best-effort: a worker that cannot open it still
   // computes its shard (the ring's absence is itself visible to the
   // coordinator, as an empty lane and an unreadable-ring post-mortem).
-  if (!lease_.flight_path.empty()) {
-    try {
-      flight_ = std::make_unique<obs::FlightRecorder>(lease_.flight_path,
-                                                      started_);
-    } catch (const Error&) {
-      flight_.reset();
-    }
+  try {
+    flight_ = std::make_unique<obs::FlightRecorder>(files_.flight, started_);
+  } catch (const Error&) {
+    flight_.reset();
   }
 }
 
@@ -64,23 +65,26 @@ std::uint64_t WorkerContext::sim_events_now() {
 std::uint64_t WorkerContext::prepare(std::uint64_t base_id,
                                      std::vector<std::uint64_t>& keys,
                                      resilience::SweepOptions& opt,
+                                     const obs::RunInfo& info,
                                      const obs::AttributionAggregate*
                                          attribution,
                                      const obs::DriftDetector* drift,
                                      const obs::SelectorLog* selector) {
   if (!active_) return base_id;
+  info_ = info;
   attribution_ = attribution;
   drift_ = drift;
   selector_ = selector;
   keys = shard_.slice(keys);
   keys_ = keys;
+  last_ = aggregates_now(0);
   const std::uint64_t id = resilience::shard_sweep_id(base_id, shard_);
 
   // Serial + per-point flushing is what makes the checkpoint a
   // key-ordered prefix of the slice — the shape the banked-prefix
   // accounting below depends on.
   opt.threads = 0;
-  opt.checkpoint_path = lease_.checkpoint_path;
+  opt.checkpoint_path = files_.checkpoint;
 
   if (lease_.resume_points > 0) {
     // Prior attempts banked the aggregates of the first resume_points
@@ -88,34 +92,34 @@ std::uint64_t WorkerContext::prepare(std::uint64_t base_id,
     // flushed before the aggregates are published). Anything beyond it
     // was computed but never banked — truncate so it is recomputed and
     // aggregated this attempt, keeping every point counted exactly once.
-    auto loaded = resilience::Snapshot::load(lease_.checkpoint_path);
+    auto loaded = resilience::Snapshot::load(files_.checkpoint);
     if (!loaded.ok()) throw loaded.error();
     const resilience::Snapshot& snap = loaded.value();
     if (snap.sweep_id != id)
       raise(ErrorCode::kConfig,
-            lease_.checkpoint_path +
+            files_.checkpoint +
                 ": checkpoint belongs to a different sweep/shard");
     if (snap.records.size() < lease_.resume_points)
       raise(ErrorCode::kCorruptSnapshot,
-            lease_.checkpoint_path + ": banked prefix of " +
+            files_.checkpoint + ": banked prefix of " +
                 std::to_string(lease_.resume_points) + " points but only " +
                 std::to_string(snap.records.size()) + " records");
     for (std::uint64_t i = 0; i < lease_.resume_points; ++i)
       if (snap.records[i].key != keys_[i])
         raise(ErrorCode::kCorruptSnapshot,
-              lease_.checkpoint_path + ": record " + std::to_string(i) +
+              files_.checkpoint + ": record " + std::to_string(i) +
                   " key " + std::to_string(snap.records[i].key) +
                   " does not match slice key " + std::to_string(keys_[i]));
     if (snap.records.size() > lease_.resume_points) {
-      resilience::CheckpointWriter writer(lease_.checkpoint_path, id);
+      resilience::CheckpointWriter writer(files_.checkpoint, id);
       writer.flush(std::span<const resilience::SnapshotRecord>(snap.records)
                        .first(lease_.resume_points));
     }
-    opt.resume_path = lease_.checkpoint_path;
+    opt.resume_path = files_.checkpoint;
   } else {
     // Nothing banked: any leftover checkpoint is an unbanked tail from a
     // crashed attempt — start clean.
-    std::remove(lease_.checkpoint_path.c_str());
+    std::remove(files_.checkpoint.c_str());
     opt.resume_path.clear();
   }
 
@@ -161,7 +165,7 @@ void WorkerContext::heartbeat_loop() {
     hb.events = sim_events_now();
     lock.unlock();
     try {
-      wire_write_file(lease_.heartbeat_path, kMsgHeartbeat,
+      wire_write_file(files_.heartbeat, kMsgHeartbeat,
                       encode_heartbeat(hb));
     } catch (const Error&) {
       // A failed heartbeat write must not kill the worker; if it keeps
@@ -186,7 +190,13 @@ AggregatesMsg WorkerContext::aggregates_now(std::uint64_t covered) const {
   AggregatesMsg agg;
   agg.shard = lease_.shard;
   agg.attempt = lease_.attempt;
+  agg.total = keys_.size();
   agg.covered = covered;
+  agg.elapsed_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    started_)
+          .count();
+  agg.info = info_;
   for (auto& e :
        obs::MetricsRegistry::global().snapshot(/*include_host=*/false))
     if (!coordinator_synthesized(e.name)) agg.metrics.push_back(std::move(e));
@@ -221,13 +231,12 @@ void WorkerContext::on_point(std::uint64_t done, std::uint64_t /*total*/) {
                     static_cast<std::uint8_t>(obs::FlightPhase::kPoint),
                     covered, done, keys_.size(), lease_.attempt);
   }
-  wire_write_file(lease_.aggregates_path, kMsgAggregates,
-                  encode_aggregates(aggregates_now(covered)));
+  last_ = aggregates_now(covered);
+  wire_write_file(files_.aggregates, kMsgAggregates, encode_aggregates(last_));
   maybe_chaos(ChaosPhase::kPoint, covered);
 }
 
-int WorkerContext::finish(const resilience::SweepReport& report,
-                          const obs::RunInfo& info) {
+int WorkerContext::finish(const resilience::SweepReport& report) {
   if (!active_) return report.ok() ? 0 : exit_code(ErrorCode::kInterrupted);
   stop_heartbeat();
   if (flight_ != nullptr)
@@ -237,25 +246,12 @@ int WorkerContext::finish(const resilience::SweepReport& report,
                     lease_.attempt);
   maybe_chaos(ChaosPhase::kResult);
 
-  ResultMsg res;
-  res.shard = lease_.shard;
-  res.attempt = lease_.attempt;
-  res.status = resilience::sweep_status_name(report.status);
-  res.cause = resilience::cancel_cause_name(report.cause);
-  res.total = report.total;
-  res.completed = report.completed;
-  res.resumed = report.resumed;
-  res.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_)
-          .count();
-  res.has_info = true;
-  res.info = info;
-  res.aggregates =
-      aggregates_now(report.completed > report.resumed
-                         ? report.completed - report.resumed
-                         : 0);
-  wire_write_file(lease_.result_path, kMsgResult, encode_result(res));
+  AggregatesMsg agg =
+      report.ok() ? aggregates_now(report.completed - report.resumed)
+                  : std::move(last_);
+  agg.status = resilience::sweep_status_name(report.status);
+  agg.cause = resilience::cancel_cause_name(report.cause);
+  wire_write_file(files_.aggregates, kMsgAggregates, encode_aggregates(agg));
   return report.ok() ? 0 : exit_code(ErrorCode::kInterrupted);
 }
 

@@ -45,12 +45,26 @@ void Table::print_csv(std::ostream& os) const {
   auto emit = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
       if (c) os << ",";
-      os << cells[c];
+      os << csv_escape(cells[c]);
     }
     os << "\n";
   };
   emit(headers_);
   for (const auto& row : rows_) emit(row);
+}
+
+std::string csv_escape(std::string_view s) {
+  if (s.find_first_of(",\"\r\n") == std::string_view::npos)
+    return std::string(s);
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char c : s) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
 }
 
 std::string with_commas(std::uint64_t v) {

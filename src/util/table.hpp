@@ -12,6 +12,7 @@
 #include <iosfwd>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dxbsp::util {
@@ -40,8 +41,8 @@ class Table {
   /// Prints an aligned ASCII table with a header separator line.
   void print(std::ostream& os) const;
 
-  /// Prints RFC-4180-ish CSV (no quoting of commas; our cells never contain
-  /// them).
+  /// Prints RFC 4180 CSV: every header and cell goes through csv_escape,
+  /// because labels such as "x=4, 1 port" or "G(n, 2n)" hold commas.
   void print_csv(std::ostream& os) const;
 
   /// Optional caption printed above the table by print().
@@ -64,6 +65,12 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
   std::string caption_;
 };
+
+/// RFC 4180 CSV field escaping: a field containing a comma, double
+/// quote, CR or LF is wrapped in double quotes with inner quotes
+/// doubled; anything else passes through unchanged. Every CSV writer
+/// (Table, the run report's CSV copy) routes its fields here.
+[[nodiscard]] std::string csv_escape(std::string_view s);
 
 /// Formats a cycle count with thousands separators for readability
 /// ("12,345,678").

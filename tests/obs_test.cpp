@@ -24,6 +24,7 @@
 #include "sim/machine.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/telemetry.hpp"
+#include "util/table.hpp"
 #include "workload/patterns.hpp"
 
 namespace dxbsp {
@@ -508,15 +509,15 @@ TEST(Report, CsvTwinCarriesSameContent) {
 }
 
 TEST(CsvEscape, PassesPlainFieldsThrough) {
-  EXPECT_EQ(obs::csv_escape("sim.cycles"), "sim.cycles");
-  EXPECT_EQ(obs::csv_escape(""), "");
+  EXPECT_EQ(util::csv_escape("sim.cycles"), "sim.cycles");
+  EXPECT_EQ(util::csv_escape(""), "");
 }
 
 TEST(CsvEscape, QuotesCommasQuotesAndNewlines) {
-  EXPECT_EQ(obs::csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(obs::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(obs::csv_escape("two\nlines"), "\"two\nlines\"");
-  EXPECT_EQ(obs::csv_escape("cr\rhere"), "\"cr\rhere\"");
+  EXPECT_EQ(util::csv_escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(util::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(util::csv_escape("two\nlines"), "\"two\nlines\"");
+  EXPECT_EQ(util::csv_escape("cr\rhere"), "\"cr\rhere\"");
 }
 
 TEST(CsvEscape, ReportCsvRowsSurviveHostileNames) {
@@ -558,11 +559,14 @@ TEST(CsvEscape, ReportCsvRowsSurviveHostileNames) {
 }
 
 TEST(CsvEscape, MetricsCsvEscapesNames) {
+  // A hostile metric name reaches CSV only through the run report's CSV
+  // copy, which quotes it.
   obs::MetricsRegistry reg;
   reg.gauge("g,1").observe(7);
   std::ostringstream os;
-  reg.write_csv(os, /*include_host=*/true);
-  EXPECT_NE(os.str().find("\"g,1\",gauge"), std::string::npos);
+  obs::write_report_csv(os, obs::RunInfo{}, reg, nullptr);
+  EXPECT_NE(os.str().find("metrics,\"g,1\",7\n"), std::string::npos)
+      << os.str();
 }
 
 // ---------------------------------------------------------- JSON reader

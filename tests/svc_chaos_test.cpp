@@ -54,7 +54,6 @@ svc::CoordinatorOptions fleet_options(const std::string& name) {
   opt.workers = 2;
   opt.shards = 4;
   opt.backoff_base_seconds = 0.01;  // fast requeues: this is a test
-  opt.backoff_cap_seconds = 0.05;
   opt.handle_signals = false;  // never touch gtest's signal handlers
   opt.report_path = tmp_dir(name) + ".report.json";
   return opt;
@@ -212,6 +211,40 @@ TEST(SvcChaos, NonZeroExitsStrikeAndCleanTempfailDoesNotCountAsDeath) {
   EXPECT_EQ(fleet.worker_deaths, 1u)
       << "exit 75 is a clean self-interruption, not a death";
   expect_identical_to_baseline("exits");
+}
+
+TEST(SvcChaos, ExitZeroWithoutTheFinalAggregatesIsRetriedNotDone) {
+  // Shard 2's first attempt computes every point, then exits 0 before
+  // publishing its last aggregates message: exit 0 alone is no outcome.
+  // The coordinator must bank the points the attempt's last partial
+  // covers and re-lease the shard, not mark it done.
+  auto opt = fleet_options("exit0");
+  opt.chaos = "shard=2,attempt=0,phase=result,action=exit:0";
+  const auto fleet = run_fleet(std::move(opt));
+  EXPECT_EQ(fleet.status, svc::FleetReport::Status::kCompleted);
+  EXPECT_EQ(fleet.completed_shards, 4u);
+  EXPECT_EQ(fleet.retries, 1u);
+  EXPECT_EQ(fleet.worker_deaths, 0u) << "exit 0 is not a death";
+  EXPECT_EQ(fleet.strikes, 0u) << "the attempt banked every point";
+  expect_identical_to_baseline("exit0");
+
+  // The attempt that exited early left a running message; the retry's
+  // says "completed". The last aggregates message is the only outcome:
+  // no attempt writes a separate result file.
+  const std::string dir = tmp_dir("exit0");
+  const auto read_status = [](const std::string& path) {
+    const auto msg = svc::wire_read_file(path, svc::kMsgAggregates);
+    EXPECT_TRUE(msg.ok()) << path;
+    if (!msg.ok()) return std::string("?");
+    const auto agg = svc::decode_aggregates(msg.value());
+    EXPECT_TRUE(agg.ok()) << path;
+    return agg.ok() ? agg.value().status : std::string("?");
+  };
+  EXPECT_EQ(read_status(svc::attempt_files(dir, 2, 0).aggregates), "");
+  EXPECT_EQ(read_status(svc::attempt_files(dir, 2, 1).aggregates),
+            "completed");
+  for (std::uint64_t shard = 0; shard < 4; ++shard)
+    EXPECT_FALSE(file_exists(dir + "/shard-" + std::to_string(shard) + ".res"));
 }
 
 TEST(SvcChaos, WedgedWorkerIsStalledRevokedAndRecovered) {

@@ -6,6 +6,7 @@
 // exercised end to end in svc_chaos_test.cpp.
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -242,10 +243,6 @@ TEST(Payload, LeaseRoundTrips) {
   m.shard = "3/8";
   m.attempt = 2;
   m.resume_points = 5;
-  m.checkpoint_path = "dir/shard-3.snap";
-  m.heartbeat_path = "dir/shard-3.hb";
-  m.aggregates_path = "dir/shard-3.agg";
-  m.result_path = "dir/shard-3.res";
   m.hb_interval_seconds = 0.05;
   m.chaos = "shard=3,phase=lease,action=kill";
   const auto r = reencode<svc::LeaseMsg>(svc::kMsgLease, svc::encode_lease(m),
@@ -253,10 +250,6 @@ TEST(Payload, LeaseRoundTrips) {
   EXPECT_EQ(r.shard, m.shard);
   EXPECT_EQ(r.attempt, m.attempt);
   EXPECT_EQ(r.resume_points, m.resume_points);
-  EXPECT_EQ(r.checkpoint_path, m.checkpoint_path);
-  EXPECT_EQ(r.heartbeat_path, m.heartbeat_path);
-  EXPECT_EQ(r.aggregates_path, m.aggregates_path);
-  EXPECT_EQ(r.result_path, m.result_path);
   EXPECT_EQ(r.hb_interval_seconds, m.hb_interval_seconds);
   EXPECT_EQ(r.chaos, m.chaos);
 }
@@ -484,35 +477,40 @@ TEST(Payload, RejectsForeignSectionSchemaVersions) {
                   "\"stability\": \"fickle\"", "unknown stability");
 }
 
+// An attempt's last aggregates message is its outcome: the status, cause,
+// slice size, wall clock and run identity travel with the aggregates.
 TEST(Payload, ResultRoundTrips) {
-  svc::ResultMsg m;
-  m.shard = "0/4";
-  m.attempt = 1;
+  svc::AggregatesMsg m = sample_aggregates();
   m.status = "completed";
   m.cause = "none";
   m.total = 3;
-  m.completed = 3;
-  m.resumed = 1;
   m.elapsed_seconds = 0.75;
-  m.has_info = true;
   m.info.bench = "Fig 4 / Experiment 1";
   m.info.description = "Scatter time vs contention k";
   m.info.machine = "cray-j90";
   m.info.seed = 1995;
   m.info.flags = {{"n", "4096"}, {"seed", "1995"}};
-  m.aggregates = sample_aggregates();
-  const auto r = reencode<svc::ResultMsg>(
-      svc::kMsgResult, svc::encode_result(m), svc::decode_result);
+  const auto r = reencode<svc::AggregatesMsg>(
+      svc::kMsgAggregates, svc::encode_aggregates(m), svc::decode_aggregates);
   EXPECT_EQ(r.shard, m.shard);
   EXPECT_EQ(r.status, "completed");
+  EXPECT_EQ(r.cause, "none");
   EXPECT_EQ(r.total, 3u);
-  EXPECT_EQ(r.resumed, 1u);
   EXPECT_EQ(r.elapsed_seconds, 0.75);
-  ASSERT_TRUE(r.has_info);
   EXPECT_EQ(r.info.bench, m.info.bench);
+  EXPECT_EQ(r.info.machine, m.info.machine);
+  EXPECT_EQ(r.info.seed, 1995u);
   EXPECT_EQ(r.info.flags, m.info.flags);
-  EXPECT_EQ(r.aggregates.covered, 2u);
-  EXPECT_EQ(r.aggregates.metrics.size(), 3u);
+  EXPECT_EQ(r.covered, 2u);
+  EXPECT_EQ(r.metrics.size(), 3u);
+
+  // A running attempt's messages carry an empty status.
+  m.status.clear();
+  EXPECT_EQ(reencode<svc::AggregatesMsg>(svc::kMsgAggregates,
+                                         svc::encode_aggregates(m),
+                                         svc::decode_aggregates)
+                .status,
+            "");
 }
 
 TEST(Payload, DecodersReturnErrorsInsteadOfThrowing) {
@@ -528,43 +526,56 @@ TEST(Payload, DecodersReturnErrorsInsteadOfThrowing) {
   EXPECT_FALSE(hb.ok());
   const auto agg = svc::decode_aggregates(msg.value());
   EXPECT_FALSE(agg.ok());
-  const auto res = svc::decode_result(msg.value());
-  EXPECT_FALSE(res.ok());
   const auto fs = svc::decode_fleet_status(msg.value());
   EXPECT_FALSE(fs.ok());
 }
 
+// The lease names no files: both sides name them with attempt_files.
+// Every file is the attempt's own except the checkpoint, which a shard's
+// attempts share; and since both sides are one build, a lease or
+// heartbeat missing a member is a decode error, not a default.
 TEST(Payload, LeaseCarriesObservabilityPathsAndTolerateTheirAbsence) {
-  svc::LeaseMsg m;
-  m.shard = "1/2";
-  m.checkpoint_path = "d/s.snap";
-  m.heartbeat_path = "d/s.hb";
-  m.aggregates_path = "d/s.agg";
-  m.result_path = "d/s.res";
-  m.flight_path = "d/s.flight";
-  const auto r = reencode<svc::LeaseMsg>(svc::kMsgLease, svc::encode_lease(m),
-                                         svc::decode_lease);
-  EXPECT_EQ(r.flight_path, "d/s.flight");
+  const svc::AttemptFiles a0 = svc::attempt_files("d", 1, 0);
+  const svc::AttemptFiles a1 = svc::attempt_files("d", 1, 1);
+  const svc::AttemptFiles other = svc::attempt_files("d", 2, 0);
+  EXPECT_EQ(a0.lease, "d/shard-1.attempt-0.lease");
+  EXPECT_EQ(a0.flight, "d/shard-1.attempt-0.flight");
+  const std::vector<std::string> names = {a0.lease,      a0.heartbeat,
+                                          a0.aggregates, a0.checkpoint,
+                                          a0.flight,     a0.log};
+  for (std::size_t i = 0; i < names.size(); ++i)
+    for (std::size_t j = i + 1; j < names.size(); ++j)
+      EXPECT_NE(names[i], names[j]);
+  EXPECT_NE(a0.lease, a1.lease);
+  EXPECT_NE(a0.heartbeat, a1.heartbeat);
+  EXPECT_NE(a0.aggregates, a1.aggregates);
+  EXPECT_NE(a0.flight, a1.flight);
+  EXPECT_NE(a0.log, a1.log);
+  EXPECT_EQ(a0.checkpoint, a1.checkpoint);
+  EXPECT_NE(a0.checkpoint, other.checkpoint);
 
-  // A pre-observability lease (no flight member) must still decode, with
-  // the ring reading as off; members leases no longer carry (a
-  // per-attempt deadline) are ignored.
-  const auto old = reencode<svc::LeaseMsg>(
+  const auto parse = [](const std::string& type, const std::string& json) {
+    const auto msg =
+        svc::wire_parse(svc::wire_frame(type, json), type, "test");
+    EXPECT_TRUE(msg.ok());
+    return msg.value();
+  };
+  const auto lease = svc::decode_lease(parse(
       svc::kMsgLease,
       "{\"shard\":\"1/2\",\"attempt\":0,\"resume_points\":0,"
-      "\"checkpoint_path\":\"a\",\"heartbeat_path\":\"b\","
-      "\"aggregates_path\":\"c\",\"result_path\":\"d\","
-      "\"deadline_seconds\":0,\"hb_interval_seconds\":0.05,\"chaos\":\"\"}",
-      svc::decode_lease);
-  EXPECT_EQ(old.flight_path, "");
+      "\"chaos\":\"\"}"));
+  ASSERT_FALSE(lease.ok()) << "a lease without hb_interval_seconds";
+  EXPECT_EQ(lease.error().code(), ErrorCode::kCorruptInput);
+  EXPECT_NE(std::string(lease.error().what()).find("hb_interval_seconds"),
+            std::string::npos)
+      << lease.error().what();
 
-  const auto old_hb = reencode<svc::HeartbeatMsg>(
+  const auto hb = svc::decode_heartbeat(parse(
       svc::kMsgHeartbeat,
       "{\"shard\":\"1/2\",\"attempt\":0,\"beat\":3,\"completed\":1,"
-      "\"total\":4}",
-      svc::decode_heartbeat);
-  EXPECT_EQ(old_hb.mono_us, 0u);
-  EXPECT_EQ(old_hb.events, 0u);
+      "\"total\":4}"));
+  ASSERT_FALSE(hb.ok()) << "a heartbeat without mono_us and events";
+  EXPECT_EQ(hb.error().code(), ErrorCode::kCorruptInput);
 }
 
 // The live per-shard telemetry sweep_top reads travels in fleet.status
@@ -678,11 +689,7 @@ TEST(Payload, FuzzEveryTruncationAndBitFlipIsAnExpectedError) {
   svc::LeaseMsg lease;
   lease.shard = "1/4";
   lease.attempt = 2;
-  lease.checkpoint_path = "d/s.snap";
-  lease.heartbeat_path = "d/s.hb";
-  lease.aggregates_path = "d/s.agg";
-  lease.result_path = "d/s.res";
-  lease.flight_path = "d/s.flight";
+  lease.hb_interval_seconds = 0.05;
   lease.chaos = "shard=1,phase=point:2,action=kill";
   fuzz_decoder(svc::kMsgLease, svc::encode_lease(lease), svc::decode_lease);
 
@@ -696,19 +703,14 @@ TEST(Payload, FuzzEveryTruncationAndBitFlipIsAnExpectedError) {
   fuzz_decoder(svc::kMsgHeartbeat, svc::encode_heartbeat(hb),
                svc::decode_heartbeat);
 
-  const svc::AggregatesMsg agg = sample_aggregates();
+  svc::AggregatesMsg agg = sample_aggregates();
+  agg.status = "completed";
+  agg.cause = "none";
+  agg.total = 3;
+  agg.info.bench = "fuzz";
+  agg.info.flags = {{"n", "4096"}};
   fuzz_decoder(svc::kMsgAggregates, svc::encode_aggregates(agg),
                svc::decode_aggregates);
-
-  svc::ResultMsg res;
-  res.shard = "1/4";
-  res.status = "completed";
-  res.total = 3;
-  res.completed = 3;
-  res.has_info = true;
-  res.info.bench = "fuzz";
-  res.aggregates = agg;
-  fuzz_decoder(svc::kMsgResult, svc::encode_result(res), svc::decode_result);
 
   svc::FleetStatusMsg fs;
   fs.shards = 2;
@@ -720,18 +722,22 @@ TEST(Payload, FuzzEveryTruncationAndBitFlipIsAnExpectedError) {
 
 // ------------------------------------------------- worker lease handling
 
-svc::LeaseMsg make_lease(const std::string& tag, const std::string& shard,
-                         std::uint64_t resume_points) {
+/// Writes attempt 1's lease for `shard` where attempt_files puts it, in
+/// `tag`'s own directory, and returns the attempt's files: the worker
+/// names the rest from the lease's directory.
+svc::AttemptFiles write_lease(const std::string& tag, const std::string& shard,
+                              std::uint64_t resume_points) {
+  const std::string dir = tmp_path(tag);
+  std::filesystem::create_directories(dir);
   svc::LeaseMsg lease;
   lease.shard = shard;
   lease.attempt = 1;
   lease.resume_points = resume_points;
-  lease.checkpoint_path = tmp_path(tag + ".snap");
-  lease.heartbeat_path = tmp_path(tag + ".hb");
-  lease.aggregates_path = tmp_path(tag + ".agg");
-  lease.result_path = tmp_path(tag + ".res");
   lease.hb_interval_seconds = 0.05;
-  return lease;
+  const svc::AttemptFiles files =
+      svc::attempt_files(dir, ShardSpec::parse(shard).index, lease.attempt);
+  svc::wire_write_file(files.lease, svc::kMsgLease, svc::encode_lease(lease));
+  return files;
 }
 
 std::vector<std::uint64_t> grid_keys() { return {10, 11, 12, 13, 14, 15}; }
@@ -745,30 +751,26 @@ resilience::SnapshotRecord record_for(std::uint64_t key) {
 }
 
 TEST(Worker, RefusesAForeignShardsCheckpoint) {
-  // Satellite 4: shard 1's worker handed shard 0's checkpoint (same
-  // grid!) must refuse with kConfig, not silently resume foreign points.
+  // Shard 1's worker finding shard 0's checkpoint (same grid!) must
+  // refuse with kConfig, not silently resume foreign points.
   const std::uint64_t base = resilience::sweep_id("svc_worker_test", {6});
+  const auto files = write_lease("shard1", "1/2", 1);
   const auto keys0 = ShardSpec{0, 2}.slice(grid_keys());
   std::vector<resilience::SnapshotRecord> recs;
   for (const auto k : keys0) recs.push_back(record_for(k));
   resilience::CheckpointWriter foreign(
-      tmp_path("foreign.snap"),
-      resilience::shard_sweep_id(base, ShardSpec{0, 2}));
+      files.checkpoint, resilience::shard_sweep_id(base, ShardSpec{0, 2}));
   foreign.flush(recs);
 
-  auto lease = make_lease("shard1", "1/2", 1);
-  lease.checkpoint_path = tmp_path("foreign.snap");
-  svc::wire_write_file(tmp_path("shard1.lease"), svc::kMsgLease,
-                       svc::encode_lease(lease));
-
   svc::WorkerContext worker;
-  worker.init(tmp_path("shard1.lease"));
+  worker.init(files.lease);
   ASSERT_TRUE(worker.active());
   auto keys = grid_keys();
   resilience::SweepOptions opt;
   obs::AttributionAggregate attribution;
   try {
-    (void)worker.prepare(base, keys, opt, &attribution, nullptr);
+    (void)worker.prepare(base, keys, opt, obs::RunInfo{}, &attribution,
+                         nullptr);
     FAIL() << "expected Error{kConfig}";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kConfig);
@@ -789,25 +791,23 @@ TEST(Worker, TruncatesCheckpointToTheBankedPrefix) {
   const std::uint64_t shard_id = resilience::shard_sweep_id(base, spec);
   std::vector<resilience::SnapshotRecord> recs;
   for (std::size_t i = 0; i < 2; ++i) recs.push_back(record_for(slice[i]));
-  const auto lease = make_lease("trunc", "1/2", 1);
-  resilience::CheckpointWriter writer(lease.checkpoint_path, shard_id);
+  const auto files = write_lease("trunc", "1/2", 1);
+  resilience::CheckpointWriter writer(files.checkpoint, shard_id);
   writer.flush(recs);
-  svc::wire_write_file(tmp_path("trunc.lease"), svc::kMsgLease,
-                       svc::encode_lease(lease));
 
   svc::WorkerContext worker;
-  worker.init(tmp_path("trunc.lease"));
+  worker.init(files.lease);
   auto keys = grid_keys();
   resilience::SweepOptions opt;
   obs::AttributionAggregate attribution;
-  const std::uint64_t id = worker.prepare(base, keys, opt, &attribution,
-                                          nullptr);
+  const std::uint64_t id = worker.prepare(base, keys, opt, obs::RunInfo{},
+                                          &attribution, nullptr);
   EXPECT_EQ(id, shard_id);
   EXPECT_EQ(keys, slice) << "prepare must slice the grid to the shard";
   EXPECT_EQ(opt.threads, 0u);
-  EXPECT_EQ(opt.resume_path, lease.checkpoint_path);
+  EXPECT_EQ(opt.resume_path, files.checkpoint);
 
-  const auto snap = resilience::Snapshot::load(lease.checkpoint_path);
+  const auto snap = resilience::Snapshot::load(files.checkpoint);
   ASSERT_TRUE(snap.ok());
   ASSERT_EQ(snap.value().records.size(), 1u)
       << "uncaptured tail record must be gone";
@@ -820,21 +820,20 @@ TEST(Worker, RejectsACheckpointShorterThanTheBankedPrefix) {
   const std::uint64_t base = resilience::sweep_id("svc_worker_test", {6});
   const ShardSpec spec{1, 2};
   const auto slice = spec.slice(grid_keys());
-  const auto lease = make_lease("short", "1/2", 2);
+  const auto files = write_lease("short", "1/2", 2);
   resilience::CheckpointWriter writer(
-      lease.checkpoint_path, resilience::shard_sweep_id(base, spec));
+      files.checkpoint, resilience::shard_sweep_id(base, spec));
   std::vector<resilience::SnapshotRecord> recs = {record_for(slice[0])};
   writer.flush(recs);
-  svc::wire_write_file(tmp_path("short.lease"), svc::kMsgLease,
-                       svc::encode_lease(lease));
 
   svc::WorkerContext worker;
-  worker.init(tmp_path("short.lease"));
+  worker.init(files.lease);
   auto keys = grid_keys();
   resilience::SweepOptions opt;
   obs::AttributionAggregate attribution;
   try {
-    (void)worker.prepare(base, keys, opt, &attribution, nullptr);
+    (void)worker.prepare(base, keys, opt, obs::RunInfo{}, &attribution,
+                         nullptr);
     FAIL() << "expected Error{kCorruptSnapshot}";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCorruptSnapshot);
@@ -847,7 +846,8 @@ TEST(Worker, InactiveContextIsAPassthrough) {
   auto keys = grid_keys();
   const auto before = keys;
   resilience::SweepOptions opt;
-  const std::uint64_t id = worker.prepare(42, keys, opt, nullptr, nullptr);
+  const std::uint64_t id =
+      worker.prepare(42, keys, opt, obs::RunInfo{}, nullptr, nullptr);
   EXPECT_EQ(id, 42u);
   EXPECT_EQ(keys, before);
 }

@@ -223,6 +223,24 @@ TEST(Table, CsvOutput) {
   EXPECT_EQ(os.str(), "x,y\n1,2\n");
 }
 
+// The labels that made bench --csv output shear: every one is quoted,
+// and each line still splits into the header's two fields.
+TEST(Table, CsvQuotesCellsWithCommas) {
+  util::Table t({"version (butterfly, link period 1)",
+                 "asymptotic max(g,d/x)"});
+  t.add_row("x=4, 1 port", "G(n, 2n)");
+  t.add_row("lossy, tight budget", "say \"hi\"");
+  std::ostringstream os;
+  t.print_csv(os);
+  EXPECT_EQ(os.str(),
+            "\"version (butterfly, link period 1)\","
+            "\"asymptotic max(g,d/x)\"\n"
+            "\"x=4, 1 port\",\"G(n, 2n)\"\n"
+            "\"lossy, tight budget\",\"say \"\"hi\"\"\"\n");
+  EXPECT_EQ(util::csv_escape("plain"), "plain");
+  EXPECT_EQ(util::csv_escape("two\nlines"), "\"two\nlines\"");
+}
+
 TEST(Table, RowWidthMismatchThrows) {
   util::Table t({"a", "b"});
   EXPECT_THROW(t.add_row(1), std::invalid_argument);

@@ -20,12 +20,16 @@
 //                         min(0.05, SEC/8) seconds
 //   --deadline=SEC        whole-fleet budget (default none)
 //   --max-strikes=N       no-progress failures before poisoning (default 3)
-//   --backoff=SEC         requeue backoff base, doubling per strike (0.1)
-//   --backoff-cap=SEC     backoff ceiling (default 2)
+//   --backoff=SEC         requeue backoff base, doubling per strike up to
+//                         20x itself (default 0.1)
 //   --chaos=SPEC          deterministic fault injection (svc/chaos.hpp)
 //   --report=PATH         merged JSON run report
 //   --report-csv=PATH     merged CSV run report
 //   --quiet               suppress per-lease progress lines
+//
+// Every file of an attempt (lease, heartbeat, aggregates, checkpoint,
+// flight ring, log) lives in --dir under the name svc::attempt_files
+// gives it; a worker's last aggregates message is its outcome.
 //
 // Fleet observability (docs/observability.md §fleet) is always on and
 // writes only into --dir: per-attempt flight rings, the live
@@ -66,7 +70,6 @@ int main(int argc, char** argv) {
     opt.deadline_seconds = cli.get_double("deadline", 0.0);
     opt.max_strikes = cli.get_uint("max-strikes", 3);
     opt.backoff_base_seconds = cli.get_double("backoff", 0.1);
-    opt.backoff_cap_seconds = cli.get_double("backoff-cap", 2.0);
     opt.chaos = cli.get("chaos", "");
     opt.report_path = cli.get("report", "");
     opt.report_csv_path = cli.get("report-csv", "");
