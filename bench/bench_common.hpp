@@ -72,17 +72,16 @@ inline std::optional<obs::EngineChoice> engine_from_cli(
 ///   --report=PATH        versioned JSON run report
 ///   --report-csv=PATH    the same report as CSV rows
 ///   --metrics=PATH       full metrics dump (includes host metrics)
-///   --drift-band=X       drift-detector relative-error band (default 0.25)
 ///   --engine=E           pin the execution engine (default: auto)
 /// Construct one per invocation (prints the banner), attach() every
 /// Machine the bench drives (one track per sweep point), and return
 /// through finish() so the files get written — also on the interrupted
 /// (exit 75) path, where a partial report is still useful.
 ///
-/// Cost attribution, drift detection and the engine-selection log are
-/// always on (deterministic and cheap); their aggregates land in the
-/// report's "attribution", "drift" and "selector" sections whenever
-/// --report/--report-csv is given.
+/// Cost attribution, drift detection (the paper's ±25% band) and the
+/// engine-selection log are always on (deterministic and cheap); their
+/// aggregates land in the report's "attribution", "drift" and
+/// "selector" sections whenever --report/--report-csv is given.
 class Obs {
  public:
   Obs(const util::Cli& cli, const std::string& id, const std::string& what)
@@ -90,7 +89,6 @@ class Obs {
         report_path_(cli.get("report", "")),
         report_csv_path_(cli.get("report-csv", "")),
         metrics_path_(cli.get("metrics", "")),
-        drift_(obs::DriftConfig{cli.get_double("drift-band", 0.25)}),
         engine_(engine_from_cli(cli)) {
     banner(id, what);
     info_.bench = id;

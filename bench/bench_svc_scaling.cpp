@@ -10,7 +10,7 @@
 // merge). This bench runs the SAME sharded sweep under the coordinator
 // at K = 1, 2, 4 workers, fits w from the K=1 run's per-shard elapsed
 // times and o from its residual, and checks the measured K>1 wall
-// clocks land within --band of the model's prediction — the coordinator
+// clocks land within a band of the model's prediction — the coordinator
 // is allowed protocol overhead, but not overhead that *grows* with
 // worker count (which would read as a fleet that cannot scale).
 //
@@ -18,10 +18,12 @@
 // shard of a uniform-scatter sweep (each point a pure function of its
 // key, like every SweepRunner grid).
 //
-// Wall-clock timing is host-dependent, so the model check only arms
-// when the K=1 fleet ran longer than --min-measure seconds (default
-// 0.2); below that, timing noise dominates and the bench reports the
-// table without gating. A violation exits 70 (internal invariant).
+// Wall-clock timing is host-dependent (a busy host alone can double a
+// ratio), so a band miss is printed under the table and gates — exit 70,
+// internal invariant — only when --band=X is given (the default band,
+// 0.5, is informational). The check only arms when the K=1 fleet ran
+// longer than --min-measure seconds (default 0.2); below that, timing
+// noise dominates and the bench reports the table without checking.
 
 #include <algorithm>
 #include <iostream>
@@ -81,6 +83,7 @@ int main(int argc, char** argv) {
 
     // Coordinator mode: the same fleet at increasing worker counts.
     const std::uint64_t shards = cli.get_uint("shards", 4);
+    const bool gate = cli.has("band");
     const double band = cli.get_double("band", 0.5);
     const double min_measure = cli.get_double("min-measure", 0.2);
     const std::string dir = cli.get("dir", "svc-scaling");
@@ -149,11 +152,15 @@ int main(int argc, char** argv) {
               << (armed ? "" : "  (below --min-measure: model check "
                                "disarmed, table informational)")
               << "\n";
-    if (violations > 0)
-      raise(ErrorCode::kInternal,
-            "svc_scaling: " + std::to_string(violations) +
-                " worker count(s) outside the BSF model band " +
-                std::to_string(band));
+    if (violations > 0) {
+      const std::string miss = "svc_scaling: " +
+                               std::to_string(violations) +
+                               " worker count(s) outside the BSF model "
+                               "band " + std::to_string(band);
+      if (gate) raise(ErrorCode::kInternal, miss);
+      std::cout << "BAND MISS: " << miss
+                << " (informational; --band=X gates it)\n";
+    }
     return obs.finish();
   });
 }

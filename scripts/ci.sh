@@ -48,7 +48,9 @@
 #    must attribute every cycle across all seven terms and stay
 #    byte-identical across --threads=1/4, a capacity=0 machine must
 #    produce byte-identical output to one with no cache configured at
-#    all, and the tier's state machinery reruns under the sanitizers.
+#    all, the deleted cache-policy/cache-mode keys must exit 64 as
+#    unknown keys, and the tier's state machinery reruns under the
+#    sanitizers.
 # 7. Streaming smoke (docs/streaming.md): the out-of-core pressure
 #    bench's budget sweep must stay byte-equivalent to its in-RAM
 #    baseline; the same workload must complete under `ulimit -v` at
@@ -378,6 +380,21 @@ echo "cache sweep report is byte-identical across --threads=1/4"
   > "$SMOKE/cache_zero.out"
 cmp "$SMOKE/cache_off.out" "$SMOKE/cache_zero.out"
 echo "cache capacity=0 output is byte-identical to cache-off"
+
+# Replacement is LRU with automatic fills: the deleted policy and mode
+# keys must be refused as unknown keys (exit 64), not silently ignored.
+for KNOB in cache-policy=fifo cache-mode=scratchpad; do
+  RC=0
+  ./build-ci/bench/bench_fig4_contention_sweep --n=4096 \
+    --machine="j90,cache=64,$KNOB" > /dev/null 2> "$SMOKE/cache_knob.err" \
+    || RC=$?
+  if [[ "$RC" != 64 ]]; then
+    echo "--machine=j90,cache=64,$KNOB: expected exit 64, got $RC" >&2
+    exit 1
+  fi
+  grep -q "unknown key '${KNOB%%=*}'" "$SMOKE/cache_knob.err"
+done
+echo "cache-policy and cache-mode are refused as unknown keys (64)"
 
 # The tier's tag/state machinery and the cached engine-equivalence
 # scenarios rerun under the sanitizers.

@@ -1,6 +1,5 @@
 #include "algos/collectives.hpp"
 
-#include "mem/contention.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 
@@ -59,7 +58,7 @@ std::vector<std::uint64_t> broadcast_replicated(Vm& vm, std::uint64_t value,
   if (stats != nullptr) {
     stats->rounds = rounds;
     stats->copies = copies;
-    stats->read_contention = mem::analyze_locations(addrs).max_contention;
+    stats->read_contention = vm.last_contention(n);
   }
   return out;
 }

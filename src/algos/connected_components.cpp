@@ -102,8 +102,7 @@ std::vector<std::uint32_t> connected_components(Vm& vm,
       }
       vm.bulk(addrs, "cc-hook-scatter");
     }
-    if (stats != nullptr)
-      it.hook_contention = mem::analyze_locations(hook_idx).max_contention;
+    it.hook_contention = vm.last_contention(hook_idx.size());
 
     // (3) Shortcut: pointer jumping until the forest is flat again, or
     // just one round in the single-shortcut variant.
@@ -230,8 +229,7 @@ std::vector<std::uint32_t> connected_components_random_mate(
     ev.swap(nv);
     if (!hook_idx.empty()) {
       vm.scatter(parent, hook_idx, hook_val, "rm-hook-scatter");
-      if (stats != nullptr)
-        it.hook_contention = mem::analyze_locations(hook_idx).max_contention;
+      it.hook_contention = vm.last_contention(hook_idx.size());
 
       // Tails' children are now depth 2; one jump flattens the forest.
       std::vector<std::uint64_t> gp;

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "mem/contention.hpp"
 #include "util/bits.hpp"
 #include "workload/patterns.hpp"
 
@@ -45,8 +44,7 @@ std::vector<std::uint64_t> list_rank(Vm& vm,
 
     if (stats != nullptr) {
       ListRankRound r;
-      r.gather_contention =
-          mem::analyze_locations(nxt.data).max_contention;
+      r.gather_contention = vm.last_contention(n);
       for (std::uint64_t i = 0; i < n; ++i) r.active += (nxt.data[i] != i);
       stats->rounds.push_back(r);
     }

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "mem/contention.hpp"
 #include "mem/hash.hpp"
 #include "util/rng.hpp"
 
@@ -73,6 +72,7 @@ ParallelHashTable::ParallelHashTable(Vm& vm,
 
     // Read-back: winners see their own id.
     vm.bulk(addrs, "hash-probe-readback");
+    const std::uint64_t probe_contention = vm.last_contention(addrs.size());
     std::vector<std::uint64_t> next_live;
     std::uint64_t placed = 0;
     for (std::size_t i = 0; i < live.size(); ++i) {
@@ -88,7 +88,7 @@ ParallelHashTable::ParallelHashTable(Vm& vm,
       HashBuildRound r;
       r.live = live.size();
       r.placed = placed;
-      r.max_probe_contention = mem::analyze_locations(cells).max_contention;
+      r.max_probe_contention = probe_contention;
       stats->rounds.push_back(r);
     }
     live.swap(next_live);

@@ -6,7 +6,6 @@
 
 #include "algos/radix_sort.hpp"
 #include "algos/scan.hpp"
-#include "mem/contention.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 
@@ -31,7 +30,7 @@ std::vector<std::uint64_t> random_permutation_qrqw(Vm& vm, std::uint64_t n,
   std::vector<std::uint64_t> live(n);
   for (std::uint64_t i = 0; i < n; ++i) live[i] = i;
 
-  std::vector<std::uint64_t> targets, readback;
+  std::vector<std::uint64_t> targets;
   while (!live.empty()) {
     // Draw targets (vectorized RNG: ~6 ops/element on the machine).
     targets.resize(live.size());
@@ -61,6 +60,7 @@ std::vector<std::uint64_t> random_permutation_qrqw(Vm& vm, std::uint64_t n,
         addrs[i] = table.region.addr(targets[i]);
       vm.bulk(addrs, "perm-darts-readback");
     }
+    const std::uint64_t round_contention = vm.last_contention(targets.size());
 
     std::vector<std::uint64_t> next_live;
     std::uint64_t winners = 0;
@@ -79,7 +79,7 @@ std::vector<std::uint64_t> random_permutation_qrqw(Vm& vm, std::uint64_t n,
       DartRound r;
       r.live = live.size();
       r.winners = winners;
-      r.max_contention = mem::analyze_locations(targets).max_contention;
+      r.max_contention = round_contention;
       stats->rounds.push_back(r);
       stats->total_darts += live.size();
     }

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "algos/primitives.hpp"
-#include "mem/contention.hpp"
 
 namespace dxbsp::algos {
 
@@ -27,6 +26,7 @@ std::vector<double> spmv(Vm& vm, const workload::CsrMatrix& a,
   // (1) Gather x[col] for every nonzero — the contention-carrying step.
   std::vector<double> xc;
   vm.gather(xc, xv, a.col_idx, "spmv-gather-x");
+  const std::uint64_t gather_contention = vm.last_contention(nnz);
 
   // (2) Elementwise multiply (stream read of values, write of products).
   for (std::uint64_t i = 0; i < nnz; ++i)
@@ -43,8 +43,7 @@ std::vector<double> spmv(Vm& vm, const workload::CsrMatrix& a,
 
   if (stats != nullptr) {
     stats->nnz = nnz;
-    stats->gather_contention =
-        mem::analyze_locations(a.col_idx).max_contention;
+    stats->gather_contention = gather_contention;
   }
   return y;
 }

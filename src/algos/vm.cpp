@@ -56,7 +56,7 @@ std::uint64_t Vm::proc_of(std::uint64_t i, std::uint64_t n) const noexcept {
 void Vm::account(std::span<const std::uint64_t> addrs,
                  const std::string& label, double streams) {
   if (addrs.empty()) return;
-  if (streams < 0.0) streams = options_.aux_streams;
+  if (streams < 0.0) streams = kAuxStreams;
   if (trace_hook_) trace_hook_(label, addrs);
   // A simulated op returns its own access profile; only the model-only
   // mode maps and counts the addresses for the prediction.

@@ -52,13 +52,13 @@ struct VArray {
   const T& operator[](std::uint64_t i) const { return data[i]; }
 };
 
+/// Extra contiguous word streams charged per element of an irregular op
+/// (index read + result write). They run at the processor gap and only
+/// matter when the irregular access is not the bottleneck.
+inline constexpr double kAuxStreams = 2.0;
+
 /// Options controlling Vm cost accounting.
 struct VmOptions {
-  /// Extra contiguous word streams charged per element of an irregular
-  /// op (index read + result write). They run at the processor gap and
-  /// only matter when the irregular access is not the bottleneck.
-  double aux_streams = 2.0;
-
   /// When false, skip the cycle-level simulation of every irregular op
   /// and use the mapped (d,x)-BSP prediction as the "sim" cycles — the
   /// model-only mode for very large sweeps. Validated against full
@@ -122,8 +122,8 @@ class Vm {
 
   /// Accounts an arbitrary address trace (for custom primitives).
   /// `streams` overrides the number of auxiliary contiguous word streams
-  /// charged alongside the irregular access (default: options.aux_streams,
-  /// the generic "read index vector, write result vector" case). Pass a
+  /// charged alongside the irregular access (default: kAuxStreams, the
+  /// generic "read index vector, write result vector" case). Pass a
   /// smaller value for register-resident loops — e.g. a tree-descent
   /// gather whose index and result never leave vector registers.
   void bulk(std::span<const std::uint64_t> addrs, const std::string& label,
@@ -137,6 +137,13 @@ class Vm {
   [[nodiscard]] core::CostLedger& ledger() noexcept { return ledger_; }
   [[nodiscard]] std::uint64_t cycles() const noexcept {
     return ledger_.total_sim();
+  }
+  /// Hottest-location multiplicity of the irregular op just run over
+  /// `n` requests, read from the ledger entry it recorded instead of
+  /// recounting its addresses (an op over no requests records no entry
+  /// and reads 0). Call it before the next op records another entry.
+  [[nodiscard]] std::uint64_t last_contention(std::uint64_t n) const noexcept {
+    return n == 0 ? 0 : ledger_.entries().back().max_contention;
   }
   [[nodiscard]] const sim::MachineConfig& config() const noexcept {
     return machine_.config();

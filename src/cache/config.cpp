@@ -7,30 +7,6 @@
 
 namespace dxbsp::cache {
 
-const char* policy_name(Policy p) noexcept {
-  switch (p) {
-    case Policy::kLru: return "lru";
-    case Policy::kFifo: return "fifo";
-  }
-  return "?";
-}
-
-const char* write_policy_name(WritePolicy w) noexcept {
-  switch (w) {
-    case WritePolicy::kThrough: return "through";
-    case WritePolicy::kBack: return "back";
-  }
-  return "?";
-}
-
-const char* mode_name(Mode m) noexcept {
-  switch (m) {
-    case Mode::kCache: return "cache";
-    case Mode::kScratchpad: return "scratchpad";
-  }
-  return "?";
-}
-
 void CacheConfig::validate() const {
   // Zero periods/sizes are rejected even with the tier disabled — the
   // same "always a configuration error" rule MachineConfig applies to
@@ -45,10 +21,6 @@ void CacheConfig::validate() const {
     if (write == WritePolicy::kBack)
       raise(ErrorCode::kConfig,
             "MachineConfig: cache-write=back requires cache capacity >= 1");
-    if (mode == Mode::kScratchpad)
-      raise(ErrorCode::kConfig,
-            "MachineConfig: cache-mode=scratchpad requires cache capacity "
-            ">= 1");
     return;
   }
   if (!util::is_pow2(capacity))

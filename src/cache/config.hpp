@@ -9,8 +9,7 @@
 // completes locally at `hit_latency` cycles and never enters the
 // network/bank pipeline, while misses (and, under write-back, dirty
 // evictions) generate the bank traffic the contention machinery already
-// models. In red-blue pebbling terms (arXiv:2409.03898) a hit is a red
-// access, a miss a blue one.
+// models. Replacement is LRU with automatic fills.
 //
 // This header is deliberately free of sim/ dependencies: cache/ is a
 // layer *under* the machine, included by MachineConfig.
@@ -19,24 +18,11 @@
 
 namespace dxbsp::cache {
 
-/// Replacement order within a set. kLru promotes on every hit; kFifo
-/// evicts in fill order regardless of reuse.
-enum class Policy : std::uint8_t { kLru, kFifo };
-
 /// What a store does to the memory system. kThrough forwards every
 /// write to the home bank (hits still complete locally, but the bank
 /// sees the traffic); kBack dirties the cached line and writes it to
 /// its bank only on eviction.
 enum class WritePolicy : std::uint8_t { kThrough, kBack };
-
-/// kCache replaces lines automatically; kScratchpad holds exactly the
-/// manually pinned lines (red-blue-style placement, Machine::
-/// pin_scratchpad) and never fills or evicts on its own.
-enum class Mode : std::uint8_t { kCache, kScratchpad };
-
-[[nodiscard]] const char* policy_name(Policy p) noexcept;
-[[nodiscard]] const char* write_policy_name(WritePolicy w) noexcept;
-[[nodiscard]] const char* mode_name(Mode m) noexcept;
 
 /// Per-processor cache tier parameters (capacity 0 disables the tier
 /// entirely: the machine is then bit-identical to the flat model).
@@ -47,9 +33,7 @@ struct CacheConfig {
   /// 1 = direct-mapped. Must be a power of two dividing `capacity`.
   std::uint64_t assoc = 0;
   std::uint64_t hit_latency = 2;  ///< cycles to complete a hit locally
-  Policy policy = Policy::kLru;
   WritePolicy write = WritePolicy::kThrough;
-  Mode mode = Mode::kCache;
 
   [[nodiscard]] bool enabled() const noexcept { return capacity != 0; }
   [[nodiscard]] std::uint64_t ways() const noexcept {

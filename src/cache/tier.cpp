@@ -1,7 +1,6 @@
 #include "cache/tier.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "resilience/error.hpp"
 
@@ -24,20 +23,6 @@ CacheTier::CacheTier(const CacheConfig& cfg, std::uint64_t processors)
 
 CacheTier::Access CacheTier::access(std::uint64_t proc, std::uint64_t addr) {
   const std::uint64_t line = cfg_.line_of(addr);
-
-  if (cfg_.mode == Mode::kScratchpad) {
-    // Pure membership: placement decided the contents up front.
-    const bool hit =
-        std::binary_search(pinned_.begin(), pinned_.end(), line);
-    if (hit) {
-      ++hits_;
-    } else {
-      ++misses_;
-      ++proc_misses_[proc];
-    }
-    return Access{hit, false, 0};
-  }
-
   const std::uint64_t set = line & (sets_ - 1);
   const std::size_t base =
       static_cast<std::size_t>((proc * sets_ + set) * ways_);
@@ -48,16 +33,14 @@ CacheTier::Access CacheTier::access(std::uint64_t proc, std::uint64_t addr) {
     if (tags[w] != line) continue;
     ++hits_;
     // Store-stream semantics: a write-back hit dirties the line.
-    std::uint8_t d = dirty[w];
-    if (cfg_.write == WritePolicy::kBack) d = 1;
-    if (cfg_.policy == Policy::kLru && w != 0) {
+    const std::uint8_t d = cfg_.write == WritePolicy::kBack ? 1 : dirty[w];
+    if (w != 0) {
       // Promote to most-recent: shift [0, w) down one way.
       std::copy_backward(tags, tags + w, tags + w + 1);
       std::copy_backward(dirty, dirty + w, dirty + w + 1);
       tags[0] = line;
     }
-    // The promoted (or in-place) slot carries the updated dirty bit.
-    dirty[cfg_.policy == Policy::kLru ? 0 : w] = d;
+    dirty[0] = d;
     return Access{true, false, 0};
   }
 
@@ -73,18 +56,6 @@ CacheTier::Access CacheTier::access(std::uint64_t proc, std::uint64_t addr) {
   tags[0] = line;
   dirty[0] = cfg_.write == WritePolicy::kBack ? 1 : 0;
   return Access{false, writeback, victim * cfg_.line_words};
-}
-
-void CacheTier::pin(std::span<const std::uint64_t> line_ids) {
-  std::vector<std::uint64_t> lines(line_ids.begin(), line_ids.end());
-  std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-  if (lines.size() > cfg_.capacity)
-    raise(ErrorCode::kConfig,
-          "CacheTier::pin: scratchpad placement of " +
-              std::to_string(lines.size()) + " lines exceeds cache capacity " +
-              std::to_string(cfg_.capacity));
-  pinned_ = std::move(lines);
 }
 
 void CacheTier::reset() {

@@ -16,7 +16,6 @@
 // kReference (tests/engine_equivalence_test.cpp).
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cache/config.hpp"
@@ -39,23 +38,13 @@ class CacheTier {
     std::uint64_t victim_addr = 0;
   };
 
-  /// Looks up — and, in kCache mode, fills — the line of `addr` in
-  /// processor `proc`'s cache. Called once per fresh issue (retries of
-  /// a NACKed request never re-touch the tier).
+  /// Looks up — and on a miss fills — the line of `addr` in processor
+  /// `proc`'s cache. Called once per fresh issue (retries of a NACKed
+  /// request never re-touch the tier).
   Access access(std::uint64_t proc, std::uint64_t addr);
 
-  /// Scratchpad placement: the pinned line ids become the tier's
-  /// contents (membership is the hit test; no fills, no evictions).
-  /// Replaces any previous pin set; duplicates are collapsed. Throws
-  /// Error{kConfig} if the deduplicated set exceeds `capacity`.
-  /// Pins survive reset() — placement is configuration, not state.
-  void pin(std::span<const std::uint64_t> line_ids);
-  [[nodiscard]] const std::vector<std::uint64_t>& pinned() const noexcept {
-    return pinned_;
-  }
-
   /// Cold-starts the tags and zeroes the per-op counters (bulk
-  /// operations are independent; pins persist).
+  /// operations are independent).
   void reset();
 
   // Per-op counters, reset() to zero.
@@ -78,11 +67,10 @@ class CacheTier {
   std::uint64_t processors_;
   std::uint64_t sets_;
   std::uint64_t ways_;
-  // Way 0 is the most-recent (LRU) / newest (FIFO) slot of its set;
-  // evictions take the last way. Flattened [proc][set][way].
+  // Way 0 is the most-recent slot of its set; evictions take the last
+  // way. Flattened [proc][set][way].
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint8_t> dirty_;
-  std::vector<std::uint64_t> pinned_;  // sorted, deduplicated line ids
   std::vector<std::uint64_t> proc_misses_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

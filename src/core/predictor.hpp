@@ -27,11 +27,6 @@ struct Prediction {
   std::uint64_t dxbsp_mapped = 0;  ///< 0 when no mapping was supplied
   AccessProfile profile;
 
-  [[nodiscard]] double dxbsp_best() const noexcept {
-    return static_cast<double>(dxbsp_mapped != 0 ? dxbsp_mapped
-                                                 : dxbsp_location);
-  }
-
   friend bool operator==(const Prediction&, const Prediction&) = default;
 };
 

@@ -48,21 +48,6 @@ double to_unit(std::uint64_t h) {
 
 }  // namespace
 
-const char* disk_fault_name(DiskFault f) noexcept {
-  switch (f) {
-    case DiskFault::kNone:
-      return "none";
-    case DiskFault::kSlow:
-      return "slow";
-    case DiskFault::kShortWrite:
-      return "short_write";
-    case DiskFault::kEnospc:
-      return "enospc";
-    case DiskFault::kCorrupt:
-      return "corrupt";
-  }
-  return "?";
-}
 
 void FaultConfig::validate() const {
   if (slow_fraction < 0.0 || slow_fraction > 1.0)

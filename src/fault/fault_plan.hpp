@@ -60,8 +60,6 @@ enum class DiskFault : std::uint8_t {
   kCorrupt,     ///< every chunk's payload is bit-flipped after the CRC
 };
 
-[[nodiscard]] const char* disk_fault_name(DiskFault f) noexcept;
-
 /// Scenario description; FaultPlan draws the affected banks from it.
 struct FaultConfig {
   std::uint64_t seed = 1;
@@ -85,11 +83,6 @@ struct FaultConfig {
   /// included: they live on the spill path, not the simulated machine.
   [[nodiscard]] bool any() const noexcept {
     return slow_fraction > 0.0 || dead_fraction > 0.0 || drop_rate > 0.0;
-  }
-
-  /// True iff the config injects a spill-device fault.
-  [[nodiscard]] bool disk_any() const noexcept {
-    return disk != DiskFault::kNone;
   }
 
   /// Throws Error{kConfig} if any parameter is out of range.

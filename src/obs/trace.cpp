@@ -88,13 +88,6 @@ std::uint64_t Tracer::total_recorded() const {
   return total;
 }
 
-std::uint64_t Tracer::total_dropped() const {
-  std::lock_guard lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& [id, ring] : tracks_) total += ring->dropped();
-  return total;
-}
-
 std::uint64_t Tracer::total_count(TraceKind k) const {
   std::lock_guard lock(mu_);
   std::uint64_t total = 0;

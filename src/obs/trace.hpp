@@ -117,7 +117,6 @@ class Tracer {
   [[nodiscard]] const TraceRing* find(std::uint64_t track_id) const;
 
   [[nodiscard]] std::uint64_t total_recorded() const;
-  [[nodiscard]] std::uint64_t total_dropped() const;
   /// Sum of count(k) over all tracks.
   [[nodiscard]] std::uint64_t total_count(TraceKind k) const;
 

@@ -1,8 +1,6 @@
 #include "resilience/cancel.hpp"
 
-#include <algorithm>
 #include <csignal>
-#include <limits>
 
 namespace dxbsp::resilience {
 
@@ -27,12 +25,6 @@ Deadline::Deadline(double seconds) {
 
 bool Deadline::expired() const noexcept {
   return active_ && std::chrono::steady_clock::now() >= at_;
-}
-
-double Deadline::remaining_seconds() const noexcept {
-  if (!active_) return std::numeric_limits<double>::infinity();
-  const auto left = at_ - std::chrono::steady_clock::now();
-  return std::max(0.0, std::chrono::duration<double>(left).count());
 }
 
 namespace {

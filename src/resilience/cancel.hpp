@@ -46,8 +46,6 @@ class Deadline {
 
   [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] bool expired() const noexcept;
-  /// Seconds left (0 when expired; +inf when inactive).
-  [[nodiscard]] double remaining_seconds() const noexcept;
 
  private:
   bool active_ = false;

@@ -232,13 +232,6 @@ Machine::Machine(MachineConfig config,
                                                config_.processors);
 }
 
-void Machine::pin_scratchpad(std::span<const std::uint64_t> line_ids) {
-  if (tier_ == nullptr || config_.cache.mode != cache::Mode::kScratchpad)
-    raise(ErrorCode::kConfig,
-          "Machine::pin_scratchpad: cache tier is not in scratchpad mode");
-  tier_->pin(line_ids);
-}
-
 void Machine::line_writeback(std::uint64_t addr, std::uint64_t depart,
                              std::uint64_t proc, bool whole_line,
                              BulkResult& res) {
@@ -541,8 +534,7 @@ std::uint64_t Machine::run_reference(std::span<const std::uint64_t> ids,
   cache::CacheTier* const tier = ids_are_banks ? nullptr : tier_.get();
   const std::uint64_t hit_latency = config_.cache.hit_latency;
   const bool write_through =
-      config_.cache.write == cache::WritePolicy::kThrough &&
-      config_.cache.mode == cache::Mode::kCache;
+      config_.cache.write == cache::WritePolicy::kThrough;
 
   std::vector<ProcState> procs(p);
   std::priority_queue<Event, std::vector<Event>, std::greater<>> heap;
@@ -771,8 +763,7 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
   cache::CacheTier* const tier = ids_are_banks ? nullptr : tier_.get();
   const std::uint64_t hit_latency = config_.cache.hit_latency;
   const bool write_through =
-      config_.cache.write == cache::WritePolicy::kThrough &&
-      config_.cache.mode == cache::Mode::kCache;
+      config_.cache.write == cache::WritePolicy::kThrough;
 
   auto& procs = st.arena.vec<ProcFlat>();
   procs.assign(p, ProcFlat{});

@@ -134,10 +134,6 @@ class Machine {
   [[nodiscard]] const mem::BankMapping& mapping() const noexcept {
     return *mapping_;
   }
-  [[nodiscard]] std::shared_ptr<const mem::BankMapping> mapping_ptr()
-      const noexcept {
-    return mapping_;
-  }
 
   /// Per-request timing record of one bulk operation (scatter_detailed).
   /// All vectors have one entry per request, in element order.
@@ -231,15 +227,6 @@ class Machine {
     drift_track_ = track;
     superstep_seq_ = 0;
   }
-
-  /// Scratchpad placement (cache-mode=scratchpad, docs/cache.md): the
-  /// given line ids (word address / cache-line words) become the pinned
-  /// contents of every processor's local store — red-blue-style manual
-  /// placement, typically from cache::hot_lines. Replaces the previous
-  /// pin set; persists across bulk operations. Error{kConfig} unless
-  /// the machine's cache tier is in scratchpad mode, or if the set
-  /// exceeds its capacity.
-  void pin_scratchpad(std::span<const std::uint64_t> line_ids);
 
   /// Attaches a fault plan: subsequent bulk operations run fault-aware
   /// (slow banks, failover off dead banks, NACK/retry). The plan must be

@@ -174,15 +174,6 @@ MachineConfig MachineConfig::parse(const std::string& spec) {
       cfg.cache.assoc = as_int();
     } else if (key == "cache-latency") {
       cfg.cache.hit_latency = as_int();
-    } else if (key == "cache-policy") {
-      if (value == "lru") {
-        cfg.cache.policy = cache::Policy::kLru;
-      } else if (value == "fifo") {
-        cfg.cache.policy = cache::Policy::kFifo;
-      } else {
-        raise(ErrorCode::kParse,
-            "MachineConfig::parse: cache-policy must be lru or fifo");
-      }
     } else if (key == "cache-write") {
       if (value == "through") {
         cfg.cache.write = cache::WritePolicy::kThrough;
@@ -191,15 +182,6 @@ MachineConfig MachineConfig::parse(const std::string& spec) {
       } else {
         raise(ErrorCode::kParse,
             "MachineConfig::parse: cache-write must be through or back");
-      }
-    } else if (key == "cache-mode") {
-      if (value == "cache") {
-        cfg.cache.mode = cache::Mode::kCache;
-      } else if (value == "scratchpad") {
-        cfg.cache.mode = cache::Mode::kScratchpad;
-      } else {
-        raise(ErrorCode::kParse,
-            "MachineConfig::parse: cache-mode must be cache or scratchpad");
       }
     } else if (key == "combine") {
       cfg.combine_requests = (value != "0" && value != "false");

@@ -117,10 +117,9 @@ struct MachineConfig {
   /// sections, section-period, ports, cache-lines, line-words,
   /// cached-delay, combine (0/1), dist (block|cyclic), and the
   /// processor-cache tier knobs cache (capacity in lines), cache-line
-  /// (words), cache-assoc (0 = fully associative), cache-policy
-  /// (lru|fifo), cache-write (through|back), cache-mode
-  /// (cache|scratchpad), cache-latency. Throws std::invalid_argument on
-  /// unknown keys or presets; the result is validate()d.
+  /// (words), cache-assoc (0 = fully associative), cache-write
+  /// (through|back), cache-latency. Throws Error{kParse} on unknown
+  /// keys or presets; the result is validate()d.
   [[nodiscard]] static MachineConfig parse(const std::string& spec);
 };
 

@@ -170,10 +170,8 @@ void SpillStore::write(std::uint64_t partition, std::uint64_t chunk,
   std::string last_error;
 
   for (std::uint64_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      ++write_retries_used_;
+    if (attempt > 0)
       obs::MetricsRegistry::global().counter("spill.write_retries").add(1);
-    }
     if (opt_.cancel != nullptr)
       opt_.cancel->raise_if_expired("spill write");
 
@@ -250,7 +248,6 @@ Expected<std::vector<std::uint64_t>> SpillStore::read(
                              "-c" + std::to_string(c.chunk) +
                              " found under p" + std::to_string(partition) +
                              "-c" + std::to_string(chunk));
-  ++chunks_read_;
   obs::MetricsRegistry::global().counter("spill.chunks_read").add(1);
   return std::move(parsed).value().data;
 }

@@ -105,12 +105,6 @@ class SpillStore {
   [[nodiscard]] std::uint64_t bytes_written() const noexcept {
     return bytes_written_;
   }
-  [[nodiscard]] std::uint64_t chunks_read() const noexcept {
-    return chunks_read_;
-  }
-  [[nodiscard]] std::uint64_t write_retries_used() const noexcept {
-    return write_retries_used_;
-  }
   [[nodiscard]] std::uint64_t orphans_cleaned() const noexcept {
     return orphans_cleaned_;
   }
@@ -132,8 +126,6 @@ class SpillStore {
   std::uint64_t write_seq_ = 0;  ///< 1-based ordinal of write() calls
   std::uint64_t chunks_written_ = 0;
   std::uint64_t bytes_written_ = 0;
-  mutable std::uint64_t chunks_read_ = 0;  ///< bumped by const read()
-  std::uint64_t write_retries_used_ = 0;
   std::uint64_t orphans_cleaned_ = 0;
 };
 

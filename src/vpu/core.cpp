@@ -36,11 +36,6 @@ std::string Instr::to_string() const {
   return s;
 }
 
-bool is_memory_op(Opcode op) {
-  return op == Opcode::kVLoad || op == Opcode::kVStore ||
-         op == Opcode::kVLoadIdx || op == Opcode::kVStoreIdx;
-}
-
 Core::Core(sim::MachineConfig config, std::uint64_t memory_words)
     : config_(std::move(config)),
       mapping_(config_.banks()),

@@ -63,7 +63,4 @@ struct Instr {
 /// A straight-line vector program (one loop body).
 using Program = std::vector<Instr>;
 
-/// True iff the opcode touches memory.
-[[nodiscard]] bool is_memory_op(Opcode op);
-
 }  // namespace dxbsp::vpu

@@ -6,16 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
+#include <string>
 
 #include "algos/binary_search.hpp"
+#include "algos/collectives.hpp"
 #include "algos/connected_components.hpp"
+#include "algos/list_ranking.hpp"
+#include "algos/parallel_hashing.hpp"
 #include "algos/primitives.hpp"
 #include "algos/radix_sort.hpp"
 #include "algos/random_permutation.hpp"
 #include "algos/scan.hpp"
 #include "algos/spmv.hpp"
 #include "algos/vm.hpp"
+#include "mem/contention.hpp"
 #include "util/rng.hpp"
 #include "workload/graphs.hpp"
 #include "workload/patterns.hpp"
@@ -94,7 +100,7 @@ TEST(Vm, ModelOnlyModeTracksSimulation) {
   const auto cfg = sim::MachineConfig::cray_j90();
   const auto idx = workload::k_hot(20000, 500, 20000, 5);
   auto run = [&](bool simulate) {
-    algos::Vm vm(cfg, nullptr, algos::VmOptions{2.0, simulate});
+    algos::Vm vm(cfg, nullptr, algos::VmOptions{simulate});
     auto dest = vm.make_array<std::uint64_t>(20000);
     const std::vector<std::uint64_t> vals(idx.size(), 1);
     vm.scatter(dest, idx, vals, "s");
@@ -104,6 +110,99 @@ TEST(Vm, ModelOnlyModeTracksSimulation) {
   const double model = static_cast<double>(run(false));
   EXPECT_GT(model / full, 0.9);
   EXPECT_LT(model / full, 1.1);
+}
+
+TEST(Vm, StatsContentionEqualsAnalyzeLocationsOfTheOp) {
+  // Every per-op contention stat reads the op's own ledger entry; hold
+  // each to mem::analyze_locations over the addresses that op issued
+  // (recorded through the trace hook), simulated and model-only.
+  for (const bool simulate : {true, false}) {
+    SCOPED_TRACE(simulate ? "simulate" : "model-only");
+    std::map<std::string, std::vector<std::uint64_t>> k;
+    const auto cfg = sim::MachineConfig::test_machine();
+    const algos::VmOptions opts{simulate};
+    auto log_ops = [&k](algos::Vm& vm) {
+      vm.set_trace_hook([&k](const std::string& label,
+                             std::span<const std::uint64_t> addrs) {
+        k[label].push_back(mem::analyze_locations(addrs).max_contention);
+      });
+    };
+    // Hook contention of the iterations that hooked, in order.
+    auto hooked = [](const algos::CcStats& st) {
+      std::vector<std::uint64_t> out;
+      for (const auto& it : st.iterations)
+        if (it.hooks > 0) out.push_back(it.hook_contention);
+      return out;
+    };
+
+    {
+      algos::Vm vm(cfg, nullptr, opts);
+      log_ops(vm);
+      const auto a = workload::dense_column_csr(200, 300, 6, 100, 21);
+      algos::SpmvStats st;
+      (void)algos::spmv(vm, a, std::vector<double>(300, 1.0), &st);
+      ASSERT_EQ(k["spmv-gather-x"].size(), 1u);
+      EXPECT_EQ(st.gather_contention, k["spmv-gather-x"][0]);
+      EXPECT_GE(st.gather_contention, 100u);  // the dense column
+    }
+    {
+      algos::Vm vm(cfg, nullptr, opts);
+      log_ops(vm);
+      algos::ListRankStats st;
+      (void)algos::list_rank(vm, algos::random_list(4096, 5), &st);
+      std::vector<std::uint64_t> got;
+      for (const auto& r : st.rounds) got.push_back(r.gather_contention);
+      EXPECT_EQ(got, k["rank-gather-next"]);
+    }
+    {
+      algos::Vm vm(cfg, nullptr, opts);
+      log_ops(vm);
+      algos::DartStats st;
+      (void)algos::random_permutation_qrqw(vm, 4096, 77, 2.0, &st);
+      std::vector<std::uint64_t> got;
+      for (const auto& r : st.rounds) got.push_back(r.max_contention);
+      EXPECT_EQ(got, k["perm-darts-readback"]);
+    }
+    {
+      algos::Vm vm(cfg, nullptr, opts);
+      log_ops(vm);
+      algos::BroadcastStats st;
+      (void)algos::broadcast_replicated(vm, 7, 500, 9, 4, &st);
+      ASSERT_EQ(k["bcast-replicated-read"].size(), 1u);
+      EXPECT_EQ(st.read_contention, k["bcast-replicated-read"][0]);
+    }
+    {
+      algos::Vm vm(cfg, nullptr, opts);
+      log_ops(vm);
+      const auto keys = workload::distinct_random(3000, 1ULL << 40, 3003);
+      algos::HashBuildStats st;
+      const algos::ParallelHashTable table(vm, keys, 4000, 17, &st);
+      std::vector<std::uint64_t> got;
+      for (const auto& r : st.rounds) got.push_back(r.max_probe_contention);
+      EXPECT_EQ(got, k["hash-probe-readback"]);
+    }
+    const auto g = workload::random_gnm(2000, 4000, 44);
+    {
+      algos::Vm vm(cfg, nullptr, opts);
+      log_ops(vm);
+      algos::CcStats st;
+      (void)algos::connected_components(vm, g, &st);
+      EXPECT_EQ(hooked(st), k["cc-hook-scatter"]);
+    }
+    {
+      algos::Vm vm(cfg, nullptr, opts);
+      log_ops(vm);
+      algos::CcStats st;
+      (void)algos::connected_components_random_mate(vm, g, 7, &st);
+      EXPECT_EQ(hooked(st), k["rm-hook-scatter"]);
+      for (const auto& it : st.iterations) {
+        if (it.hooks == 0) {
+          EXPECT_EQ(it.hook_contention, 0u);
+        }
+      }
+    }
+    for (const auto& [label, ks] : k) EXPECT_FALSE(ks.empty()) << label;
+  }
 }
 
 TEST(Vm, ProcOfCoversAllProcessors) {

@@ -1,6 +1,6 @@
 // The per-processor cache tier (src/cache/, docs/cache.md): config
-// validation and parsing, deterministic tag-state semantics per policy,
-// scratchpad placement, machine integration (capacity 0 must be
+// validation and parsing, deterministic LRU tag-state semantics per
+// write policy, machine integration (capacity 0 must be
 // bit-identical to no cache at all; with caching on, the seven-term
 // attribution identity must hold exactly), the hit-ratio-corrected
 // predictor, and the drift-band interplay — an uncorrected flat
@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "cache/config.hpp"
-#include "cache/placement.hpp"
 #include "cache/tier.hpp"
 #include "core/cost.hpp"
 #include "obs/drift.hpp"
@@ -42,29 +45,39 @@ void expect_config_error(const std::string& spec, const std::string& needle) {
   }
 }
 
+// A key the parser does not know is a kParse error that names it.
+void expect_unknown_key(const std::string& spec, const std::string& key) {
+  try {
+    (void)sim::MachineConfig::parse(spec);
+    FAIL() << "accepted '" << spec << "'";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kParse) << spec << ": " << e.what();
+    EXPECT_NE(std::string(e.what()).find("unknown key '" + key + "'"),
+              std::string::npos)
+        << spec << " raised '" << e.what() << "'";
+  }
+}
+
 TEST(CacheConfig, ValidationNamesTheOffendingKnob) {
   expect_config_error("test,cache=8,cache-line=0", "cache-line");
   expect_config_error("test,cache=12", "power of two");
   expect_config_error("test,cache=8,cache-assoc=16", "cache-assoc");
   expect_config_error("test,cache=8,cache-assoc=3", "cache-assoc");
   expect_config_error("test,cache-write=back", "cache-write=back");
-  expect_config_error("test,cache-mode=scratchpad", "cache-mode=scratchpad");
   expect_config_error("test,cache=8,cache-latency=0", "cache-latency");
-  expect_config_error("test,cache=8,cache-policy=plru", "cache-policy");
   expect_config_error("test,cache=8,cache-write=around", "cache-write");
-  expect_config_error("test,cache=8,cache-mode=victim", "cache-mode");
+  expect_unknown_key("test,cache=8,cache-policy=plru", "cache-policy");
+  expect_unknown_key("test,cache=8,cache-mode=victim", "cache-mode");
 }
 
 TEST(CacheConfig, ParseRoundTripsEveryKnob) {
   const auto cfg = sim::MachineConfig::parse(
-      "test,cache=64,cache-line=4,cache-assoc=8,cache-policy=fifo,"
-      "cache-write=back,cache-mode=cache,cache-latency=3");
+      "test,cache=64,cache-line=4,cache-assoc=8,cache-write=back,"
+      "cache-latency=3");
   EXPECT_EQ(cfg.cache.capacity, 64u);
   EXPECT_EQ(cfg.cache.line_words, 4u);
   EXPECT_EQ(cfg.cache.assoc, 8u);
-  EXPECT_EQ(cfg.cache.policy, cache::Policy::kFifo);
   EXPECT_EQ(cfg.cache.write, cache::WritePolicy::kBack);
-  EXPECT_EQ(cfg.cache.mode, cache::Mode::kCache);
   EXPECT_EQ(cfg.cache.hit_latency, 3u);
   EXPECT_TRUE(cfg.cache.enabled());
   EXPECT_EQ(cfg.cache.ways(), 8u);
@@ -81,21 +94,17 @@ TEST(CacheConfig, ParseRoundTripsEveryKnob) {
 // ----------------------------------------------------------------- tier
 
 cache::CacheConfig small_cache(std::uint64_t capacity, std::uint64_t assoc,
-                               cache::Policy policy,
                                cache::WritePolicy write) {
   cache::CacheConfig c;
   c.capacity = capacity;
   c.line_words = 1;  // addr == line, easiest to reason about
   c.assoc = assoc;
-  c.policy = policy;
   c.write = write;
   return c;
 }
 
 TEST(CacheTier, LruPromotesOnHitAndEvictsLeastRecent) {
-  cache::CacheTier t(small_cache(4, 0, cache::Policy::kLru,
-                                 cache::WritePolicy::kBack),
-                     1);
+  cache::CacheTier t(small_cache(4, 0, cache::WritePolicy::kBack), 1);
   for (std::uint64_t a : {0, 1, 2, 3}) EXPECT_FALSE(t.access(0, a).hit);
   EXPECT_TRUE(t.access(0, 0).hit);  // promotes 0 to MRU
   // Next fill evicts the least recent line, which is now 1 (not 0).
@@ -111,22 +120,14 @@ TEST(CacheTier, LruPromotesOnHitAndEvictsLeastRecent) {
 }
 
 TEST(CacheTier, FifoIgnoresHitsWhenChoosingVictims) {
-  cache::CacheTier t(small_cache(4, 0, cache::Policy::kFifo,
-                                 cache::WritePolicy::kBack),
-                     1);
-  for (std::uint64_t a : {0, 1, 2, 3}) EXPECT_FALSE(t.access(0, a).hit);
-  EXPECT_TRUE(t.access(0, 0).hit);  // FIFO: hit does not refresh age
-  const auto acc = t.access(0, 4);
-  EXPECT_FALSE(acc.hit);
-  EXPECT_EQ(acc.victim_addr, 0u);  // first in, first out — despite the hit
-  EXPECT_FALSE(t.access(0, 0).hit);
+  // Replacement is LRU only: a replacement-policy key is refused.
+  expect_unknown_key("test,cache=4,cache-policy=fifo", "cache-policy");
+  expect_unknown_key("test,cache=4,cache-policy=lru", "cache-policy");
 }
 
 TEST(CacheTier, DirectMappedConflictsWithinTheSet) {
   // capacity 4, assoc 1: four sets, line & 3 selects the set.
-  cache::CacheTier t(small_cache(4, 1, cache::Policy::kLru,
-                                 cache::WritePolicy::kBack),
-                     1);
+  cache::CacheTier t(small_cache(4, 1, cache::WritePolicy::kBack), 1);
   EXPECT_FALSE(t.access(0, 0).hit);
   EXPECT_FALSE(t.access(0, 1).hit);  // different set: no conflict
   EXPECT_TRUE(t.access(0, 0).hit);
@@ -139,9 +140,7 @@ TEST(CacheTier, DirectMappedConflictsWithinTheSet) {
 }
 
 TEST(CacheTier, WriteThroughNeverWritesBack) {
-  cache::CacheTier t(small_cache(2, 0, cache::Policy::kLru,
-                                 cache::WritePolicy::kThrough),
-                     1);
+  cache::CacheTier t(small_cache(2, 0, cache::WritePolicy::kThrough), 1);
   for (std::uint64_t a = 0; a < 10; ++a) {
     const auto acc = t.access(0, a);
     EXPECT_FALSE(acc.hit);
@@ -163,33 +162,13 @@ TEST(CacheTier, LineGranularityAndPerProcessorIsolation) {
 }
 
 TEST(CacheTier, ScratchpadMembershipOnlyNoFills) {
-  cache::CacheConfig c;
-  c.capacity = 4;
-  c.line_words = 8;
-  c.mode = cache::Mode::kScratchpad;
-  cache::CacheTier t(c, 1);
-  const std::vector<std::uint64_t> lines = {0, 5};
-  t.pin(lines);
-  EXPECT_TRUE(t.access(0, 7).hit);    // line 0 pinned
-  EXPECT_TRUE(t.access(0, 42).hit);   // line 5 pinned
-  EXPECT_FALSE(t.access(0, 8).hit);   // line 1: miss...
-  EXPECT_FALSE(t.access(0, 8).hit);   // ...and stays a miss (no fill)
-  EXPECT_EQ(t.writebacks(), 0u);
-
-  // Pins survive reset (placement is configuration, not state).
-  t.reset();
-  EXPECT_EQ(t.hits(), 0u);
-  EXPECT_TRUE(t.access(0, 7).hit);
-
-  // Over-capacity pin set is a config error.
-  const std::vector<std::uint64_t> too_many = {1, 2, 3, 4, 5};
-  EXPECT_THROW(t.pin(too_many), Error);
+  // The tier always fills automatically: a mode key is refused.
+  expect_unknown_key("test,cache=4,cache-mode=scratchpad", "cache-mode");
+  expect_unknown_key("test,cache=4,cache-mode=cache", "cache-mode");
 }
 
 TEST(CacheTier, ResetColdStartsTagsAndCounters) {
-  cache::CacheTier t(small_cache(4, 0, cache::Policy::kLru,
-                                 cache::WritePolicy::kBack),
-                     1);
+  cache::CacheTier t(small_cache(4, 0, cache::WritePolicy::kBack), 1);
   EXPECT_FALSE(t.access(0, 1).hit);
   EXPECT_TRUE(t.access(0, 1).hit);
   t.reset();
@@ -201,20 +180,45 @@ TEST(CacheTier, ResetColdStartsTagsAndCounters) {
   EXPECT_FALSE(acc.writeback);
 }
 
-// ------------------------------------------------------------ placement
+// ------------------------------------------------------------ hot spot
 
 TEST(CachePlacement, HotLinesRanksByTouchCountThenLineId) {
-  const std::vector<std::uint64_t> addrs = {0, 1, 2,   // line 0: 3 touches
-                                            8, 9,      // line 1: 2 touches
-                                            16,        // line 2: 1 touch
-                                            24};       // line 3: 1 touch
-  const auto top2 = cache::hot_lines(addrs, 8, 2);
-  EXPECT_EQ(top2, (std::vector<std::uint64_t>{0, 1}));
-  // Tie between lines 2 and 3 breaks toward the lower id.
-  const auto top3 = cache::hot_lines(addrs, 8, 3);
-  EXPECT_EQ(top3, (std::vector<std::uint64_t>{0, 1, 2}));
-  EXPECT_EQ(cache::hot_lines(addrs, 8, 100).size(), 4u);
-  EXPECT_THROW((void)cache::hot_lines(addrs, 0, 2), Error);
+  // An 8-line fully associative LRU tier keeps the k-hot location's
+  // line resident: a touch hits exactly when fewer than 8 other lines
+  // were touched since the previous one (its LRU stack distance), and
+  // on this stream that is nearly every repeat.
+  const auto addrs = workload::k_hot(4000, 2000, 1 << 12, 7);
+  std::map<std::uint64_t, std::uint64_t> counts;
+  for (const std::uint64_t a : addrs) ++counts[a];
+  const std::uint64_t hot =
+      std::max_element(counts.begin(), counts.end(),
+                       [](const auto& x, const auto& y) {
+                         return x.second < y.second;
+                       })->first;
+  ASSERT_EQ(counts[hot], 2000u);
+
+  cache::CacheConfig c;
+  c.capacity = 8;
+  c.line_words = 8;
+  cache::CacheTier t(c, 1);
+  const std::uint64_t hot_line = c.line_of(hot);
+  std::uint64_t touches = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t oracle_hits = 0;
+  std::set<std::uint64_t> since;  // other lines touched since the last
+  for (const std::uint64_t a : addrs) {
+    const bool hit = t.access(0, a).hit;
+    if (c.line_of(a) != hot_line) {
+      since.insert(c.line_of(a));
+      continue;
+    }
+    if (touches++ > 0 && since.size() < c.capacity) ++oracle_hits;
+    if (hit) ++hits;
+    since.clear();
+  }
+  EXPECT_GE(touches, 2000u);
+  EXPECT_EQ(hits, oracle_hits);
+  EXPECT_GE(hits, 1900u);
 }
 
 // ---------------------------------------------------- machine integration
@@ -237,7 +241,7 @@ TEST(CacheMachine, CapacityZeroIsBitIdenticalToNoCacheAtAll) {
   auto knobs = sim::MachineConfig::test_machine();
   knobs.cache.line_words = 16;
   knobs.cache.hit_latency = 5;
-  knobs.cache.policy = cache::Policy::kFifo;
+  knobs.cache.assoc = 4;
 
   sim::Machine a(plain);
   sim::Machine b(knobs);
@@ -313,21 +317,16 @@ TEST(CacheMachine, WriteBackEvictionsGenerateBankTraffic) {
 }
 
 TEST(CacheMachine, ScratchpadPinsServeHitsAndRejectsWrongMode) {
-  auto cfg = cached_machine(8, cache::WritePolicy::kThrough);
-  cfg.cache.mode = cache::Mode::kScratchpad;
-  sim::Machine m(cfg);
-  const auto addrs = workload::k_hot(4000, 2000, 1 << 12, 7);
-  const auto pinned = cache::hot_lines(addrs, cfg.cache.line_words, 8);
-  m.pin_scratchpad(pinned);
-  const auto res = m.scatter(addrs);
-  EXPECT_GE(res.cache_hits, 2000u);  // at least the hot location
-  EXPECT_EQ(res.cache_evictions, 0u);
+  // No placement is needed for the hot location: the automatic LRU tier
+  // serves its repeats locally, and a scratchpad spec is refused.
+  sim::Machine m(cached_machine(8, cache::WritePolicy::kThrough));
+  const auto res = m.scatter(workload::k_hot(4000, 2000, 1 << 12, 7));
+  EXPECT_GE(res.cache_hits, 1900u);  // nearly every hot repeat
+  EXPECT_EQ(res.cache_hits + res.cache_misses, res.n);
+  EXPECT_EQ(res.cache_evictions, 0u);  // write-through: never dirty
   EXPECT_EQ(res.breakdown.total(), res.cycles);
 
-  sim::Machine wrong(cached_machine(8, cache::WritePolicy::kThrough));
-  EXPECT_THROW(wrong.pin_scratchpad(pinned), Error);
-  sim::Machine off((sim::MachineConfig::test_machine()));
-  EXPECT_THROW(off.pin_scratchpad(pinned), Error);
+  expect_unknown_key("test,cache=8,cache-mode=scratchpad", "cache-mode");
 }
 
 TEST(CacheMachine, ScatterBanksBypassesTheTier) {

